@@ -5,10 +5,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -139,7 +137,7 @@ def cmd_certify(args):
         if args.T:
             params["T"] = args.T
         for name in ("b", "c", "C1", "C2", "C", "eps", "kappa_sq", "delta"):
-            val = getattr(args, name.replace("kappa_sq", "kappa_sq"), None)
+            val = getattr(args, name, None)
             if val is not None:
                 params[name] = val
         if kind == "thm38":
@@ -194,14 +192,8 @@ def cmd_raylength(args):
 
 
 def cmd_sweep(args):
-    c_vals = parse_range(args.c)
-    threads = int(os.environ.get("CURVLAB_THREADS", "4"))
-
-    def one(c):
-        return oscillation_certificate(float(c), args.t0, args.T).to_json()
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        records = list(pool.map(one, c_vals))
+    records = [oscillation_certificate(float(c), args.t0, args.T).to_json()
+               for c in parse_range(args.c)]
     _emit(args, jsonl_text(records), {"command": "sweep"})
     return 0
 

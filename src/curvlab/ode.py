@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
 from .errors import BracketError, DomainError, StiffFailure, WindowTooSmall
 from .geometry import DimensionConstants
@@ -126,6 +124,14 @@ class Verdict:
 # shooting
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call: scipy is most of
+    a CLI process's start-up cost, and only the integrating commands need
+    it.  Every integration in this module goes through this one name."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _signed_pow(u, p):
     if p == 0:
         return np.ones_like(np.asarray(u, dtype=float))
@@ -152,8 +158,7 @@ def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
     crossing.direction = 0
 
     sol = solve_ivp(rhs, (spec.t0, spec.T), [u0, du0], method="RK45",
-                    rtol=rtol, atol=ATOL, events=crossing, dense_output=True,
-                    max_step=max_step)
+                    rtol=rtol, atol=ATOL, events=crossing, max_step=max_step)
     if sol.status == -1:
         raise StiffFailure(f"integrator failed: {sol.message}")
     crossings = list(sol.t_events[0])
@@ -327,6 +332,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     ab[0, 1:] = a / h ** 2            # super-diagonal
     ab[1, :] = -2.0 * a / h ** 2 - M  # diagonal
     ab[2, :-1] = a / h ** 2           # sub-diagonal
+
+    from scipy.linalg import solve_banded
 
     u = np.array(lo if start == "lower" else hi, dtype=float)
     u[0], u[-1] = bc_l, bc_r

@@ -113,10 +113,7 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
     conformal: optional positive Field/PolarWarpField u, scaling all
     components by u^(4/(n-1)).
     """
-    if isinstance(base, BaseGrid):
-        n = base.n
-    else:
-        n = base.n
+    n = base.n
     chart = chart_for(base)
     conf_exp = 4.0 / (n - 1)
 

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from curvlab import ode
 from curvlab.cli import main, parse_range
 from curvlab.errors import DomainError
 from curvlab.serialize import fmt17, read_csv
@@ -144,3 +146,41 @@ class TestSolveAndOracle:
         header, rows = read_csv(str(out))
         assert header == ["point", "closed_form", "fd", "abs_err", "rel_err"]
         assert all(row[4] < 1e-4 for row in rows)
+
+
+class TestScipyLoading:
+    def test_non_integrating_commands_leave_scipy_unloaded(self, tmp_path):
+        jobs = [
+            ["curvature", "--profile", "t*(2+0.1*sin(x1))", "--n", "3",
+             "--base", "torus", "--m", "8", "--t", "3:5:2"],
+            ["oracle", "--profile", "exp(t)", "--n", "3", "--base-R", "0",
+             "--t", "2.5:4:2", "--domain-min", "0.5"],
+            ["raylength", "--u", "t^-2", "--n", "3"],
+        ]
+        outs = [str(tmp_path / f"out{i}") for i in range(len(jobs))]
+        script = textwrap.dedent(f"""
+            import json, sys
+            from curvlab.cli import main
+            for job, out in zip({jobs!r}, {outs!r}):
+                assert main(job + ["--out", out]) == 0, job
+            print(json.dumps(sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "scipy")))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_integration_goes_through_module_solve_ivp(self, monkeypatch):
+        # the traced benchmark counts calls by rebinding ode.solve_ivp
+        calls = []
+        real = ode.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "solve_ivp", counting)
+        verdict = ode.oscillation_certificate(1.2, 3.0)
+        assert verdict.kind == "nonexistence"
+        assert calls
