@@ -10,10 +10,9 @@ from .warp import (Field, SubstitutedProfile, WarpProfile, cone_log_curvature,
                    default_probe_grid, ode_residual, parse_field,
                    parse_profile, power_law_curvature, substitute_u,
                    warped_laplacian, warped_scalar_curvature)
-from .polar import (BaseGrid, ConformalFactorField, PolarWarpField,
-                    conformal_base_curvature, conformal_scalar_curvature,
-                    mu_field, polar_laplacian, polar_scalar_curvature,
-                    polar_scalar_curvature_profile)
+from .polar import (BaseGrid, PolarWarpField, conformal_base_curvature,
+                    conformal_scalar_curvature, mu_field, polar_laplacian,
+                    polar_scalar_curvature)
 from .ode import (AveragedProfile, ComparisonTransform, MonotoneSolution,
                   OdeSpec, SubSuperPair, Trajectory, Verdict,
                   average_over_base, barrier_certificate_33,
@@ -34,9 +33,9 @@ __all__ = [
     "WarpProfile", "cone_log_curvature", "default_probe_grid", "ode_residual",
     "parse_field", "parse_profile", "power_law_curvature", "substitute_u",
     "warped_laplacian", "warped_scalar_curvature", "BaseGrid",
-    "ConformalFactorField", "PolarWarpField", "conformal_base_curvature",
+    "PolarWarpField", "conformal_base_curvature",
     "conformal_scalar_curvature", "mu_field", "polar_laplacian",
-    "polar_scalar_curvature", "polar_scalar_curvature_profile",
+    "polar_scalar_curvature",
     "AveragedProfile", "ComparisonTransform", "MonotoneSolution", "OdeSpec",
     "SubSuperPair", "Trajectory", "Verdict", "average_over_base",
     "barrier_certificate_33", "comparison_certificate", "monotone_solve",

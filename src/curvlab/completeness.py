@@ -45,17 +45,10 @@ class RayLengthReport:
 TAIL_MARGIN = 0.05
 
 
-def _sample_ray(u, x0, t):
-    if callable(u) and not hasattr(u, "eval_point") and not hasattr(u, "eval"):
-        return np.asarray(u(t), dtype=float)
-    if hasattr(u, "eval_point"):
-        return np.array([u.eval_point(tt, x0) for tt in np.atleast_1d(t)])
-    return np.asarray(u.eval(t), dtype=float)
-
-
 def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
     """Length of the radial curve t -> (t, x0) in the deformed metric:
     quadrature of u^(2/(n-1)) on [t0, T] plus a fitted power-law tail.
+    u is a callable t -> u(t, x0) on arrays of t; x0 is only reported.
 
     The verdict follows the fitted tail exponent p of the integrand:
     p < -1 - margin -> finite (with analytic tail completion),
@@ -66,7 +59,7 @@ def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
     if not (0 < t0 < T):
         raise DomainError("need 0 < t0 < T")
     t = np.geomspace(t0, T, num)
-    uval = _sample_ray(u, x0, t)
+    uval = np.asarray(u(t), dtype=float)
     if np.any(uval <= 0):
         raise DomainError("u must be positive along the ray")
     integrand = uval ** (2.0 / (n - 1))

@@ -40,7 +40,7 @@ class BaseGeometry:
     """The compact base (N, g): dimension, constant scalar curvature, volume.
 
     kind is one of 'abstract-constant', 'sphere-analytic', 'torus-grid'.
-    In torus-grid mode `grid` carries the discretized base (see polar module).
+    The discretized torus itself is polar.BaseGrid.
     """
 
     n: int
@@ -48,7 +48,6 @@ class BaseGeometry:
     volume: float
     kind: str = "abstract-constant"
     radius: float | None = None
-    grid: object | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -70,10 +69,9 @@ class BaseGeometry:
                             kind="sphere-analytic", radius=radius)
 
     @staticmethod
-    def torus(n, grid=None):
+    def torus(n):
         return BaseGeometry(n=n, scalar_curvature=0.0,
-                            volume=(2.0 * math.pi) ** n,
-                            kind="torus-grid", grid=grid)
+                            volume=(2.0 * math.pi) ** n, kind="torus-grid")
 
     def require_dimension(self, minimum):
         if self.n < minimum:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BracketError, DomainError, StiffFailure, WindowTooSmall
 from .geometry import DimensionConstants
-from .polar import BaseGrid
 
 DEFAULT_T_MAX = 1.0e4
 RTOL = 1.0e-10
@@ -69,9 +68,6 @@ class Trajectory:
     du: np.ndarray
     crossings: list
     terminated_at_crossing: bool = False
-
-    def write_csv_rows(self):
-        return zip(self.t, self.u, self.du)
 
 
 @dataclass
@@ -283,7 +279,6 @@ class MonotoneSolution:
     iterations: int
     monotone: bool
     bracketed: bool
-    history_extrema: list
 
 
 def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
@@ -340,7 +335,6 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     prev_interior = u[1:-1].copy()
     monotone = True
     bracketed = True
-    extrema = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
         rhs = -M * u[1:-1] - nonlin(u[1:-1])
@@ -357,7 +351,6 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
             raise BracketError(
                 f"iterate {iterations} left the bracket")
         u[1:-1] = new_interior
-        extrema.append((float(new_interior.min()), float(new_interior.max())))
         delta = float(np.abs(step).max())
         prev_interior = new_interior.copy()
         if delta < tol:
@@ -367,7 +360,7 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     res = _discrete_residual(spec, t[1:-1], u[1:-1], d2)
     return MonotoneSolution(t=t, u=u, residual_norm=float(np.abs(res).max()),
                             iterations=iterations, monotone=monotone,
-                            bracketed=bracketed, history_extrema=extrema)
+                            bracketed=bracketed)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +378,10 @@ _WEIGHT_TAG = {"1": "U", "f2": "F", "fn": "calF"}
 
 
 def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
-    """Integrate u over the base with weight 1, f^2, or f^n.
+    """Integrate the field u over the base with weight 1, f^2, or f^n.
 
-    Grid path: u and f are PolarWarpField-like over the same BaseGrid.
-    Analytic path (BaseGeometry, x-independent integrand): Vol * value.
+    Grid path (u sampled on a grid): u and f live on the BaseGrid `base`.
+    Analytic path (t-only u over a BaseGeometry): Vol * value.
     """
     if weight not in _WEIGHT_TAG:
         raise DomainError(f"unknown weight '{weight}'")
@@ -396,12 +389,14 @@ def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
         raise DomainError("t_grid required")
     t_grid = np.asarray(t_grid, dtype=float)
 
-    if isinstance(base, BaseGrid):
-        if f is not None and f.grid is not base:
-            raise DomainError("incompatible grids between u and f")
+    if f is not None and f.grid is not u.grid:
+        raise DomainError("incompatible grids between u and f")
+    if u.grid is not None:
+        if u.grid is not base:
+            raise DomainError("incompatible grids between u and the base")
         vals = []
         for t in t_grid:
-            uval = u.sample(t) if hasattr(u, "sample") else u(t)
+            uval = u.sample(t)
             if weight == "1":
                 w = 1.0
             else:
@@ -409,7 +404,7 @@ def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
                     raise DomainError(f"weight {weight} needs the warp field")
                 fval = f.sample(t)
                 w = fval ** 2 if weight == "f2" else fval ** base.n
-            vals.append(base.integrate(np.broadcast_to(uval * w, (base.m,) * base.n)))
+            vals.append(base.integrate(uval * w))
         return AveragedProfile(t_grid=t_grid, values=np.array(vals),
                                tag=_WEIGHT_TAG[weight])
 
@@ -417,7 +412,7 @@ def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
     vol = base.volume
     vals = []
     for t in t_grid:
-        uval = u.eval(t) if hasattr(u, "eval") else u(t)
+        uval = u.eval(t)
         if weight == "1":
             w = 1.0
         else:
@@ -679,7 +674,7 @@ def certificate_thm38(params) -> Verdict:
     T = float(params.get("T", DEFAULT_T_MAX))
     f = params["f"]  # WarpProfile
     pp = {k: v for k, v in params.items() if k != "f"}
-    pp["f"] = getattr(f, "source", str(f))
+    pp["f"] = f.source
     if n < 3:
         return Verdict("inconclusive", reason="hypothesis n >= 3 violated",
                        params=pp)

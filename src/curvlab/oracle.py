@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BaseGeometry
-from .polar import BaseGrid, PolarWarpField
-from .warp import Field, WarpProfile
+from .polar import BaseGrid
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +52,6 @@ class BaseChart:
 def chart_for(base) -> BaseChart:
     """Model chart realizing a BaseGeometry/BaseGrid as coordinate components."""
     if isinstance(base, BaseGrid):
-        return BaseChart("flat", base.n)
-    if base.kind == "torus-grid":
         return BaseChart("flat", base.n)
     R = base.scalar_curvature
     n = base.n
@@ -108,52 +104,31 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
     """Realize the warped/polar metric (and its conformal deformation) as a
     component evaluator.
 
-    f: WarpProfile (t-only) or PolarWarpField.  base: BaseGeometry or
-    BaseGrid; constant-curvature bases are realized by a model chart.
-    conformal: optional positive Field/PolarWarpField u, scaling all
+    f: a warp field (WarpProfile, PolarWarpField or any Field).  base:
+    BaseGeometry or BaseGrid; constant-curvature bases are realized by a
+    model chart.  conformal: optional positive field u, scaling all
     components by u^(4/(n-1)).
     """
     n = base.n
     chart = chart_for(base)
     conf_exp = 4.0 / (n - 1)
 
-    def f_value(point):
-        t = point[0]
-        x = point[1:]
-        if isinstance(f, PolarWarpField):
-            val = f.eval_point(t, x)
-        elif isinstance(f, (WarpProfile, Field)):
-            val = f.ast.eval({"t": t})
-        else:
-            val = float(f)
+    def positive(field, point, what):
+        val = field.eval_point(point[0], point[1:])
         if val <= 0:
-            raise DomainError(f"warp is nonpositive at {point}")
-        return val
-
-    def u_value(point):
-        t = point[0]
-        x = point[1:]
-        if isinstance(conformal, PolarWarpField):
-            val = conformal.eval_point(t, x)
-        else:
-            env = {f"x{i + 1}": x[i] for i in range(n)}
-            env["t"] = t
-            val = conformal.ast.eval(env)
-        if val <= 0:
-            raise DomainError(f"conformal factor is nonpositive at {point}")
+            raise DomainError(f"{what} is nonpositive at {point}")
         return val
 
     def component_fn(point):
         g = np.zeros((n + 1, n + 1))
         g[0, 0] = 1.0
-        fv = f_value(point)
+        fv = positive(f, point, "warp")
         g[1:, 1:] = fv * fv * chart.components(point[1:])
         if conformal is not None:
-            g *= u_value(point) ** conf_exp
+            g *= positive(conformal, point, "conformal factor") ** conf_exp
         return g
 
-    domain_min = getattr(f, "domain_min", 0.0)
-    return MetricGrid(n, component_fn, h=h, domain_min=domain_min)
+    return MetricGrid(n, component_fn, h=h, domain_min=f.domain_min or 0.0)
 
 
 # ---------------------------------------------------------------------------

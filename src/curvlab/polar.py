@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from . import expr
-from .errors import DomainError, ExpressionError
-from .geometry import BaseGeometry, DimensionConstants
-from .warp import WarpProfile, warped_scalar_curvature
+from .errors import DomainError
+from .geometry import DimensionConstants
+from .warp import Field
 
 
 class BaseGrid:
@@ -99,52 +98,16 @@ class BaseGrid:
         """Trapezoid quadrature on the periodic grid (plain weighted sum)."""
         return float(np.sum(arr) * self.spacing ** self.n)
 
-    def as_geometry(self):
-        return BaseGeometry.torus(self.n, grid=self)
 
-
-class PolarWarpField:
-    """Positive warp f(t, x) given by an expression in t and x1..xn."""
+class PolarWarpField(Field):
+    """Positive warp f(t, x) given by an expression in t and x1..xn,
+    sampled on the t-slices of a BaseGrid."""
 
     def __init__(self, source, grid: BaseGrid, domain_min=2.0):
-        self.source = source
+        coords = tuple(f"x{i + 1}" for i in range(grid.n))
+        super().__init__(source, allowed_vars=("t",) + coords)
         self.grid = grid
         self.domain_min = domain_min
-        self.ast = expr.parse(source)
-        allowed = {"t"} | {f"x{i + 1}" for i in range(grid.n)}
-        unknown = self.ast.free_vars() - allowed
-        if unknown:
-            raise ExpressionError(f"unknown identifier(s) {sorted(unknown)}")
-        self._dt = self.ast.diff("t")
-        self._dtt = self._dt.diff("t")
-
-    def _sample(self, node, t, check=False):
-        val = node.eval(self.grid.env(t))
-        val = np.broadcast_to(np.asarray(val, dtype=float),
-                              (self.grid.m,) * self.grid.n).copy()
-        if check and np.any(val <= 0):
-            raise DomainError(f"field '{self.source}' is nonpositive on the t = {t} slice")
-        return val
-
-    def sample(self, t):
-        if t <= self.domain_min:
-            raise DomainError(f"t must exceed domain_min = {self.domain_min}")
-        return self._sample(self.ast, t, check=True)
-
-    def sample_dt(self, t):
-        return self._sample(self._dt, t)
-
-    def sample_dtt(self, t):
-        return self._sample(self._dtt, t)
-
-    def eval_point(self, t, x):
-        env = {f"x{i + 1}": x[i] for i in range(self.grid.n)}
-        env["t"] = t
-        return self.ast.eval(env)
-
-
-class ConformalFactorField(PolarWarpField):
-    """Positive conformal factor u(t, x) with exact t-derivative oracle."""
 
 
 def mu_field(f: PolarWarpField, t):
@@ -196,12 +159,7 @@ def polar_scalar_curvature(f: PolarWarpField, t, base_scalar=0.0):
     return r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2) / fval ** 2
 
 
-def polar_scalar_curvature_profile(f: WarpProfile, base: BaseGeometry, t):
-    """x-independent reduction; coincides with the warped-product formula."""
-    return warped_scalar_curvature(f, base, t)
-
-
-def polar_laplacian(f: PolarWarpField, u: ConformalFactorField, t):
+def polar_laplacian(f: PolarWarpField, u: PolarWarpField, t):
     """Laplacian slice of u in the polar metric:
 
         u_tt + (n f_t / f) u_t + ((n-2)/f^3) <grad f, grad u> + (1/f^2) Lap u
@@ -209,7 +167,7 @@ def polar_laplacian(f: PolarWarpField, u: ConformalFactorField, t):
     grid = f.grid
     n = grid.n
     fval = f.sample(t)
-    uval = u._sample(u.ast, t)
+    uval = u.sample(t)
     ut = u.sample_dt(t)
     utt = u.sample_dtt(t)
     cross = grid.grad_inner(fval, uval)
@@ -218,7 +176,7 @@ def polar_laplacian(f: PolarWarpField, u: ConformalFactorField, t):
             + grid.laplacian(uval) / fval ** 2)
 
 
-def conformal_scalar_curvature(u: ConformalFactorField, f: PolarWarpField, t,
+def conformal_scalar_curvature(u: PolarWarpField, f: PolarWarpField, t,
                                base_scalar=0.0):
     """Scalar curvature slice of u^(4/(n-1)) [dt^2 + f^2 g], solved from
 
@@ -226,7 +184,7 @@ def conformal_scalar_curvature(u: ConformalFactorField, f: PolarWarpField, t,
     """
     grid = f.grid
     n = grid.n
-    uval = u._sample(u.ast, t, check=True)
+    uval = u.sample(t)
     cnp1 = DimensionConstants(n).c_np1
     rbar = polar_scalar_curvature(f, t, base_scalar)
     lap = polar_laplacian(f, u, t)

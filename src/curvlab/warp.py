@@ -20,11 +20,17 @@ def default_probe_grid(t_min=2.0, t_max=1.0e3, num=64):
 
 
 class Field:
-    """A scalar field given by an expression, with exact t-derivatives.
+    """A scalar field given by an expression in t and declared coordinates
+    x1..xn, with exact first and second t-derivatives.
 
-    No positivity requirement; use WarpProfile when f > 0 is part of the
-    contract.
+    A plain Field carries no positivity contract (domain_min is None) and no
+    grid.  WarpProfile and PolarWarpField fix the contract: the field must
+    be positive wherever it is evaluated or sampled, at t > domain_min, and a
+    PolarWarpField is sampled on whole t-slices of its BaseGrid.
     """
+
+    grid = None
+    domain_min = None
 
     def __init__(self, source, allowed_vars=("t",)):
         self.source = source
@@ -33,6 +39,9 @@ class Field:
         if unknown:
             raise ExpressionError(
                 f"unknown identifier(s) {sorted(unknown)} (allowed: {list(allowed_vars)})")
+        # declared coordinates x<k> and their index k - 1 in a point's x part
+        self._coords = tuple((v, int(v[1:]) - 1) for v in allowed_vars
+                             if v[:1] == "x" and v[1:].isdigit())
         self._d1 = self.ast.diff("t")
         self._d2 = self._d1.diff("t")
 
@@ -40,8 +49,19 @@ class Field:
     def x_vars(self):
         return sorted(v for v in self.ast.free_vars() if v != "t")
 
+    def _checked(self, t, evaluate):
+        """The positivity contract: t > domain_min, then a positive value."""
+        if self.domain_min is None:
+            return evaluate()
+        if np.any(np.asarray(t) <= self.domain_min):
+            raise DomainError(f"t must exceed domain_min = {self.domain_min}")
+        val = evaluate()
+        if np.any(np.asarray(val) <= 0):
+            raise DomainError(f"field '{self.source}' is nonpositive at t = {t}")
+        return val
+
     def eval(self, t, **xs):
-        return self.ast.eval({"t": t, **xs})
+        return self._checked(t, lambda: self.ast.eval({"t": t, **xs}))
 
     def d1(self, t, **xs):
         return self._d1.eval({"t": t, **xs})
@@ -49,8 +69,30 @@ class Field:
     def d2(self, t, **xs):
         return self._d2.eval({"t": t, **xs})
 
-    def unparse(self):
-        return self.ast.unparse()
+    def eval_point(self, t, x):
+        """Unchecked value at the point (t, x1..xn); only the declared
+        coordinates enter the environment."""
+        env = {"t": t}
+        for v, i in self._coords:
+            env[v] = x[i]
+        return self.ast.eval(env)
+
+    # -- grid sampling (fields built on a BaseGrid) ---------------------------
+
+    def _sample(self, node, t):
+        grid = self.grid
+        val = node.eval(grid.env(t))
+        return np.broadcast_to(np.asarray(val, dtype=float),
+                               (grid.m,) * grid.n).copy()
+
+    def sample(self, t):
+        return self._checked(t, lambda: self._sample(self.ast, t))
+
+    def sample_dt(self, t):
+        return self._sample(self._d1, t)
+
+    def sample_dtt(self, t):
+        return self._sample(self._d2, t)
 
 
 class WarpProfile(Field):
@@ -64,25 +106,6 @@ class WarpProfile(Field):
         if domain_min <= 0:
             raise DomainError("domain_min must be positive")
         self.domain_min = domain_min
-
-    def _check_domain(self, t):
-        if np.any(np.asarray(t) <= self.domain_min):
-            raise DomainError(
-                f"t must exceed domain_min = {self.domain_min}")
-
-    def eval(self, t, check=True):
-        if check:
-            self._check_domain(t)
-        val = self.ast.eval({"t": t})
-        if check and np.any(np.asarray(val) <= 0):
-            raise DomainError(f"warp profile '{self.source}' is nonpositive at t = {t}")
-        return val
-
-    def d1(self, t):
-        return self._d1.eval({"t": t})
-
-    def d2(self, t):
-        return self._d2.eval({"t": t})
 
 
 def parse_profile(source, domain_min=2.0):
@@ -138,8 +161,6 @@ def warped_scalar_curvature(f: WarpProfile, base: BaseGeometry, t):
 
     R(t) = (1/f^2) [R(g) - 2 n f f'' - n (n-1) f'^2].
     """
-    if base.kind == "torus-grid" and base.grid is not None:
-        raise DomainError("x-resolved base requires the polar curvature path")
     n = base.n
     fval = f.eval(t)
     fp = f.d1(t)
@@ -188,7 +209,7 @@ def warped_laplacian(f: WarpProfile, u: Field, base: BaseGeometry, t, base_lapla
     fval = f.eval(t)
     term = u.d2(t) + base.n * f.d1(t) / fval * u.d1(t)
     if base_laplacian:
-        if base.kind == "abstract-constant" and base.grid is None:
+        if base.kind == "abstract-constant":
             raise DomainError("abstract base carries no Laplacian for x-dependent data")
         term = term + base_laplacian / fval ** 2
     return term

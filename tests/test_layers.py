@@ -1,0 +1,51 @@
+"""Module layering: the lower layers never import the upper ones, either at
+module level or inside a function."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvlab"
+LOWER = ("ode", "completeness", "warp", "geometry")
+UPPER = {"polar", "oracle", "cli"}
+
+
+def imported_modules(path):
+    """curvlab module names imported anywhere in the file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "curvlab" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("curvlab"):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import x / from curvlab import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_parser_sees_every_import_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .polar import BaseGrid\n"
+                   "from . import oracle\n"
+                   "import curvlab.cli\n"
+                   "def f():\n"
+                   "    from curvlab import expr\n"
+                   "    from curvlab.serialize import fmt17\n"
+                   "import numpy\n")
+    assert imported_modules(src) == {"polar", "oracle", "cli", "expr", "serialize"}
+
+
+@pytest.mark.parametrize("module", LOWER)
+def test_lower_layers_do_not_import_upward(module):
+    upward = imported_modules(PACKAGE / f"{module}.py") & UPPER
+    assert not upward, f"{module} imports {sorted(upward)}"

@@ -187,6 +187,19 @@ class TestAveraging:
         assert np.allclose(ap.values, (2*math.pi)**3 * t**2, rtol=1e-12)
         assert ap.tag == "calF"
 
+    def test_field_on_another_grid_rejected(self):
+        u = PolarWarpField("1/t", BaseGrid(3, 16), domain_min=0.5)
+        with pytest.raises(DomainError, match="incompatible grids"):
+            average_over_base(u, None, BaseGrid(3, 8), weight="1",
+                              t_grid=np.array([2.0]))
+
+    def test_grid_warp_with_profile_field_rejected(self):
+        grid = BaseGrid(3, 8)
+        f = PolarWarpField("t*(2 + sin(x1))", grid, domain_min=0.5)
+        with pytest.raises(DomainError, match="incompatible grids"):
+            average_over_base(parse_field("1/t"), f, grid, weight="f2",
+                              t_grid=np.array([3.0]))
+
     def test_abstract_base(self):
         base = BaseGeometry.constant(3, -6.0, volume=2.0)
         ap = average_over_base(parse_field("1/t"), parse_profile("t"),

@@ -7,8 +7,8 @@ from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry
 from curvlab.oracle import (BaseChart, MetricGrid, assemble_metric, chart_for,
                             fd_christoffel, fd_scalar_curvature)
-from curvlab.polar import BaseGrid, ConformalFactorField, PolarWarpField
-from curvlab.warp import parse_profile
+from curvlab.polar import BaseGrid, PolarWarpField
+from curvlab.warp import parse_field, parse_profile
 
 
 def torus_point(n, t):
@@ -115,7 +115,7 @@ class TestConformalMetric:
         f = parse_profile("t", domain_min=0.1)
         grid = BaseGrid(3, 16)
         lam = 2.0
-        u = ConformalFactorField(f"{lam} + 0*t", grid, domain_min=0.1)
+        u = PolarWarpField(f"{lam} + 0*t", grid, domain_min=0.1)
         metric = assemble_metric(f, grid, conformal=u)
         g = metric.components(torus_point(3, 2.0))
         assert g[0, 0] == pytest.approx(lam**2, rel=1e-12)  # u^(4/(n-1)) = u^2
@@ -124,6 +124,18 @@ class TestConformalMetric:
         s1 = fd_scalar_curvature(metric, torus_point(3, 2.0)).scalar
         s0 = fd_scalar_curvature(plain, torus_point(3, 2.0)).scalar
         assert s1 == pytest.approx(s0/lam**2, abs=1e-7)
+
+    def test_plain_field_factor_matches_polar_field(self):
+        f = parse_profile("t", domain_min=0.1)
+        grid = BaseGrid(3, 16)
+        src = "1 + 0.3*sin(x1)*cos(x3)/t"
+        plain = assemble_metric(
+            f, grid, conformal=parse_field(src, allowed_vars=("t", "x1", "x2", "x3")))
+        polar = assemble_metric(
+            f, grid, conformal=PolarWarpField(src, grid, domain_min=0.1))
+        for t in (0.5, 2.0, 7.0):
+            point = np.array([t, 0.3, 1.1, 2.4])
+            assert np.array_equal(plain.components(point), polar.components(point))
 
     def test_positive_definiteness_guard(self):
         f = parse_profile("t - 3", domain_min=0.1)  # vanishes at t = 3

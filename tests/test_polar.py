@@ -7,11 +7,10 @@ import pytest
 
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry, DimensionConstants
-from curvlab.polar import (BaseGrid, ConformalFactorField, PolarWarpField,
+from curvlab.polar import (BaseGrid, PolarWarpField,
                            conformal_base_curvature,
                            conformal_scalar_curvature, mu_field,
-                           polar_laplacian, polar_scalar_curvature,
-                           polar_scalar_curvature_profile)
+                           polar_laplacian, polar_scalar_curvature)
 from curvlab.warp import parse_profile, warped_scalar_curvature
 
 
@@ -88,7 +87,7 @@ class TestPolarScalarCurvature:
         base = BaseGeometry.torus(3)
         for t in [2.5, 4.0, 9.0]:
             slice_vals = polar_scalar_curvature(f, t)
-            expect = polar_scalar_curvature_profile(prof, base, t)
+            expect = warped_scalar_curvature(prof, base, t)
             assert np.max(np.abs(slice_vals - expect)) < 1e-12
 
     def test_x_independence_gives_constant_slice(self):
@@ -108,7 +107,7 @@ class TestPolarLaplacian:
     def test_reduces_to_warped_form(self):
         g = BaseGrid(3, 16)
         f = PolarWarpField("t^2", g, domain_min=0.5)
-        u = ConformalFactorField("1/t", g, domain_min=0.5)
+        u = PolarWarpField("1/t", g, domain_min=0.5)
         t = 2.0
         lap = polar_laplacian(f, u, t)
         # x-independent: u_tt + (n f_t/f) u_t
@@ -119,7 +118,7 @@ class TestPolarLaplacian:
         # grad f and grad u aligned: the (n-2)/f^3 <grad f, grad u> term
         g = BaseGrid(3, 32, stencil="spectral")
         f = PolarWarpField("2 + sin(x1) + 0*t", g, domain_min=0.1)
-        u = ConformalFactorField("3 + sin(x1) + 0*t", g, domain_min=0.1)
+        u = PolarWarpField("3 + sin(x1) + 0*t", g, domain_min=0.1)
         t = 1.0
         lap = polar_laplacian(f, u, t)
         fv = f.sample(t)
@@ -132,7 +131,7 @@ class TestConformalScalarCurvature:
     def test_constant_unit_factor_identity(self):
         g = BaseGrid(3, 16)
         f = PolarWarpField("exp(t)", g, domain_min=0.1)
-        u = ConformalFactorField("1 + 0*t", g, domain_min=0.1)
+        u = PolarWarpField("1 + 0*t", g, domain_min=0.1)
         R = conformal_scalar_curvature(u, f, 1.0)
         assert np.allclose(R, -12.0, rtol=1e-10)
 
@@ -140,7 +139,7 @@ class TestConformalScalarCurvature:
         g = BaseGrid(3, 16)
         f = PolarWarpField("exp(t)", g, domain_min=0.1)
         lam = 2.0
-        u = ConformalFactorField(f"{lam} + 0*t", g, domain_min=0.1)
+        u = PolarWarpField(f"{lam} + 0*t", g, domain_min=0.1)
         R = conformal_scalar_curvature(u, f, 1.0)
         # u^(4/(n-1)) g with constant u scales curvature by u^(-4/(n-1))
         assert np.allclose(R, -12.0 / lam**(4.0/2.0), rtol=1e-10)
@@ -149,7 +148,7 @@ class TestConformalScalarCurvature:
         # R_c solved from the conformal equation must satisfy it identically
         g = BaseGrid(3, 24, stencil="spectral")
         f = PolarWarpField("t*(2 + 0.3*cos(x1))", g, domain_min=0.5)
-        u = ConformalFactorField("1 + 0.2*sin(x2)/t", g, domain_min=0.5)
+        u = PolarWarpField("1 + 0.2*sin(x2)/t", g, domain_min=0.5)
         t = 3.0
         n = 3
         cnp1 = DimensionConstants(n).c_np1
