@@ -77,6 +77,17 @@ def _make_base(args, n):
 # subcommands
 
 
+def _check_finite(t, R):
+    """Overflow such as exp(exp(t)) must not reach the table as nan/inf.
+    t is one slice's t, or the t of each entry of R (the first bad one is
+    named)."""
+    finite = np.isfinite(R)
+    if not finite.all():
+        if np.ndim(t):
+            t = t[np.argmin(finite)]
+        raise DomainError(f"curvature is not finite at t = {float(t)!r}")
+
+
 def cmd_curvature(args):
     t_vals = parse_range(args.t)
     base = _make_base(args, args.n)
@@ -87,6 +98,7 @@ def cmd_curvature(args):
         mesh = base.mesh()
         for t in t_vals:
             R = polar_scalar_curvature(f, float(t), base_scalar=0.0)
+            _check_finite(t, R)
             for idx in np.ndindex(R.shape):
                 rows.append([t] + [mesh[i][idx] for i in range(base.n)] + [R[idx]])
         _emit(args, csv_text(header, rows), {"command": "curvature"})
@@ -94,6 +106,7 @@ def cmd_curvature(args):
     f = parse_profile(args.profile, domain_min=args.domain_min)
     R = warped_scalar_curvature(f, base, t_vals)
     R = np.broadcast_to(np.asarray(R, dtype=float), t_vals.shape)
+    _check_finite(t_vals, R)
     _emit(args, csv_text(["t", "R"], zip(t_vals, R)), {"command": "curvature"})
     return 0
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError, StiffFailure, WindowTooSmall
 from .geometry import DimensionConstants
+from .rk45 import solve_ivp  # every integration goes through this one name
 
 DEFAULT_T_MAX = 1.0e4
 RTOL = 1.0e-10
@@ -120,14 +121,6 @@ class Verdict:
 # shooting
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first call: scipy is most of
-    a CLI process's start-up cost, and only the integrating commands need
-    it.  Every integration in this module goes through this one name."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def _signed_pow(u, p):
     if p == 0:
         return np.ones_like(np.asarray(u, dtype=float))
@@ -153,10 +146,8 @@ def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
     crossing.terminal = bool(stop_at_crossing)
     crossing.direction = 0
 
-    sol = solve_ivp(rhs, (spec.t0, spec.T), [u0, du0], method="RK45",
-                    rtol=rtol, atol=ATOL, events=crossing, max_step=max_step)
-    if sol.status == -1:
-        raise StiffFailure(f"integrator failed: {sol.message}")
+    sol = solve_ivp(rhs, (spec.t0, spec.T), [u0, du0], rtol=rtol, atol=ATOL,
+                    events=crossing, max_step=max_step)
     crossings = list(sol.t_events[0])
     return Trajectory(t=sol.t, u=sol.y[0], du=sol.y[1], crossings=crossings,
                       terminated_at_crossing=(sol.status == 1 and bool(crossings)))
@@ -173,11 +164,8 @@ def _integrate_linear_log(a1, a0_fn, s0, s1, w0, dw0, rtol=RTOL):
     crossing.terminal = False
     crossing.direction = 0
 
-    sol = solve_ivp(rhs, (s0, s1), [w0, dw0], method="RK45", rtol=rtol,
-                    atol=ATOL, events=crossing)
-    if sol.status == -1:
-        raise StiffFailure(f"integrator failed: {sol.message}")
-    return sol
+    return solve_ivp(rhs, (s0, s1), [w0, dw0], rtol=rtol, atol=ATOL,
+                     events=crossing)
 
 
 def oscillation_certificate(c, t0, T=None) -> Verdict:
@@ -468,10 +456,7 @@ def _first_crossing(rhs, t0, y0, T, rtol=RTOL):
     crossing.terminal = True
     crossing.direction = -1
 
-    sol = solve_ivp(sys, (t0, T), y0, method="RK45", rtol=rtol, atol=ATOL,
-                    events=crossing)
-    if sol.status == -1:
-        raise StiffFailure(f"integrator failed: {sol.message}")
+    sol = solve_ivp(sys, (t0, T), y0, rtol=rtol, atol=ATOL, events=crossing)
     if len(sol.t_events[0]) == 0:
         return None, sol
     return float(sol.t_events[0][0]), sol
@@ -496,10 +481,8 @@ def _growth_exponent(coeff_fn, t0, T, y0=1.0, dy0=None):
     def sys(t, y):
         return [y[1], coeff_fn(t) * y[0]]
     t_eval = np.geomspace(T / 10.0, T, 40)
-    sol = solve_ivp(sys, (t0, T), [y0, dy0], method="RK45", rtol=RTOL,
-                    atol=ATOL, t_eval=t_eval)
-    if sol.status != 0:
-        raise StiffFailure(f"integrator failed: {sol.message}")
+    sol = solve_ivp(sys, (t0, T), [y0, dy0], rtol=RTOL, atol=ATOL,
+                    t_eval=t_eval)
     return _fit_loglog_slope(sol.t, sol.y[0]), sol
 
 
@@ -719,10 +702,8 @@ def certificate_thm38(params) -> Verdict:
         return [y[1] / fv, -delta * y[0] / fv, 1.0 / fv]
 
     t_eval = np.geomspace(t0, T, 1024)
-    sol = solve_ivp(sys, (t0, T), [1.0, 0.0, 0.0], method="RK45", rtol=RTOL,
-                    atol=ATOL, t_eval=t_eval)
-    if sol.status == -1:
-        raise StiffFailure(f"integrator failed: {sol.message}")
+    sol = solve_ivp(sys, (t0, T), [1.0, 0.0, 0.0], rtol=RTOL, atol=ATOL,
+                    t_eval=t_eval)
     tt, v, tau = sol.t, sol.y[0], sol.y[2]
     pos = v > 1e-12
     witnesses = {"growth_case": case,

@@ -105,9 +105,9 @@ class PolarWarpField(Field):
 
     def __init__(self, source, grid: BaseGrid, domain_min=2.0):
         coords = tuple(f"x{i + 1}" for i in range(grid.n))
-        super().__init__(source, allowed_vars=("t",) + coords)
+        super().__init__(source, allowed_vars=("t",) + coords,
+                         domain_min=domain_min)
         self.grid = grid
-        self.domain_min = domain_min
 
 
 def mu_field(f: PolarWarpField, t):

@@ -30,10 +30,13 @@ class Field:
     """
 
     grid = None
-    domain_min = None
 
-    def __init__(self, source, allowed_vars=("t",)):
+    def __init__(self, source, allowed_vars=("t",), domain_min=None):
+        if domain_min is not None and domain_min <= 0:
+            raise DomainError("domain_min must be positive")
         self.source = source
+        self.domain_min = domain_min
+        self.allowed_vars = tuple(allowed_vars)
         self.ast = expr.parse(source)
         unknown = self.ast.free_vars() - set(allowed_vars)
         if unknown:
@@ -60,14 +63,22 @@ class Field:
             raise DomainError(f"field '{self.source}' is nonpositive at t = {t}")
         return val
 
+    def _env(self, t, xs):
+        """{t, **xs}, where every keyword must be a declared variable."""
+        for v in xs:
+            if v not in self.allowed_vars:
+                raise ExpressionError(
+                    f"undeclared variable '{v}' (declared: {list(self.allowed_vars)})")
+        return {"t": t, **xs}
+
     def eval(self, t, **xs):
-        return self._checked(t, lambda: self.ast.eval({"t": t, **xs}))
+        return self._checked(t, lambda: self.ast.eval(self._env(t, xs)))
 
     def d1(self, t, **xs):
-        return self._d1.eval({"t": t, **xs})
+        return self._d1.eval(self._env(t, xs))
 
     def d2(self, t, **xs):
-        return self._d2.eval({"t": t, **xs})
+        return self._d2.eval(self._env(t, xs))
 
     def eval_point(self, t, x):
         """Unchecked value at the point (t, x1..xn); only the declared
@@ -102,10 +113,7 @@ class WarpProfile(Field):
     """
 
     def __init__(self, source, domain_min=2.0):
-        super().__init__(source, allowed_vars=("t",))
-        if domain_min <= 0:
-            raise DomainError("domain_min must be positive")
-        self.domain_min = domain_min
+        super().__init__(source, allowed_vars=("t",), domain_min=domain_min)
 
 
 def parse_profile(source, domain_min=2.0):

@@ -69,6 +69,18 @@ class TestCurvature:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("base", [
+        ["--profile", "exp(exp(t))"],
+        ["--profile", "exp(exp(t)) + 0*x1", "--base", "torus", "--m", "8"]])
+    def test_overflow_is_a_domain_error(self, base, tmp_path):
+        # exp(exp(t)) overflows from t ~ 6.6 on; nothing may be written
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(["curvature", "--n", "3", "--t", "3:10:5",
+                                "--out", str(out)] + base)
+        assert code == 1
+        assert "error: curvature is not finite at t = 7.40082804492285" in err
+        assert not out.exists()
+
 
 class TestCertify:
     def test_oscillation_verdict_jsonl(self, tmp_path):
@@ -148,6 +160,24 @@ class TestSolveAndOracle:
         assert all(row[4] < 1e-4 for row in rows)
 
 
+def scipy_modules_loaded(jobs, tmp_path):
+    """Run the CLI jobs through main() in a fresh interpreter and return
+    the scipy modules it loaded."""
+    outs = [str(tmp_path / f"out{i}") for i in range(len(jobs))]
+    script = textwrap.dedent(f"""
+        import json, sys
+        from curvlab.cli import main
+        for job, out in zip({jobs!r}, {outs!r}):
+            assert main(job + ["--out", out]) == 0, job
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestScipyLoading:
     def test_non_integrating_commands_leave_scipy_unloaded(self, tmp_path):
         jobs = [
@@ -157,19 +187,34 @@ class TestScipyLoading:
              "--t", "2.5:4:2", "--domain-min", "0.5"],
             ["raylength", "--u", "t^-2", "--n", "3"],
         ]
-        outs = [str(tmp_path / f"out{i}") for i in range(len(jobs))]
-        script = textwrap.dedent(f"""
-            import json, sys
-            from curvlab.cli import main
-            for job, out in zip({jobs!r}, {outs!r}):
-                assert main(job + ["--out", out]) == 0, job
-            print(json.dumps(sorted(m for m in sys.modules
-                                    if m.split(".")[0] == "scipy")))
-        """)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        assert scipy_modules_loaded(jobs, tmp_path) == []
+
+    def test_certificates_and_sweep_leave_scipy_unloaded(self, tmp_path):
+        certify = ["certify", "--n", "3", "--kind"]
+        jobs = [
+            certify + ["oscillation", "--c", "1.2"],
+            certify + ["oscillation", "--c", "0.8"],
+            certify + ["thm48", "--b", "0.5"],
+            certify + ["thm413", "--c", "5", "--b", "1"],
+            certify + ["thm418", "--C1", "1", "--C2", "1", "--C", "1",
+                       "--b", "1"],
+            certify + ["thm112", "--eps", "1"],
+            certify + ["thm38", "--kappa-sq", "6", "--delta", "1",
+                       "--profile", "t*ln(t)"],
+            certify + ["thm38", "--kappa-sq", "6", "--delta", "1",
+                       "--profile", "t^2"],
+            certify + ["barrier33", "--kappa-sq", "6"],
+            ["sweep", "--c", "0.5:3:4"],
+        ]
+        assert scipy_modules_loaded(jobs, tmp_path) == []
+
+    def test_solve_loads_scipy_linalg_only(self, tmp_path):
+        jobs = [["solve", "--n", "3", "--R-const", "-1", "--u-minus-const",
+                 "1", "--u-plus-coeff", "10", "--u-plus-power", "0",
+                 "--bc-left", "6", "--bc-right", "6", "--points", "101"]]
+        loaded = scipy_modules_loaded(jobs, tmp_path)
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.integrate")]
 
     def test_integration_goes_through_module_solve_ivp(self, monkeypatch):
         # the traced benchmark counts calls by rebinding ode.solve_ivp

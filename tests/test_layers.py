@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvlab"
-LOWER = ("ode", "completeness", "warp", "geometry")
+LOWER = ("ode", "rk45", "completeness", "warp", "geometry")
 UPPER = {"polar", "oracle", "cli"}
 
 
@@ -49,3 +49,8 @@ def test_parser_sees_every_import_form(tmp_path):
 def test_lower_layers_do_not_import_upward(module):
     upward = imported_modules(PACKAGE / f"{module}.py") & UPPER
     assert not upward, f"{module} imports {sorted(upward)}"
+
+
+def test_integrator_stands_alone():
+    # rk45 sits below ode and needs nothing of the package but its errors
+    assert imported_modules(PACKAGE / "rk45.py") <= {"errors"}

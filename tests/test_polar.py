@@ -102,6 +102,13 @@ class TestPolarScalarCurvature:
         with pytest.raises(DomainError):
             f.sample(1.0)
 
+    @pytest.mark.parametrize("domain_min", [0.0, -1.0])
+    def test_nonpositive_domain_min_rejected(self, domain_min):
+        with pytest.raises(DomainError, match="domain_min"):
+            PolarWarpField("exp(t)", BaseGrid(3, 8), domain_min=domain_min)
+        with pytest.raises(DomainError, match="domain_min"):
+            parse_profile("exp(t)", domain_min=domain_min)
+
 
 class TestPolarLaplacian:
     def test_reduces_to_warped_form(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.errors import DomainError
+from curvlab.errors import DomainError, ExpressionError
 from curvlab.geometry import BaseGeometry, DimensionConstants
 from curvlab.warp import (cone_log_curvature, default_probe_grid, ode_residual,
                           parse_field, parse_profile, power_law_curvature,
@@ -59,6 +59,17 @@ class TestWarpedScalarCurvature:
         f = parse_profile("t")
         with pytest.raises(DomainError):
             f.eval(1.0)
+
+    @pytest.mark.parametrize("method", ["eval", "d1", "d2"])
+    def test_undeclared_keyword_rejected(self, method):
+        f = parse_profile("t")
+        with pytest.raises(ExpressionError, match="x1"):
+            getattr(f, method)(3.0, x1=5.0)
+        g = parse_field("t*x1", allowed_vars=("t", "x1"))
+        assert getattr(g, method)(3.0, x1=2.0) == {"eval": 6.0, "d1": 2.0,
+                                                   "d2": 0.0}[method]
+        with pytest.raises(ExpressionError, match="x2"):
+            getattr(g, method)(3.0, x1=2.0, x2=1.0)
 
 
 class TestSubstitution:
