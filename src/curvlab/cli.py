@@ -14,8 +14,8 @@ from .completeness import ray_length, yamabe_test_integral
 from .errors import CurvlabError, DomainError
 from .geometry import BaseGeometry
 from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
-                  comparison_certificate, monotone_solve,
-                  oscillation_certificate)
+                  comparison_certificate, comparison_parameters,
+                  monotone_solve, oscillation_certificate)
 from .oracle import assemble_metric, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from .serialize import atomic_write_text, csv_text, fmt17, jsonl_text
@@ -135,31 +135,50 @@ def _R_function(args):
     return lambda t: -C / np.asarray(t, dtype=float) ** alpha
 
 
+# certify's kind-specific flags; --n and --t0 have defaults and every kind
+# takes them.  The comparison kinds declare what they read in ode; these two
+# have positional signatures: (required, optional) flags.
+_CERTIFY_FLAGS = ("T", "c", "b", "C1", "C2", "C", "eps", "kappa_sq", "delta",
+                  "profile", "base_R")
+_POSITIONAL_READS = {"oscillation": (("c",), ("T",)),
+                     "barrier33": (("kappa_sq",), ("T", "profile", "base_R"))}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def cmd_certify(args):
     kind = args.kind
+    given = {name: getattr(args, name) for name in _CERTIFY_FLAGS
+             if getattr(args, name) is not None}
+    if kind in _POSITIONAL_READS:
+        required, optional = _POSITIONAL_READS[kind]
+    else:
+        required, optional = (tuple("profile" if k == "f" else k for k in names)
+                              for names in comparison_parameters(kind))
+    for name in required:
+        if name not in given:
+            raise DomainError(f"{kind} requires {_flag(name)}")
+    for name in given:
+        if name not in required + optional:
+            raise DomainError(f"{kind} does not read {_flag(name)}")
+
     if kind == "oscillation":
         verdict = oscillation_certificate(args.c, args.t0, args.T)
     elif kind == "barrier33":
         profile = (parse_profile(args.profile, domain_min=args.domain_min)
                    if args.profile else None)
         verdict = barrier_certificate_33(
-            args.kappa_sq, args.n, (args.t0, args.T or 1.0e4),
+            args.kappa_sq, args.n,
+            (args.t0, 1.0e4 if args.T is None else args.T),
             profile=profile, base_scalar=args.base_R)
-    elif kind in ("thm48", "thm413", "thm418", "thm112", "thm38"):
-        params = {"n": args.n, "t0": args.t0}
-        if args.T:
-            params["T"] = args.T
-        for name in ("b", "c", "C1", "C2", "C", "eps", "kappa_sq", "delta"):
-            val = getattr(args, name, None)
-            if val is not None:
-                params[name] = val
-        if kind == "thm38":
-            if not args.profile:
-                raise DomainError("thm38 requires --profile")
-            params["f"] = parse_profile(args.profile, domain_min=args.domain_min)
-        verdict = comparison_certificate(kind, params)
     else:
-        raise DomainError(f"unknown certificate kind '{kind}'")
+        params = {"n": args.n, "t0": args.t0, **given}
+        if "profile" in params:
+            params["f"] = parse_profile(params.pop("profile"),
+                                        domain_min=args.domain_min)
+        verdict = comparison_certificate(kind, params)
     if args.format == "text":
         _emit(args, verdict.to_text(), {"command": "certify"})
     else:
@@ -187,6 +206,7 @@ def cmd_oracle(args):
         point = np.concatenate([[t], x0])
         closed = closed_at(float(t))
         fd = fd_scalar_curvature(metric, point).scalar
+        _check_finite(t, [closed, fd])
         abs_err = abs(fd - closed)
         rel = abs_err / max(abs(closed), 1e-300)
         rows.append([t, closed, fd, abs_err, rel])
@@ -262,17 +282,9 @@ def build_parser():
                             "thm112", "thm38", "barrier33"])
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--t0", type=float, default=3.0)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--C1", type=float, default=None)
-    p.add_argument("--C2", type=float, default=None)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--kappa-sq", dest="kappa_sq", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--base-R", dest="base_R", type=float, default=None)
+    for name in _CERTIFY_FLAGS:
+        p.add_argument(_flag(name), dest=name, default=None,
+                       type=str if name == "profile" else float)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "text"])
 
     p = sub.add_parser("oracle", help="closed form vs finite differences")

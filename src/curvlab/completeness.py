@@ -60,6 +60,10 @@ def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
         raise DomainError("need 0 < t0 < T")
     t = np.geomspace(t0, T, num)
     uval = np.asarray(u(t), dtype=float)
+    finite = np.isfinite(uval)
+    if not finite.all():
+        raise DomainError(
+            f"u is not finite at t = {float(t[np.argmin(finite)])!r}")
     if np.any(uval <= 0):
         raise DomainError("u must be positive along the ray")
     integrand = uval ** (2.0 / (n - 1))

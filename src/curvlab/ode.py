@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,13 +180,26 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
         raise DomainError("need c > 0")
     if t0 <= 2:
         raise DomainError("need t0 > 2")
+    if T is not None and not t0 < T:
+        raise DomainError("need t0 < T")
     params = {"c": c, "t0": t0}
     if c <= 1:
+        horizon = T if T is not None else DEFAULT_T_MAX
+    else:
+        delta = math.sqrt(c - 1.0) / 2.0
+        ratio = math.exp(math.pi / delta)
+        # three crossings fit within a factor ratio^3 of t0 regardless of phase
+        required_T = t0 * ratio ** 3
+        if T is not None and T < required_T:
+            raise WindowTooSmall(
+                "window cannot contain two predicted crossings", required_T)
+        horizon = required_T
+    # log-time form: w'' - w' + (c/4) w = 0
+    sol = _integrate_linear_log(-1.0, lambda s: c / 4.0,
+                                math.log(t0), math.log(horizon), 1.0, 0.5)
+    crossings = [math.exp(s) for s in sol.t_events[0]]
+    if c <= 1:
         alpha = 0.5 * (1.0 - math.sqrt(1.0 - c))
-        T = T if T is not None else DEFAULT_T_MAX
-        sol = _integrate_linear_log(-1.0, lambda s: c / 4.0,
-                                    math.log(t0), math.log(T), 1.0, 0.5)
-        crossings = [math.exp(s) for s in sol.t_events[0]]
         return Verdict(
             kind="inconclusive",
             reason="c <= 1: comparison solution does not oscillate",
@@ -193,19 +207,6 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
             witnesses={"positive_witness_exponent": alpha,
                        "witness_check": alpha * (1 - alpha) - c / 4.0,
                        "crossings": crossings})
-
-    delta = math.sqrt(c - 1.0) / 2.0
-    ratio = math.exp(math.pi / delta)
-    # three crossings fit within a factor ratio^3 of t0 regardless of phase
-    required_T = t0 * ratio ** 3
-    if T is not None and T < required_T:
-        raise WindowTooSmall(
-            "window cannot contain two predicted crossings", required_T)
-    horizon = required_T if T is None else min(T, required_T)
-    # log-time form: w'' - w' + (c/4) w = 0
-    sol = _integrate_linear_log(-1.0, lambda s: c / 4.0,
-                                math.log(t0), math.log(horizon), 1.0, 0.5)
-    crossings = [math.exp(s) for s in sol.t_events[0]]
     if len(crossings) < 2:
         raise WindowTooSmall("fewer than two crossings found", required_T)
     ratios = [b / a for a, b in zip(crossings, crossings[1:])]
@@ -446,8 +447,10 @@ class ComparisonTransform:
 # comparison certificates
 
 
-def _first_crossing(rhs, t0, y0, T, rtol=RTOL):
-    """Integrate y'' = rhs(t, y, y') and return (crossing_t, sol)."""
+def _forced_crossing(rhs, t0, y0, T, what, tries=1, grow=None):
+    """First downward zero crossing of y'' = rhs(t, y, y') with y(t0) = y0,
+    searched on [t0, T], then on [t0, grow(T)], ... over `tries` windows.
+    Finding none is a StiffFailure naming `what`, never a verdict."""
     def sys(t, y):
         return [y[1], rhs(t, y[0], y[1])]
 
@@ -456,10 +459,13 @@ def _first_crossing(rhs, t0, y0, T, rtol=RTOL):
     crossing.terminal = True
     crossing.direction = -1
 
-    sol = solve_ivp(sys, (t0, T), y0, rtol=rtol, atol=ATOL, events=crossing)
-    if len(sol.t_events[0]) == 0:
-        return None, sol
-    return float(sol.t_events[0][0]), sol
+    for _ in range(tries):
+        sol = solve_ivp(sys, (t0, T), y0, rtol=RTOL, atol=ATOL, events=crossing)
+        if len(sol.t_events[0]):
+            return float(sol.t_events[0][0])
+        if grow is not None:
+            T = grow(T)
+    raise StiffFailure(f"no crossing found {what}")
 
 
 def _fit_loglog_slope(t, v):
@@ -486,48 +492,27 @@ def _growth_exponent(coeff_fn, t0, T, y0=1.0, dy0=None):
     return _fit_loglog_slope(sol.t, sol.y[0]), sol
 
 
-def certificate_thm48(params) -> Verdict:
+# Certificate bodies: each takes its checked, coerced parameters and returns
+# (verdict kind, reason, witnesses); comparison_certificate does the rest.
+
+
+def _thm48(p):
     """F'' <= -b^2 F forces F to vanish: integrate the equality and report
     the crossing (cosine solution: t0 + pi/(2b) from flat initial data)."""
-    n = int(params.get("n", 3))
-    b = float(params["b"])
-    t0 = float(params.get("t0", 3.0))
-    F0 = float(params.get("F0", 1.0))
-    dF0 = float(params.get("dF0", 0.0))
-    if n < 3:
-        return Verdict("inconclusive", reason="hypothesis n >= 3 violated",
-                       params=dict(params))
-    if b <= 0:
-        return Verdict("inconclusive", reason="hypothesis b > 0 violated",
-                       params=dict(params))
-    T = t0 + 4.0 * math.pi / b
-    cross, _ = _first_crossing(lambda t, F, dF: -b * b * F, t0, [F0, dF0], T)
-    if cross is None:
-        raise StiffFailure("no crossing found for F'' = -b^2 F")
-    return Verdict("nonexistence",
-                   reason="averaged square-warp profile is forced to vanish",
-                   params=dict(params),
-                   witnesses={"crossings": [cross],
-                              "predicted_crossing": t0 + math.pi / (2.0 * b)
-                              if dF0 == 0.0 else None})
+    b, t0, dF0 = p["b"], p["t0"], p["dF0"]
+    cross = _forced_crossing(lambda t, F, dF: -b * b * F, t0, [p["F0"], dF0],
+                             t0 + 4.0 * math.pi / b, "for F'' = -b^2 F")
+    return ("nonexistence", "averaged square-warp profile is forced to vanish",
+            {"crossings": [cross],
+             "predicted_crossing": t0 + math.pi / (2.0 * b)
+             if dF0 == 0.0 else None})
 
 
-def certificate_thm413(params) -> Verdict:
+def _thm413(p):
     """F'' <= -b^2/n + (c'/t^2) F with c' = c/n < 2: growth-capped profile
     is forced to vanish."""
-    n = int(params.get("n", 3))
-    c = float(params["c"])
-    b = float(params["b"])
-    t0 = float(params.get("t0", 3.0))
-    F0 = float(params.get("F0", 1.0))
-    dF0 = float(params.get("dF0", 0.0))
-    if n < 3:
-        return Verdict("inconclusive", reason="hypothesis n >= 3 violated",
-                       params=dict(params))
-    if c >= 2 * n:
-        return Verdict("inconclusive", reason="hypothesis c < 2n violated",
-                       params=dict(params))
-    cp = c / n
+    n, b, t0 = p["n"], p["b"], p["t0"]
+    cp = p["c"] / n
     witnesses = {}
     if cp > 0:
         # sub-check: extremal growth of F'' = (c'/t^2) F has the indicial
@@ -537,81 +522,48 @@ def certificate_thm413(params) -> Verdict:
         measured, _ = _growth_exponent(lambda t: cp / t ** 2, t0, 1.0e4 * t0)
         witnesses["indicial_exponent"] = eps
         witnesses["measured_growth_exponent"] = measured
-    T = t0
-    cross = None
-    rhs = (lambda t, F, dF: -b * b / n + (cp / t ** 2) * F)
-    for _ in range(12):
-        T = max(2.0 * T, t0 + 10.0)
-        cross, _ = _first_crossing(rhs, t0, [F0, dF0], T)
-        if cross is not None:
-            break
-    if cross is None:
-        raise StiffFailure("no crossing found for the thm413 comparison ODE")
-    witnesses["crossings"] = [cross]
-    return Verdict("nonexistence",
-                   reason="averaged square-warp profile is forced to vanish",
-                   params=dict(params), witnesses=witnesses)
+
+    def grow(T):
+        return max(2.0 * T, t0 + 10.0)
+    witnesses["crossings"] = [_forced_crossing(
+        lambda t, F, dF: -b * b / n + (cp / t ** 2) * F, t0,
+        [p["F0"], p["dF0"]], grow(t0), "for the thm413 comparison ODE", 12,
+        grow)]
+    return ("nonexistence", "averaged square-warp profile is forced to vanish",
+            witnesses)
 
 
-def certificate_thm418(params) -> Verdict:
+def _thm418(p):
     """With derivative bounds |f_t| <= C1 f/t, |f_tt| <= C2 f/t^2,
     |u_t| <= C u, the weighted average calF = int f^n u obeys
     calF'' <= k(t) calF with k(t) -> -c^2 < 0; integrate past the point
     where k <= -c^2/2 and report the forced crossing."""
-    n = int(params.get("n", 3))
-    C1 = float(params["C1"])
-    C2 = float(params["C2"])
-    C = float(params["C"])
-    b = float(params["b"])
-    t0 = float(params.get("t0", 3.0))
-    if n < 3:
-        return Verdict("inconclusive", reason="hypothesis n >= 3 violated",
-                       params=dict(params))
-    if min(C1, C2, C, b) <= 0:
-        return Verdict("inconclusive",
-                       reason="hypothesis positive constants violated",
-                       params=dict(params))
+    n, b, C1 = p["n"], p["b"], p["C1"]
     c2 = DimensionConstants(n).c_np1 * b * b
-    A = n * (n - 1) * C1 ** 2 + n * C2
-    B = n * C * C1
+    A = n * (n - 1) * C1 ** 2 + n * p["C2"]
+    B = n * p["C"] * C1
     # A/t^2 + B/t <= c^2/2  <=>  (c^2/2) t^2 - B t - A >= 0
     t_bar = (B + math.sqrt(B * B + 2.0 * A * c2)) / c2
-    t_start = max(t_bar, t0)
+    t_start = max(t_bar, p["t0"])
     cp = math.sqrt(c2 / 2.0)
-
-    def k(t):
-        return A / t ** 2 + B / t - c2
-
-    T = t_start + 4.0 * math.pi / cp
-    cross, _ = _first_crossing(lambda t, F, dF: k(t) * F, t_start, [1.0, 0.0], T)
-    if cross is None:
-        raise StiffFailure("no crossing found for the thm418 comparison ODE")
-    return Verdict("nonexistence",
-                   reason="averaged f^n-weighted conformal factor is forced to vanish",
-                   params=dict(params),
-                   witnesses={"crossings": [cross],
-                              "coefficient_negative_from": t_bar,
-                              "c_squared": c2,
-                              "c_prime": cp})
+    cross = _forced_crossing(lambda t, F, dF: (A / t ** 2 + B / t - c2) * F,
+                             t_start, [1.0, 0.0], t_start + 4.0 * math.pi / cp,
+                             "for the thm418 comparison ODE")
+    return ("nonexistence",
+            "averaged f^n-weighted conformal factor is forced to vanish",
+            {"crossings": [cross],
+             "coefficient_negative_from": t_bar,
+             "c_squared": c2,
+             "c_prime": cp})
 
 
-def certificate_thm112(params) -> Verdict:
+def _thm112(p):
     """Deforming dt^2 + t^(2/(n+1)) g to uniformly positive curvature forces
     the base-averaged conformal factor to vanish: integrate
 
         U'' + (n/(n+1)) U'/t - ((n-1)/(4(n+1))) U/t^2 = -eps^2 U^((n+3)/(n-1))
     """
-    n = int(params.get("n", 3))
-    eps = float(params.get("eps", 1.0))
-    t0 = float(params.get("t0", 3.0))
-    U0 = float(params.get("U0", 1.0))
-    dU0 = float(params.get("dU0", 0.0))
-    if n < 3:
-        return Verdict("inconclusive", reason="hypothesis n >= 3 violated",
-                       params=dict(params))
-    if eps <= 0:
-        return Verdict("inconclusive", reason="hypothesis eps > 0 violated",
-                       params=dict(params))
+    n, eps, t0 = p["n"], p["eps"], p["t0"]
     q = (n + 3.0) / (n - 1.0)
     a1 = n / (n + 1.0)
     a0 = (n - 1.0) / (4.0 * (n + 1.0))
@@ -619,24 +571,15 @@ def certificate_thm112(params) -> Verdict:
     def rhs(t, U, dU):
         return -a1 * dU / t + a0 * U / t ** 2 - eps * eps * _signed_pow(U, q)
 
-    T = t0
-    cross = None
-    for _ in range(16):
-        T = 2.0 * T + 10.0
-        cross, _ = _first_crossing(rhs, t0, [U0, dU0], T)
-        if cross is not None:
-            break
-    if cross is None:
-        raise StiffFailure("no crossing found for the thm112 comparison ODE")
-    alpha = -(n - 1.0) / 2.0
-    return Verdict("nonexistence",
-                   reason="base-averaged conformal factor is forced to vanish",
-                   params=dict(params),
-                   witnesses={"crossings": [cross],
-                              "transform_alpha": alpha})
+    def grow(T):
+        return 2.0 * T + 10.0
+    cross = _forced_crossing(rhs, t0, [p["U0"], p["dU0"]], grow(t0),
+                             "for the thm112 comparison ODE", 16, grow)
+    return ("nonexistence", "base-averaged conformal factor is forced to vanish",
+            {"crossings": [cross], "transform_alpha": -(n - 1.0) / 2.0})
 
 
-def certificate_thm38(params) -> Verdict:
+def _thm38(p):
     """Class-C end with warp f: conformal deformation to nonnegative
     curvature leaves radial rays of finite length.
 
@@ -650,21 +593,8 @@ def certificate_thm38(params) -> Verdict:
     power-growth case yields a bounded v instead), then certify a finite
     ray length of the bounding profile via completeness.ray_length.
     """
-    n = int(params.get("n", 3))
-    kappa_sq = float(params["kappa_sq"])
-    delta = float(params["delta"])
-    t0 = float(params.get("t0", 3.0))
-    T = float(params.get("T", DEFAULT_T_MAX))
-    f = params["f"]  # WarpProfile
-    pp = {k: v for k, v in params.items() if k != "f"}
-    pp["f"] = f.source
-    if n < 3:
-        return Verdict("inconclusive", reason="hypothesis n >= 3 violated",
-                       params=pp)
-    if not (0 < delta < kappa_sq):
-        return Verdict("inconclusive",
-                       reason="hypothesis 0 < delta < kappa^2 violated",
-                       params=pp)
+    n, kappa_sq, delta = p["n"], p["kappa_sq"], p["delta"]
+    t0, T, f = p["t0"], p["T"], p["f"]
 
     # stated vs proof-form bound constants for f f''
     c_sq_statement = 2.0 * (kappa_sq - delta) / (3.0 * n + 1.0)
@@ -673,11 +603,9 @@ def certificate_thm38(params) -> Verdict:
     fvals = np.asarray(f.eval(grid), dtype=float)
     ffpp = fvals * np.asarray(f.d2(grid), dtype=float)
     if float(np.min(ffpp - ff_bound)) < -1e-12:
-        return Verdict("inconclusive",
-                       reason="hypothesis f f'' >= 2(-kappa^2+delta)/(3n+1) violated",
-                       params=pp,
-                       witnesses={"min_f_fpp": float(np.min(ffpp)),
-                                  "required_bound": ff_bound})
+        return ("inconclusive",
+                "hypothesis f f'' >= 2(-kappa^2+delta)/(3n+1) violated",
+                {"min_f_fpp": float(np.min(ffpp)), "required_bound": ff_bound})
 
     # growth class: (i) f <= C t ln t (the ratio f/(t ln t) stays bounded on
     # the window), else (ii) f >= C t^alpha with alpha > 1
@@ -688,10 +616,9 @@ def certificate_thm38(params) -> Verdict:
     elif slope_tail > 1.05:
         case = "power"
     else:
-        return Verdict("inconclusive",
-                       reason="f matches neither growth hypothesis (i) nor (ii)",
-                       params=pp,
-                       witnesses={"f_tail_log_slope": slope_tail})
+        return ("inconclusive",
+                "f matches neither growth hypothesis (i) nor (ii)",
+                {"f_tail_log_slope": slope_tail})
 
     alpha = -(n - 1.0) / 2.0
     ComparisonTransform(name="warp-power", alpha=alpha, c=float(n))
@@ -724,9 +651,8 @@ def certificate_thm38(params) -> Verdict:
         witnesses["decay_bound_holds"] = decay_ok
         witnesses["decay_margin"] = float(np.min(bound - v[pos]))
         if not decay_ok:
-            return Verdict("inconclusive",
-                           reason="decay bound not confirmed on trajectory",
-                           params=pp, witnesses=witnesses)
+            return ("inconclusive", "decay bound not confirmed on trajectory",
+                    witnesses)
         # weaken to v <= C'/(ln t)^beta and bound U = f^alpha v
         C_prime = float(np.max(v[pos] * np.log(tt[pos]) ** beta))
         witnesses["beta"] = beta
@@ -752,31 +678,78 @@ def certificate_thm38(params) -> Verdict:
     witnesses["ray_total"] = report.total
     witnesses["ray_verdict"] = report.verdict
     if report.verdict != "finite":
-        return Verdict("inconclusive",
-                       reason="ray-length integral of the bounding profile "
-                              "not certified finite",
-                       params=pp, witnesses=witnesses)
-    return Verdict("incompleteness",
-                   reason="radial rays have finite length in the deformed metric",
-                   params=pp, witnesses=witnesses)
+        return ("inconclusive",
+                "ray-length integral of the bounding profile not certified finite",
+                witnesses)
+    return ("incompleteness",
+            "radial rays have finite length in the deformed metric", witnesses)
 
 
-_CERTIFICATES = {
-    "thm48": certificate_thm48,
-    "thm413": certificate_thm413,
-    "thm418": certificate_thm418,
-    "thm112": certificate_thm112,
-    "thm38": certificate_thm38,
+class _Comparison(NamedTuple):
+    body: object          # checked params -> (verdict kind, reason, witnesses)
+    required: tuple
+    defaults: dict        # beyond n = 3, t0 = 3.0
+    hypotheses: dict      # name -> holds(params), checked in order after n >= 3
+
+
+_COMPARISONS = {
+    "thm48": _Comparison(_thm48, ("b",), {"F0": 1.0, "dF0": 0.0},
+                         {"b > 0": lambda p: p["b"] > 0}),
+    "thm413": _Comparison(_thm413, ("c", "b"), {"F0": 1.0, "dF0": 0.0},
+                          {"c < 2n": lambda p: p["c"] < 2 * p["n"]}),
+    "thm418": _Comparison(_thm418, ("C1", "C2", "C", "b"), {}, {
+        "positive constants": lambda p: min(p["C1"], p["C2"], p["C"], p["b"]) > 0}),
+    "thm112": _Comparison(_thm112, (), {"eps": 1.0, "U0": 1.0, "dU0": 0.0},
+                          {"eps > 0": lambda p: p["eps"] > 0}),
+    "thm38": _Comparison(_thm38, ("kappa_sq", "delta", "f"), {"T": DEFAULT_T_MAX},
+                         {"0 < delta < kappa^2":
+                          lambda p: 0 < p["delta"] < p["kappa_sq"]}),
 }
+_COERCE = {"n": int, "f": lambda f: f}   # every other parameter is a float
+
+
+def comparison_parameters(kind):
+    """(required, optional) parameter names of a comparison certificate."""
+    if kind not in _COMPARISONS:
+        raise DomainError(f"unknown certificate kind '{kind}'")
+    cert = _COMPARISONS[kind]
+    return cert.required, ("n", "t0") + tuple(cert.defaults)
 
 
 def comparison_certificate(kind, params) -> Verdict:
-    """Dispatch to one of the averaged comparison-ODE certificates."""
-    try:
-        fn = _CERTIFICATES[kind]
-    except KeyError:
-        raise DomainError(f"unknown certificate kind '{kind}'")
-    return fn(params)
+    """Run one of the averaged comparison-ODE certificates.
+
+    The params are checked against the kind's declaration and coerced; a
+    missing or unknown parameter is a DomainError naming it.  A failed
+    hypothesis (n >= 3 first, then the kind's own, in order) is an
+    inconclusive verdict naming it.  The verdict echoes the caller's params,
+    with the warp f given by its source.
+    """
+    required, optional = comparison_parameters(kind)
+    for name in required:
+        if name not in params:
+            raise DomainError(f"{kind} requires parameter '{name}'")
+    cert = _COMPARISONS[kind]
+    p = {"n": 3, "t0": 3.0, **cert.defaults}
+    for name, value in params.items():
+        if name not in required + optional:
+            raise DomainError(f"{kind} takes no parameter '{name}'")
+        try:
+            p[name] = _COERCE.get(name, float)(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"{kind} parameter '{name}' must be a number")
+    if "T" in p and not p["t0"] < p["T"]:
+        raise DomainError("need t0 < T")
+    echo = dict(params)
+    if "f" in echo:
+        echo["f"] = echo["f"].source
+
+    for name, holds in {"n >= 3": lambda p: p["n"] >= 3, **cert.hypotheses}.items():
+        if not holds(p):
+            return Verdict("inconclusive", reason=f"hypothesis {name} violated",
+                           params=echo)
+    verdict, reason, witnesses = cert.body(p)
+    return Verdict(verdict, reason=reason, witnesses=witnesses, params=echo)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +773,8 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     if kappa_sq <= 0:
         raise DomainError("need kappa^2 > 0")
     t0, T = t_range
+    if not t0 < T:
+        raise DomainError("need t0 < T")
     params = {"kappa_sq": kappa_sq, "n": n, "t0": t0, "T": T}
 
     if profile is not None:
@@ -845,16 +820,11 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     if k(t_neg) >= 0:
         raise StiffFailure("coefficient never turns negative")
 
-    Tc = t_neg
-    cross = None
-    for _ in range(16):
-        Tc = 2.0 * Tc + 10.0
-        cross, _ = _first_crossing(lambda t, u, du: k(t) * u, t_neg,
-                                   [C_lin * t_neg, C_lin], Tc)
-        if cross is not None:
-            break
-    if cross is None:
-        raise StiffFailure("no crossing found in the barrier chain")
+    def grow(T):
+        return 2.0 * T + 10.0
+    cross = _forced_crossing(lambda t, u, du: k(t) * u, t_neg,
+                             [C_lin * t_neg, C_lin], grow(t_neg),
+                             "in the barrier chain", 16, grow)
     return Verdict("nonexistence",
                    reason="substituted warp forced through zero under the barrier",
                    params=params,

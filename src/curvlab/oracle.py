@@ -96,6 +96,8 @@ class MetricGrid:
             raise DomainError(
                 f"t - 2h must exceed domain_min = {self.domain_min}")
         g = self.components(point)
+        if not np.isfinite(g).all():
+            raise DomainError(f"metric is not finite at {point}")
         if np.any(np.linalg.eigvalsh(g) <= 0):
             raise DomainError(f"metric not positive definite at {point}")
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,70 @@ class TestCertify:
         assert stdout.startswith("kind: nonexistence")
 
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_golden.json")
+                    .read_text())
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_certify_golden_bytes(case, fmt, capsys):
+    """certify stdout for one valid job per kind, every hypothesis-violation
+    case and each thm38 stage, recorded before the certificates shared one
+    skeleton."""
+    assert main(GOLDEN[case]["args"] + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == GOLDEN[case][fmt]
+
+
+class TestCertifyInputErrors:
+    @pytest.mark.parametrize("kind, args, flag", [
+        ("oscillation", [], "--c"),
+        ("thm48", [], "--b"),
+        ("thm413", ["--b", "1"], "--c"),
+        ("thm418", ["--C1", "1", "--C", "1", "--b", "1"], "--C2"),
+        ("thm112", [], None),       # eps defaults to 1: nothing is required
+        ("thm38", ["--delta", "1", "--profile", "t*ln(t)"], "--kappa-sq"),
+        ("barrier33", ["--n", "3"], "--kappa-sq"),
+    ])
+    def test_missing_parameter_is_named(self, kind, args, flag, capsys):
+        code = main(["certify", "--kind", kind] + args)
+        captured = capsys.readouterr()
+        if flag is None:
+            assert code == 0 and json.loads(captured.out)["kind"]
+            return
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {kind} requires {flag}\n"
+
+    @pytest.mark.parametrize("kind, args, flag", [
+        ("thm413", ["--c", "1", "--b", "1", "--T", "5"], "--T"),
+        ("thm48", ["--b", "1", "--T", "5"], "--T"),
+        ("thm418", ["--C1", "1", "--C2", "1", "--C", "1", "--b", "1",
+                    "--kappa-sq", "2"], "--kappa-sq"),
+        ("thm38", ["--kappa-sq", "6", "--delta", "1", "--profile", "t",
+                   "--base-R", "-6"], "--base-R"),
+        ("oscillation", ["--c", "1.2", "--b", "1"], "--b"),
+        ("barrier33", ["--kappa-sq", "6", "--eps", "1"], "--eps"),
+    ])
+    def test_unread_flag_is_named(self, kind, args, flag, capsys):
+        assert main(["certify", "--kind", kind] + args) == 1
+        assert capsys.readouterr().err == f"error: {kind} does not read {flag}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["oscillation", "--c", "0.8", "--T", "2.5"],
+        ["oscillation", "--c", "1.2", "--t0", "5", "--T", "5"],
+        ["thm38", "--kappa-sq", "6", "--delta", "1", "--profile", "t*ln(t)",
+         "--T", "2.5"],
+        ["barrier33", "--kappa-sq", "6", "--t0", "5", "--T", "4"],
+    ], ids=lambda a: a[0])
+    def test_reversed_window_fails_up_front(self, args, capsys):
+        assert main(["certify", "--kind"] + args) == 1
+        assert capsys.readouterr().err == "error: need t0 < T\n"
+
+    def test_sweep_reversed_window(self, capsys):
+        assert main(["sweep", "--c", "0.5:2:3", "--T", "2.5"]) == 1
+        assert capsys.readouterr().err == "error: need t0 < T\n"
+
+
 class TestDeterminism:
     CASES = [
         ["curvature", "--profile", "exp(t)", "--n", "3", "--base-R", "0",
@@ -148,6 +213,41 @@ class TestSolveAndOracle:
         header, rows = read_csv(str(out))
         assert header == ["t", "u", "du"]
         assert all(abs(row[1] - 6.0) < 1e-8 for row in rows)
+
+    @pytest.mark.parametrize("t, bad_t", [("3:10:3", "5.477225575051662"),
+                                          ("5.4772", "5.4772"),
+                                          ("10", None)])
+    def test_oracle_overflow_is_a_domain_error(self, t, bad_t, tmp_path,
+                                               capsys):
+        # exp(exp(t)) overflows near t ~ 6.6: the FD stencil first, then the
+        # metric at the point itself
+        out = tmp_path / "o.csv"
+        code = main(["oracle", "--profile", "exp(exp(t))", "--n", "3",
+                     "--t", t, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        if bad_t is None:
+            assert "error: metric is not finite at" in err
+        else:
+            assert f"error: curvature is not finite at t = {bad_t}" in err
+        assert not out.exists()
+
+    def test_raylength_overflow_is_a_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        code = main(["raylength", "--u", "exp(exp(t))", "--n", "3",
+                     "--T", "20", "--out", str(out)])
+        assert code == 1
+        assert "error: u is not finite at t = 6.566716739113921" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_raylength_divergent_bytes(self, capsys):
+        # a genuine divergent verdict keeps its infinite total
+        assert main(["raylength", "--u", "t", "--n", "3"]) == 0
+        assert capsys.readouterr().out == (
+            '{"T": 10000.0, "integral": 49999995.5, "n": 3, "t0": 3.0, '
+            '"tail_estimate": Infinity, "tail_exponent": 1.0, '
+            '"total": Infinity, "verdict": "divergent", "x0": null}\n')
 
     def test_oracle_report(self, tmp_path):
         out = tmp_path / "o.csv"

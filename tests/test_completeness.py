@@ -83,3 +83,12 @@ class TestYamabeTestIntegral:
             yamabe_test_integral(1.0, 3, 9.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             yamabe_test_integral(-1.0, 3, 2.0, 1.0, 1.0)
+
+
+def test_ray_length_rejects_overflow():
+    # exp(exp(t)) overflows from t = ln(709.78...) on; the first bad
+    # quadrature node is named
+    with pytest.raises(DomainError, match=r"u is not finite at t = 6\.56"):
+        ray_length(lambda t: np.exp(np.exp(t)), None, 3, 3.0, 20.0)
+    with pytest.raises(DomainError, match="u is not finite at t = 3.0"):
+        ray_length(lambda t: np.full_like(t, np.nan), None, 3, 3.0, 20.0)

@@ -2,11 +2,14 @@
 and the comparison certificates."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from curvlab.errors import BracketError, DomainError, WindowTooSmall
+from curvlab import ode
+from curvlab.errors import (BracketError, DomainError, StiffFailure,
+                           WindowTooSmall)
 from curvlab.geometry import BaseGeometry
 from curvlab.ode import (ComparisonTransform, OdeSpec, SubSuperPair,
                          _discrete_residual, average_over_base,
@@ -291,6 +294,63 @@ class TestCertificates:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             comparison_certificate("thm999", {})
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("thm48", {"t0": 3.0}, "thm48 requires parameter 'b'"),
+        ("thm38", {"kappa_sq": 6.0, "delta": 1.0}, "thm38 requires parameter 'f'"),
+        ("thm413", {"c": 1.0, "b": 1.0, "T": 5.0},
+         "thm413 takes no parameter 'T'"),
+        ("thm112", {"eps": None}, "thm112 parameter 'eps' must be a number"),
+        ("thm38", {"kappa_sq": 6.0, "delta": 1.0, "T": 2.5,
+                   "f": parse_profile("t")}, "need t0 < T"),
+    ])
+    def test_parameters_checked_against_declaration(self, kind, params,
+                                                     message):
+        with pytest.raises(DomainError, match=message):
+            comparison_certificate(kind, params)
+
+    def test_params_echoed_as_given(self):
+        v = comparison_certificate("thm48", {"b": 1, "n": 3.0})
+        assert v.params == {"b": 1, "n": 3.0}
+        assert v.witnesses["crossings"][0] == pytest.approx(3.0 + math.pi / 2)
+
+
+# windows [t0, T] each crossing search integrates before it gives up
+HORIZONS = {
+    "thm48": (lambda: comparison_certificate("thm48", {"b": 0.5}),
+              [3.0 + 8.0 * math.pi]),
+    "thm413": (lambda: comparison_certificate("thm413", {"c": 1.0, "b": 1.0}),
+               [13.0 * 2.0 ** k for k in range(12)]),
+    "thm418": (lambda: comparison_certificate(
+        "thm418", {"C1": 1.0, "C2": 1.0, "C": 1.0, "b": 1.0}), None),
+    "thm112": (lambda: comparison_certificate("thm112", {}),
+               [26.0 * 2.0 ** k - 10.0 for k in range(16)]),
+    "barrier33": (lambda: barrier_certificate_33(6.0, 3, (3.0, 1e4)),
+                  [26.0 * 2.0 ** k - 10.0 for k in range(16)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HORIZONS))
+def test_crossing_search_horizons(name, monkeypatch):
+    """Each kind keeps its window sequence, and finding no crossing in any
+    window is a StiffFailure, not a verdict."""
+    real, spans = ode.solve_ivp, []
+
+    def no_crossing(fun, t_span, y0, **kwargs):
+        if "events" not in kwargs:
+            return real(fun, t_span, y0, **kwargs)
+        spans.append(t_span)
+        return SimpleNamespace(t_events=[[]])
+
+    monkeypatch.setattr(ode, "solve_ivp", no_crossing)
+    run, expected = HORIZONS[name]
+    with pytest.raises(StiffFailure, match="no crossing found"):
+        run()
+    assert len({t0 for t0, _ in spans}) == 1
+    if expected is None:     # one window past t_bar
+        assert len(spans) == 1 and spans[0][1] > spans[0][0]
+    else:
+        assert [T for _, T in spans] == expected
 
 
 class TestBarrier:

@@ -143,6 +143,13 @@ class TestConformalMetric:
         with pytest.raises(DomainError):
             metric.check_point(torus_point(3, 3.0))
 
+    def test_non_finite_metric_is_rejected(self):
+        # f^2 = exp(2 exp(10)) overflows: a DomainError, not eigvalsh failing
+        f = parse_profile("exp(exp(t))")
+        metric = assemble_metric(f, BaseGeometry.constant(3, 0.0))
+        with pytest.raises(DomainError, match="metric is not finite"):
+            metric.check_point(np.array([10.0, 0.3, 0.3, 0.3]))
+
     def test_domain_guard(self):
         f = parse_profile("t", domain_min=2.0)
         metric = assemble_metric(f, BaseGrid(3, 16))
