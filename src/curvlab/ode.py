@@ -602,6 +602,11 @@ def _thm38(p):
     grid = np.geomspace(t0, T, 256)
     fvals = np.asarray(f.eval(grid), dtype=float)
     ffpp = fvals * np.asarray(f.d2(grid), dtype=float)
+    finite = np.isfinite(fvals) & np.isfinite(ffpp)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        what = "f" if not np.isfinite(fvals[i]) else "f f''"
+        raise DomainError(f"{what} is not finite at t = {float(grid[i])!r}")
     if float(np.min(ffpp - ff_bound)) < -1e-12:
         return ("inconclusive",
                 "hypothesis f f'' >= 2(-kappa^2+delta)/(3n+1) violated",
@@ -738,6 +743,8 @@ def comparison_certificate(kind, params) -> Verdict:
             p[name] = _COERCE.get(name, float)(value)
         except (TypeError, ValueError):
             raise DomainError(f"{kind} parameter '{name}' must be a number")
+    if not p["t0"] > 0:
+        raise DomainError("need t0 > 0")
     if "T" in p and not p["t0"] < p["T"]:
         raise DomainError("need t0 < T")
     echo = dict(params)
@@ -773,6 +780,8 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     if kappa_sq <= 0:
         raise DomainError("need kappa^2 > 0")
     t0, T = t_range
+    if not t0 > 0:
+        raise DomainError("need t0 > 0")
     if not t0 < T:
         raise DomainError("need t0 < T")
     params = {"kappa_sq": kappa_sq, "n": n, "t0": t0, "T": T}

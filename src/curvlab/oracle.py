@@ -9,6 +9,7 @@ they are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,23 +31,33 @@ class BaseChart:
         self.n = n
         self.radius = radius
 
-    def components(self, x):
-        n = self.n
-        diag = np.ones(n)
-        if self.kind == "flat":
-            return np.diag(diag)
-        rho2 = self.radius ** 2
-        diag = diag * rho2
-        if self.kind == "sphere":
-            # hyperspherical: g_ii = rho^2 prod_{j<i} sin^2 x_j
-            for i in range(1, n):
-                diag[i] = diag[i - 1] * np.sin(x[i - 1]) ** 2
-        else:  # hyperbolic: rho^2 (dchi^2 + sinh^2 chi dOmega^2)
-            if n >= 2:
-                diag[1] = rho2 * np.sinh(x[0]) ** 2
-            for i in range(2, n):
-                diag[i] = diag[i - 1] * np.sin(x[i - 1]) ** 2
-        return np.diag(diag)
+    def components(self, xs):
+        """(k, n, n) diagonal components g_ij at each row of a (k, n) stack."""
+        xs = np.asarray(xs, dtype=float)
+        k, n = xs.shape
+        diag = np.ones((k, n))
+        if self.kind != "flat":
+            rho2 = self.radius ** 2
+            diag = diag * rho2
+            first = 1
+            if self.kind == "hyperbolic" and n >= 2:
+                # rho^2 (dchi^2 + sinh^2 chi dOmega^2)
+                diag[:, 1] = rho2 * _squared(np.sinh, xs[:, 0])
+                first = 2
+            # hyperspherical: g_ii = g_(i-1)(i-1) sin^2 x_(i-1)
+            for i in range(first, n):
+                diag[:, i] = diag[:, i - 1] * _squared(np.sin, xs[:, i - 1])
+        g = np.zeros((k, n, n))
+        g[:, range(n), range(n)] = diag
+        return g
+
+
+def _squared(fn, column):
+    """fn(x) ** 2 at each entry of column, squared as a scalar on each
+    distinct value: numpy's scalar ** 2 calls libm pow, the array ** 2
+    multiplies, and the two differ in the last bit on a few values."""
+    values, where = np.unique(column, return_inverse=True)
+    return np.array([fn(v) ** 2 for v in values])[where]
 
 
 def chart_for(base) -> BaseChart:
@@ -67,28 +78,33 @@ def chart_for(base) -> BaseChart:
 
 class MetricGrid:
     """Coordinate metric evaluator for dt^2 + f^2(t,x) g(x), optionally
-    conformally scaled by u^(4/(n-1)).  Points are arrays (t, x1..xn)."""
+    conformally scaled by u^(4/(n-1)).  Points are arrays (t, x1..xn).
 
-    def __init__(self, n, component_fn, h=1.0e-3, domain_min=0.0):
+    component_fn maps one point to its (dim, dim) components, and a stack
+    of points is evaluated row by row; with stacked=True it maps a (k, dim)
+    stack to (k, dim, dim) components in one call."""
+
+    def __init__(self, n, component_fn, h=1.0e-3, domain_min=0.0,
+                 stacked=False):
         self.n = n
         self.dim = n + 1
         self._component_fn = component_fn
+        self._stacked = stacked
         self.h = h
         self.domain_min = domain_min
 
-    def components(self, point):
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
+    def components(self, points):
+        """Components at a point (dim,) or at each row of a stack (k, dim)."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim not in (1, 2) or points.shape[-1] != self.dim:
             raise DomainError(f"point must have {self.dim} coordinates")
-        g = self._component_fn(point)
-        return 0.5 * (g + g.T)  # enforce exact symmetry
-
-    def inverse(self, point):
-        g = self.components(point)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            raise DomainError(f"metric is singular at {point}")
+        stack = points.reshape(-1, self.dim)
+        if self._stacked:
+            g = self._component_fn(stack)
+        else:
+            g = np.stack([self._component_fn(p) for p in stack])
+        g = 0.5 * (g + g.swapaxes(1, 2))  # enforce exact symmetry
+        return g.reshape(points.shape + (self.dim,))
 
     def check_point(self, point):
         point = np.asarray(point, dtype=float)
@@ -114,55 +130,121 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
     n = base.n
     chart = chart_for(base)
     conf_exp = 4.0 / (n - 1)
+    # (field, name, map of its value, the point columns it reads)
+    factors = [(f, "warp", lambda v: v)]
+    if conformal is not None:
+        factors.append((conformal, "conformal factor", lambda v: v ** conf_exp))
+    factors = [(field, what, fn, [0] + [int(v[1:]) for v in field.x_vars])
+               for field, what, fn in factors]
 
-    def positive(field, point, what):
-        val = field.eval_point(point[0], point[1:])
-        if val <= 0:
-            raise DomainError(f"{what} is nonpositive at {point}")
-        return val
-
-    def component_fn(point):
-        g = np.zeros((n + 1, n + 1))
-        g[0, 0] = 1.0
-        fv = positive(f, point, "warp")
-        g[1:, 1:] = fv * fv * chart.components(point[1:])
-        if conformal is not None:
-            g *= positive(conformal, point, "conformal factor") ** conf_exp
+    def component_fn(points):
+        # one scalar evaluation per distinct point a factor reads, row by row
+        # (warp first), so the first nonpositive row is the one named
+        keys = [list(map(tuple, points[:, reads].view(np.int64).tolist()))
+                for *_, reads in factors]
+        known = [{} for _ in factors]
+        for r, row_keys in enumerate(zip(*keys)):
+            for (field, what, fn, _), key, seen in zip(factors, row_keys, known):
+                if key not in seen:
+                    p = points[r]
+                    val = field.eval_point(p[0], p[1:])
+                    if val <= 0:
+                        raise DomainError(f"{what} is nonpositive at {p}")
+                    seen[key] = fn(val)
+        fv, *scale = (np.array([seen[key] for key in column], dtype=float)
+                      for column, seen in zip(keys, known))
+        g = np.zeros((len(points), n + 1, n + 1))
+        g[:, 0, 0] = 1.0
+        g[:, 1:, 1:] = (fv * fv)[:, None, None] * chart.components(points[:, 1:])
+        for s in scale:
+            g *= s[:, None, None]
         return g
 
-    return MetricGrid(n, component_fn, h=h, domain_min=f.domain_min or 0.0)
+    return MetricGrid(n, component_fn, h=h, domain_min=f.domain_min or 0.0,
+                      stacked=True)
 
 
 # ---------------------------------------------------------------------------
 # finite-difference derivatives of the components
 
 
-def _shift(point, axis, delta):
-    p = np.array(point, dtype=float)
-    p[axis] += delta
-    return p
+@lru_cache(maxsize=None)
+def _stencil(dim, second):
+    """The distinct points of the centred difference stencils in dim
+    coordinates, in the order the differences first read them: the centre,
+    +-h on each axis, then, for second derivatives, for each axis a: +-2h
+    on a, and +-h+-h on a and each later axis.
+
+    A point is a move ((axis, steps), ...), the centre shifted by steps * h
+    along each axis.  Returns the number of points, the (rows, axes, steps)
+    of every shift, and the rows of each pattern of steps, by axis or by
+    axis pair in increasing order."""
+    moves = [()] + [((a, s),) for a in range(dim) for s in (1.0, -1.0)]
+    if second:
+        for a in range(dim):
+            moves += [((a, 2.0),), ((a, -2.0),)]
+            moves += [((a, sa), (b, sb)) for b in range(a + 1, dim)
+                      for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
+    rows, axes, steps = map(np.array, zip(*[
+        (r, a, s) for r, move in enumerate(moves) for a, s in move]))
+    reads = {}
+    for r, move in enumerate(moves):
+        reads.setdefault(tuple(s for _, s in move), []).append(r)
+    return len(moves), rows, axes, steps, {k: np.array(v) for k, v in reads.items()}
 
 
-def _d1_components(metric, point, axis, h):
-    gp = metric.components(_shift(point, axis, h))
-    gm = metric.components(_shift(point, axis, -h))
-    return (gp - gm) / (2.0 * h)
+def _derivatives(metric, point, h, second):
+    """Components g at point, dg[c, a, b] = d_c g_ab and (with second)
+    d2[i, j, a, b] = d_i d_j g_ab, from one evaluation of the stencil:
+    centred first differences, 5-point O(h^4) diagonal second differences
+    and 4-point mixed ones."""
+    metric.check_point(point)
+    k, rows, axes, steps, reads = _stencil(metric.dim, second)
+    stack = np.repeat(point[None], k, axis=0)
+    stack[rows, axes] += steps * h  # as point[axis] += delta, one at a time
+    G = metric.components(stack)
+
+    def at(*steps):
+        return G[reads[steps]]
+
+    dg = (at(1.0) - at(-1.0)) / (2.0 * h)
+    if not second:
+        return G[0], dg, None
+    dim = metric.dim
+    d2 = np.empty((dim, dim, dim, dim))
+    diag = np.arange(dim)
+    d2[diag, diag] = (-at(2.0) + 16.0 * at(1.0) - 30.0 * G[0]
+                      + 16.0 * at(-1.0) - at(-2.0)) / (12.0 * h * h)
+    i, j = np.triu_indices(dim, 1)
+    mixed = (at(1.0, 1.0) - at(1.0, -1.0) - at(-1.0, 1.0)
+             + at(-1.0, -1.0)) / (4.0 * h * h)
+    d2[i, j] = mixed
+    d2[j, i] = mixed
+    return G[0], dg, d2
 
 
-def _d2_components(metric, point, ax_i, ax_j, h):
-    if ax_i == ax_j:
-        # 5-point second derivative, O(h^4)
-        g2p = metric.components(_shift(point, ax_i, 2 * h))
-        gp = metric.components(_shift(point, ax_i, h))
-        g0 = metric.components(point)
-        gm = metric.components(_shift(point, ax_i, -h))
-        g2m = metric.components(_shift(point, ax_i, -2 * h))
-        return (-g2p + 16.0 * gp - 30.0 * g0 + 16.0 * gm - g2m) / (12.0 * h * h)
-    gpp = metric.components(_shift(_shift(point, ax_i, h), ax_j, h))
-    gpm = metric.components(_shift(_shift(point, ax_i, h), ax_j, -h))
-    gmp = metric.components(_shift(_shift(point, ax_i, -h), ax_j, h))
-    gmm = metric.components(_shift(_shift(point, ax_i, -h), ax_j, -h))
-    return (gpp - gpm - gmp + gmm) / (4.0 * h * h)
+def _inverse(g, point):
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"metric is singular at {point}")
+
+
+def _christoffel(ginv, dg):
+    # dg[c, a, b] = d_c g_ab; bracket[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
+    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
+
+
+def _riemann(g, gamma, d2):
+    """R_ijkl from g, gamma[a, b, c] = Gamma^a_bc and d2[i, j, a, b] =
+    d_i d_j g_ab."""
+    gg1 = np.einsum("ab,bil,ajk->ijkl", g, gamma, gamma)
+    gg2 = np.einsum("ab,bik,ajl->ijkl", g, gamma, gamma)
+    # d2[i, l, j, k] + d2[j, k, i, l] - d2[j, l, i, k] - d2[i, k, j, l]
+    second = (d2.transpose(0, 2, 3, 1) + d2.transpose(2, 0, 1, 3)
+              - d2.transpose(2, 0, 3, 1) - d2.transpose(0, 2, 1, 3))
+    return 0.5 * second + gg1 - gg2
 
 
 @dataclass
@@ -184,15 +266,10 @@ def fd_christoffel(metric: MetricGrid, point, h=None) -> ChristoffelTable:
     """Gamma^a_bc = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc),
     all derivatives by centered differences."""
     h = metric.h if h is None else h
-    metric.check_point(point)
-    dim = metric.dim
     point = np.asarray(point, dtype=float)
-    ginv = metric.inverse(point)
-    dg = np.stack([_d1_components(metric, point, ax, h) for ax in range(dim)])
-    # dg[c, a, b] = d_c g_ab; bracket[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
-    return ChristoffelTable(point=point, gamma=gamma)
+    g, dg, _ = _derivatives(metric, point, h, second=False)
+    return ChristoffelTable(point=point,
+                            gamma=_christoffel(_inverse(g, point), dg))
 
 
 def fd_scalar_curvature(metric: MetricGrid, point, h=None) -> CurvatureTensorSample:
@@ -204,30 +281,12 @@ def fd_scalar_curvature(metric: MetricGrid, point, h=None) -> CurvatureTensorSam
     with the contractions reported separately (mixed radial part,
     tangential part, full scalar)."""
     h = metric.h if h is None else h
-    dim = metric.dim
     point = np.asarray(point, dtype=float)
-    gamma = fd_christoffel(metric, point, h=h).gamma
-    g = metric.components(point)
-    ginv = metric.inverse(point)
+    g, dg, d2 = _derivatives(metric, point, h, second=True)
+    ginv = _inverse(g, point)
+    gamma = _christoffel(ginv, dg)
 
-    d2 = np.empty((dim, dim, dim, dim))  # d2[i, j, a, b] = d_i d_j g_ab
-    for i in range(dim):
-        for j in range(i, dim):
-            val = _d2_components(metric, point, i, j, h)
-            d2[i, j] = val
-            d2[j, i] = val
-
-    riemann = np.empty((dim, dim, dim, dim))
-    gg1 = np.einsum("ab,bil,ajk->ijkl", g, gamma, gamma)
-    gg2 = np.einsum("ab,bik,ajl->ijkl", g, gamma, gamma)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for el in range(dim):
-                    second = 0.5 * (d2[i, el, j, k] + d2[j, k, i, el]
-                                    - d2[j, el, i, k] - d2[i, k, j, el])
-                    riemann[i, j, k, el] = second + gg1[i, j, k, el] - gg2[i, j, k, el]
-
+    riemann = _riemann(g, gamma, d2)
     mixed = float(np.einsum("jl,jl->", ginv[1:, 1:], riemann[0, 1:, 0, 1:]))
     tangential = float(np.einsum(
         "jl,ik,ijkl->", ginv[1:, 1:], ginv[1:, 1:], riemann[1:, 1:, 1:, 1:]))

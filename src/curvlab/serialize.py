@@ -37,12 +37,9 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, header, rows):
-    atomic_write_text(path, csv_text(header, rows))
-
-
 def read_csv(path):
-    """Parse a CSV written by write_csv back into header + float rows."""
+    """Parse a csv_text table back into header + float rows (non-numeric
+    cells stay strings)."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",")
@@ -68,7 +65,3 @@ def jsonl_text(records):
         else:
             out.append(json.dumps(rec, sort_keys=True))
     return "\n".join(out) + "\n"
-
-
-def write_jsonl(path, records):
-    atomic_write_text(path, jsonl_text(records))

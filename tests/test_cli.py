@@ -119,6 +119,20 @@ def test_certify_golden_bytes(case, fmt, capsys):
     assert capsys.readouterr().out == GOLDEN[case][fmt]
 
 
+ORACLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "oracle_golden.json")
+                           .read_text())
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GOLDEN))
+def test_oracle_golden_bytes(case, capsys):
+    """oracle stdout on flat, sphere and hyperbolic bases at n = 3..7, the
+    torus (fd2 and spectral) at n = 3 and 4, integer-power profiles and two
+    non-default steps, recorded before the stencil was evaluated in one
+    batch."""
+    assert main(ORACLE_GOLDEN[case]["args"]) == 0
+    assert capsys.readouterr().out == ORACLE_GOLDEN[case]["stdout"]
+
+
 class TestCertifyInputErrors:
     @pytest.mark.parametrize("kind, args, flag", [
         ("oscillation", [], "--c"),
@@ -167,6 +181,33 @@ class TestCertifyInputErrors:
     def test_sweep_reversed_window(self, capsys):
         assert main(["sweep", "--c", "0.5:2:3", "--T", "2.5"]) == 1
         assert capsys.readouterr().err == "error: need t0 < T\n"
+
+    @pytest.mark.parametrize("args", [
+        ["thm48", "--b", "1", "--t0", "-3"],
+        ["thm413", "--c", "1", "--b", "1", "--t0", "-30"],
+        ["thm418", "--C1", "1", "--C2", "1", "--C", "1", "--b", "1",
+         "--t0", "0"],
+        ["thm112", "--t0", "-1"],
+        ["barrier33", "--kappa-sq", "6", "--t0", "-1"],
+    ], ids=lambda a: a[0])
+    def test_nonpositive_t0_fails_up_front(self, args, tmp_path, capsys):
+        # thm48 used to certify a crossing at t = -1.43, thm413 and barrier33
+        # to fail late inside the integrator
+        out = tmp_path / "c.jsonl"
+        assert main(["certify", "--kind"] + args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need t0 > 0\n"
+        assert not out.exists()
+
+    def test_thm38_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # f f'' = exp(2t) overflows past t ~ 355 on the default [3, 1e4]:
+        # an error naming the first such grid t, not a NaN witness
+        out = tmp_path / "c.jsonl"
+        code = main(["certify", "--kind", "thm38", "--kappa-sq", "6",
+                     "--delta", "1", "--profile", "exp(t)", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: f f'' is not finite at t = 365.77842061829665\n")
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -54,3 +54,10 @@ def test_lower_layers_do_not_import_upward(module):
 def test_integrator_stands_alone():
     # rk45 sits below ode and needs nothing of the package but its errors
     assert imported_modules(PACKAGE / "rk45.py") <= {"errors"}
+
+
+def test_oracle_stays_independent_of_the_closed_forms():
+    # the FD oracle is the ground truth the closed forms (warp, ode,
+    # completeness) are checked against, so it may not reach them; polar
+    # gives it the torus base grid
+    assert imported_modules(PACKAGE / "oracle.py") <= {"errors", "polar"}

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvlab import oracle
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry
 from curvlab.oracle import (BaseChart, MetricGrid, assemble_metric, chart_for,
@@ -155,3 +157,119 @@ class TestConformalMetric:
         metric = assemble_metric(f, BaseGrid(3, 16))
         with pytest.raises(DomainError):
             fd_christoffel(metric, torus_point(3, 2.001))
+
+
+# ---------------------------------------------------------------------------
+# the batched stencil against the point-by-point evaluation it replaced
+
+
+def per_point_chart(chart, x):
+    """The chart components at one point, one scalar at a time."""
+    n = chart.n
+    diag = np.ones(n)
+    if chart.kind == "flat":
+        return np.diag(diag)
+    rho2 = chart.radius ** 2
+    diag = diag * rho2
+    first = 1
+    if chart.kind == "hyperbolic":
+        diag[1] = rho2 * np.sinh(x[0]) ** 2
+        first = 2
+    for i in range(first, n):
+        diag[i] = diag[i - 1] * np.sin(x[i - 1]) ** 2
+    return np.diag(diag)
+
+
+def per_point_metric(f, base, conformal=None, h=1.0e-3):
+    """assemble_metric's metric built as perfbench/checks.py builds one: a
+    component function of one point, so a stack is evaluated row by row."""
+    n = base.n
+    chart = chart_for(base)
+
+    def components(point):
+        g = np.zeros((n + 1, n + 1))
+        g[0, 0] = 1.0
+        fv = f.eval_point(point[0], point[1:])
+        g[1:, 1:] = fv * fv * per_point_chart(chart, point[1:])
+        if conformal is not None:
+            g *= conformal.eval_point(point[0], point[1:]) ** (4.0 / (n - 1))
+        return g
+
+    return MetricGrid(n, components, h=h, domain_min=f.domain_min)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedStencil:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["sphere", "hyperbolic"]),
+           n=st.integers(2, 7), radius=st.floats(0.2, 5.0),
+           centre=st.lists(st.floats(-4.0, 4.0), min_size=7, max_size=7),
+           h=st.floats(1e-5, 1e-2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_chart_matches_the_per_point_chart(self, kind, n, radius,
+                                                       centre, h, seed):
+        # rows that share coordinates as a stencil's do, then free rows:
+        # about 1 in 1200 squares has a last bit that an array ** 2 misses
+        rng = np.random.default_rng(seed)
+        steps = rng.choice([0.0, 1.0, -1.0, 2.0, -2.0], size=(40, n))
+        xs = np.array(centre[:n]) + steps * h
+        xs = np.vstack([xs, rng.uniform(-4.0, 4.0, size=(400, n))])
+        chart = BaseChart(kind, n, radius)
+        stacked = chart.components(xs)
+        for x, g in zip(xs, stacked):
+            assert same_bits(g, per_point_chart(chart, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(base=st.sampled_from(["flat", "sphere", "hyperbolic", "torus"]),
+           n=st.integers(3, 6),
+           profile=st.sampled_from(["t^3+t", "1.3*t*ln(t)", "t+2*sqrt(t)",
+                                    "0.7*t^1.4", "t^2"]),
+           t=st.floats(2.5, 10.0), x=st.floats(0.2, 1.2),
+           h=st.floats(1e-4, 5e-3), conformal=st.booleans())
+    def test_per_point_metric_gives_the_same_bits(self, base, n, profile, t, x,
+                                                  h, conformal):
+        if base == "torus":
+            geometry = BaseGrid(n, 8)
+            f = PolarWarpField(f"({profile})*(3+0.2*sin(x1)*cos(x{n}))",
+                               geometry, domain_min=0.1)
+        else:
+            R = {"flat": 0.0, "sphere": 1.5, "hyperbolic": -1.5}[base]
+            geometry = BaseGeometry.constant(n, R * n * (n - 1))
+            f = parse_profile(profile, domain_min=0.1)
+        coords = tuple(f"x{i + 1}" for i in range(n))
+        u = (parse_field("1 + 0.2*sin(x1)*cos(x2)/t", ("t",) + coords)
+             if conformal else None)
+        point = np.concatenate([[t], x + 0.1 * np.arange(n)])
+        batched = fd_scalar_curvature(
+            assemble_metric(f, geometry, conformal=u, h=h), point)
+        reference = fd_scalar_curvature(
+            per_point_metric(f, geometry, conformal=u, h=h), point)
+        assert same_bits(batched.riemann, reference.riemann)
+        for part in ("scalar", "mixed", "tangential"):
+            assert same_bits(getattr(batched, part), getattr(reference, part))
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_riemann_assembly_matches_the_quadruple_loop(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim))
+        gamma = rng.normal(size=(dim, dim, dim))
+        d2 = rng.normal(size=(dim,) * 4) * 10.0 ** rng.integers(-3, 4)
+        gg1 = np.einsum("ab,bil,ajk->ijkl", g, gamma, gamma)
+        gg2 = np.einsum("ab,bik,ajl->ijkl", g, gamma, gamma)
+        loop = np.empty((dim,) * 4)
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    for el in range(dim):
+                        second = 0.5 * (d2[i, el, j, k] + d2[j, k, i, el]
+                                        - d2[j, el, i, k] - d2[i, k, j, el])
+                        loop[i, j, k, el] = (second + gg1[i, j, k, el]
+                                             - gg2[i, j, k, el])
+        riemann = oracle._riemann(g, gamma, d2)
+        # the contractions' einsum summation order follows the layout
+        assert riemann.flags.c_contiguous
+        assert same_bits(riemann, loop)
