@@ -22,7 +22,7 @@ from .oracle import (BaseChart, ChristoffelTable, CurvatureTensorSample,
                      MetricGrid, assemble_metric, chart_for, fd_christoffel,
                      fd_scalar_curvature)
 from .completeness import RayLengthReport, ray_length, yamabe_test_integral
-from .serialize import fmt17, read_csv
+from .serialize import read_csv
 
 __version__ = "0.1.0"
 
@@ -42,5 +42,5 @@ __all__ = [
     "oscillation_certificate", "shoot", "BaseChart", "ChristoffelTable",
     "CurvatureTensorSample", "MetricGrid", "assemble_metric", "chart_for",
     "fd_christoffel", "fd_scalar_curvature", "RayLengthReport", "ray_length",
-    "yamabe_test_integral", "fmt17", "read_csv",
+    "yamabe_test_integral", "read_csv",
 ]

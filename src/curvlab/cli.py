@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from .completeness import ray_length, yamabe_test_integral
+from .completeness import ray_length
 from .errors import CurvlabError, DomainError
 from .geometry import BaseGeometry
 from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
@@ -18,7 +18,7 @@ from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
                   monotone_solve, oscillation_certificate)
 from .oracle import assemble_metric, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
-from .serialize import atomic_write_text, csv_text, fmt17, jsonl_text
+from .serialize import atomic_write_text, csv_text, jsonl_text
 from .warp import parse_profile, warped_scalar_curvature
 
 
@@ -62,15 +62,19 @@ def _emit(args, text, meta=None):
         sys.stdout.write(text)
 
 
-def _make_base(args, n):
-    kind = getattr(args, "base", "constant")
-    if kind == "constant":
-        return BaseGeometry.constant(n, args.base_R, volume=args.base_vol)
-    if kind == "sphere":
-        return BaseGeometry.sphere(n, radius=args.radius)
-    if kind == "torus":
-        return BaseGrid(n, args.m, stencil=args.stencil)
-    raise DomainError(f"unknown base kind '{kind}'")
+def _warp(args):
+    """The base, the warp over it and its closed-form scalar curvature at t
+    (one R(x) grid per t on the torus), as curvature and oracle read them."""
+    if args.base == "torus":
+        base = BaseGrid(args.n, args.m, stencil=args.stencil)
+        f = PolarWarpField(args.profile, base, domain_min=args.domain_min)
+        return base, f, lambda t: polar_scalar_curvature(f, t)
+    if args.base == "sphere":
+        base = BaseGeometry.sphere(args.n, radius=args.radius)
+    else:
+        base = BaseGeometry.constant(args.n, args.base_R)
+    f = parse_profile(args.profile, domain_min=args.domain_min)
+    return base, f, lambda t: warped_scalar_curvature(f, base, t)
 
 
 # ---------------------------------------------------------------------------
@@ -90,24 +94,25 @@ def _check_finite(t, R):
 
 def cmd_curvature(args):
     t_vals = parse_range(args.t)
-    base = _make_base(args, args.n)
-    if isinstance(base, BaseGrid):
-        f = PolarWarpField(args.profile, base, domain_min=args.domain_min)
-        header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
-        rows = []
-        mesh = base.mesh()
+    base, _, closed_form = _warp(args)
+    if args.base == "torus":
+        # one row per (t, grid node), nodes in C (np.ndindex) order
+        slices = []
         for t in t_vals:
-            R = polar_scalar_curvature(f, float(t), base_scalar=0.0)
+            R = closed_form(float(t))
             _check_finite(t, R)
-            for idx in np.ndindex(R.shape):
-                rows.append([t] + [mesh[i][idx] for i in range(base.n)] + [R[idx]])
-        _emit(args, csv_text(header, rows), {"command": "curvature"})
-        return 0
-    f = parse_profile(args.profile, domain_min=args.domain_min)
-    R = warped_scalar_curvature(f, base, t_vals)
-    R = np.broadcast_to(np.asarray(R, dtype=float), t_vals.shape)
-    _check_finite(t_vals, R)
-    _emit(args, csv_text(["t", "R"], zip(t_vals, R)), {"command": "curvature"})
+            slices.append(R.ravel())
+        nodes = np.stack([x.ravel() for x in base.mesh()], axis=1)
+        header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
+        table = np.column_stack([np.repeat(t_vals, len(nodes)),
+                                 np.tile(nodes, (len(t_vals), 1)),
+                                 np.concatenate(slices)])
+    else:
+        R = np.broadcast_to(np.asarray(closed_form(t_vals), dtype=float),
+                            t_vals.shape)
+        _check_finite(t_vals, R)
+        header, table = ["t", "R"], np.column_stack([t_vals, R])
+    _emit(args, csv_text(header, table), {"command": "curvature"})
     return 0
 
 
@@ -121,7 +126,7 @@ def cmd_solve(args):
     sol = monotone_solve(spec, pair, bc=(args.bc_left, args.bc_right),
                          num_points=args.points)
     du = np.gradient(sol.u, sol.t)
-    text = csv_text(["t", "u", "du"], zip(sol.t, sol.u, du))
+    text = csv_text(["t", "u", "du"], np.column_stack([sol.t, sol.u, du]))
     _emit(args, text, {"command": "solve",
                        "residual_norm": sol.residual_norm,
                        "iterations": sol.iterations})
@@ -188,30 +193,25 @@ def cmd_certify(args):
 
 def cmd_oracle(args):
     t_vals = parse_range(args.t)
-    base = _make_base(args, args.n)
-    if isinstance(base, BaseGrid):
-        f = PolarWarpField(args.profile, base, domain_min=args.domain_min)
+    base, f, closed_form = _warp(args)
+    if args.base == "torus":
+        # the closed form is read at the grid node nearest x0
         x0 = np.full(base.n, args.x0)
-        closed_at = (lambda t: float(
-            polar_scalar_curvature(f, t)[tuple(
-                int(round(args.x0 / base.spacing)) % base.m
-                for _ in range(base.n))]))
+        node = (int(round(args.x0 / base.spacing)) % base.m,) * base.n
     else:
-        f = parse_profile(args.profile, domain_min=args.domain_min)
-        x0 = np.full(base.n, 0.3)
-        closed_at = lambda t: float(warped_scalar_curvature(f, base, t))
+        x0, node = np.full(base.n, 0.3), ()
     metric = assemble_metric(f, base, h=args.h)
     rows = []
     for t in t_vals:
         point = np.concatenate([[t], x0])
-        closed = closed_at(float(t))
+        closed = float(np.asarray(closed_form(float(t)))[node])
         fd = fd_scalar_curvature(metric, point).scalar
         _check_finite(t, [closed, fd])
         abs_err = abs(fd - closed)
         rel = abs_err / max(abs(closed), 1e-300)
         rows.append([t, closed, fd, abs_err, rel])
     _emit(args, csv_text(["point", "closed_form", "fd", "abs_err", "rel_err"],
-                         rows), {"command": "oracle"})
+                         np.array(rows)), {"command": "oracle"})
     return 0
 
 
@@ -247,18 +247,20 @@ def build_parser():
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--domain-min", dest="domain_min", type=float, default=2.0)
 
-    p = sub.add_parser("curvature", help="scalar curvature along t")
-    common(p)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--base", default="constant",
-                   choices=["constant", "sphere", "torus"])
-    p.add_argument("--base-R", dest="base_R", type=float, default=0.0)
-    p.add_argument("--base-vol", dest="base_vol", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--m", type=int, default=16)
-    p.add_argument("--stencil", default="fd2", choices=["fd2", "spectral"])
-    p.add_argument("--t", required=True, help="a:b:k log-spaced samples")
+    def warp_table(p):
+        # what _warp reads, plus the t samples: shared by curvature and oracle
+        common(p)
+        p.add_argument("--profile", required=True)
+        p.add_argument("--n", type=int)
+        p.add_argument("--base", default="constant",
+                       choices=["constant", "sphere", "torus"])
+        p.add_argument("--base-R", dest="base_R", type=float, default=0.0)
+        p.add_argument("--radius", type=float, default=1.0)
+        p.add_argument("--m", type=int, default=16)
+        p.add_argument("--stencil", default="fd2", choices=["fd2", "spectral"])
+        p.add_argument("--t", required=True, help="a:b:k log-spaced samples")
+
+    warp_table(sub.add_parser("curvature", help="scalar curvature along t"))
 
     p = sub.add_parser("solve", help="monotone sub/supersolution solve")
     common(p)
@@ -288,17 +290,7 @@ def build_parser():
     p.add_argument("--format", default="jsonl", choices=["jsonl", "text"])
 
     p = sub.add_parser("oracle", help="closed form vs finite differences")
-    common(p)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--base", default="constant",
-                   choices=["constant", "sphere", "torus"])
-    p.add_argument("--base-R", dest="base_R", type=float, default=0.0)
-    p.add_argument("--base-vol", dest="base_vol", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--m", type=int, default=16)
-    p.add_argument("--stencil", default="fd2", choices=["fd2", "spectral"])
-    p.add_argument("--t", required=True)
+    warp_table(p)
     p.add_argument("--h", type=float, default=1.0e-3)
     p.add_argument("--x0", type=float, default=0.3)
 
@@ -364,7 +356,10 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](args)
+        # overflow and 0/0 reach the checks of each command as inf or nan,
+        # which then raise a CurvlabError naming the first bad value
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _DISPATCH[args.command](args)
     except CurvlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -34,13 +34,6 @@ class RayLengthReport:
             "tail_estimate": self.tail_estimate, "total": self.total,
             "verdict": self.verdict}, sort_keys=True)
 
-    def to_text(self):
-        pairs = [("verdict", self.verdict), ("integral", self.integral),
-                 ("tail_exponent", self.tail_exponent),
-                 ("tail_estimate", self.tail_estimate), ("total", self.total),
-                 ("t0", self.t0), ("T", self.T), ("n", self.n)]
-        return "\n".join(f"{k}: {v}" for k, v in pairs) + "\n"
-
 
 TAIL_MARGIN = 0.05
 

@@ -15,6 +15,7 @@ the tree; evaluation is numpy-aware (scalars or arrays).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -72,6 +73,9 @@ class Const(Node):
 
     def unparse(self):
         v = self.value
+        if math.copysign(1.0, v) < 0:
+            # parenthesized, so a power keeps it whole: (-2)^t, not -(2^t)
+            return f"(-{Const(-v).unparse()})"
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

@@ -77,7 +77,3 @@ class BaseGeometry:
         if self.n < minimum:
             raise DomainError(
                 f"result requires base dimension >= {minimum}, got n = {self.n}")
-
-    @property
-    def constants(self):
-        return DimensionConstants(self.n)

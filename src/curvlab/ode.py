@@ -37,8 +37,7 @@ class OdeSpec:
     """The second-order equation to integrate or solve.
 
     form 'eq13' is the general prescribed-curvature equation; 'eq31' pins
-    the base curvature to -n(n-1) (class-C normalization); 'averaged' marks
-    comparison equations for base-averaged profiles.
+    the base curvature to -n(n-1) (class-C normalization).
     """
 
     n: int
@@ -51,7 +50,7 @@ class OdeSpec:
     def __post_init__(self):
         if self.t0 <= 0 or self.T <= self.t0:
             raise DomainError("need 0 < t0 < T")
-        if self.form not in ("eq13", "eq31", "averaged"):
+        if self.form not in ("eq13", "eq31"):
             raise DomainError(f"unknown form '{self.form}'")
         if self.form == "eq31":
             expected = -self.n * (self.n - 1)
@@ -154,7 +153,7 @@ def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
                       terminated_at_crossing=(sol.status == 1 and bool(crossings)))
 
 
-def _integrate_linear_log(a1, a0_fn, s0, s1, w0, dw0, rtol=RTOL):
+def _integrate_linear_log(a1, a0_fn, s0, s1, w0, dw0):
     """Integrate w'' + a1 w' + a0(s) w = 0 on [s0, s1] in the log-time
     variable s = ln t, recording zero crossings of w."""
     def rhs(s, y):
@@ -165,7 +164,7 @@ def _integrate_linear_log(a1, a0_fn, s0, s1, w0, dw0, rtol=RTOL):
     crossing.terminal = False
     crossing.direction = 0
 
-    return solve_ivp(rhs, (s0, s1), [w0, dw0], rtol=rtol, atol=ATOL,
+    return solve_ivp(rhs, (s0, s1), [w0, dw0], rtol=RTOL, atol=ATOL,
                      events=crossing)
 
 
@@ -187,9 +186,16 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
         horizon = T if T is not None else DEFAULT_T_MAX
     else:
         delta = math.sqrt(c - 1.0) / 2.0
-        ratio = math.exp(math.pi / delta)
         # three crossings fit within a factor ratio^3 of t0 regardless of phase
-        required_T = t0 * ratio ** 3
+        try:
+            ratio = math.exp(math.pi / delta)
+            required_T = t0 * ratio ** 3
+        except OverflowError:
+            required_T = math.inf
+        if math.isinf(required_T):
+            raise DomainError(
+                f"c = {c!r} is too close to 1: the window for three "
+                f"crossings, t0 * e^(6 pi / sqrt(c - 1)), overflows a float")
         if T is not None and T < required_T:
             raise WindowTooSmall(
                 "window cannot contain two predicted crossings", required_T)
@@ -280,6 +286,9 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     """
     if spec.form != "eq31":
         raise DomainError("monotone_solve expects the eq31 normalization")
+    if num_points < 3:
+        raise DomainError(
+            f"need at least 3 grid points (one interior node), got {num_points}")
     n = spec.n
     p = DimensionConstants(n).nonlin_exp
     a = 4.0 * n / (n + 1)

@@ -3,14 +3,10 @@ key: value text records.  Files are written atomically (temp + rename)."""
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
-
-def fmt17(x):
-    """Shortest representation that round-trips a double (17 sig digits)."""
-    return f"{float(x):.17g}"
+import numpy as np
 
 
 def atomic_write_text(path, text):
@@ -27,14 +23,13 @@ def atomic_write_text(path, text):
         raise
 
 
-def csv_text(header, rows):
-    """CSV with all floats at 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            fmt17(v) if isinstance(v, (int, float)) or hasattr(v, "__float__")
-            else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_text(header, table):
+    """CSV of a 2-D float table, every cell at 17 significant digits (the
+    shortest width that round-trips any double), formatted in one pass."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (line * len(table)) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 def read_csv(path):
@@ -56,12 +51,6 @@ def read_csv(path):
 
 
 def jsonl_text(records):
-    """One sorted-key JSON object per line."""
-    out = []
-    for rec in records:
-        if isinstance(rec, str):
-            # already serialized (e.g. Verdict.to_json())
-            out.append(rec)
-        else:
-            out.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(out) + "\n"
+    """One already-serialized JSON object (e.g. Verdict.to_json()) per
+    line."""
+    return "\n".join(records) + "\n"

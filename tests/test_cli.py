@@ -7,18 +7,29 @@ import sys
 import textwrap
 from pathlib import Path
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvlab import ode
 from curvlab.cli import main, parse_range
 from curvlab.errors import DomainError
-from curvlab.serialize import fmt17, read_csv
+from curvlab.serialize import csv_text, read_csv
+
+
+# child interpreters import this checkout's curvlab, as pytest itself does
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, tmp_path=None):
     proc = subprocess.run([sys.executable, "-m", "curvlab.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -53,10 +64,7 @@ class TestCurvature:
               "--base-R", "-6", "--t", "2.5:50:33", "--out", str(out)])
         header, rows = read_csv(str(out))
         # re-formatting the parsed values reproduces the file exactly
-        text = out.read_text()
-        again = "\n".join([",".join(header)] + [
-            ",".join(fmt17(v) for v in row) for row in rows]) + "\n"
-        assert text == again
+        assert csv_text(header, rows) == out.read_text()
 
     def test_missing_n_is_usage_error(self):
         code, _, err = run_cli(["curvature", "--profile", "t",
@@ -131,6 +139,58 @@ def test_oracle_golden_bytes(case, capsys):
     batch."""
     assert main(ORACLE_GOLDEN[case]["args"]) == 0
     assert capsys.readouterr().out == ORACLE_GOLDEN[case]["stdout"]
+
+
+TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "table_golden.json")
+                          .read_text())
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_GOLDEN))
+def test_table_golden_bytes(case, capsys):
+    """curvature tables on constant, hyperbolic and sphere bases (stdout)
+    and on the torus (fd2 and spectral, n = 3 and 4), and two solve tables
+    (sha256), recorded while csv_text still formatted one cell at a time."""
+    assert main(TABLE_GOLDEN[case]["args"]) == 0
+    out = capsys.readouterr().out
+    if "stdout" in TABLE_GOLDEN[case]:
+        assert out == TABLE_GOLDEN[case]["stdout"]
+    else:
+        assert out.count("\n") - 1 == TABLE_GOLDEN[case]["rows"]
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            TABLE_GOLDEN[case]["sha256"]
+
+
+def per_cell_csv_text(header, rows):
+    """The writer csv_text replaced: each cell type-checked and formatted
+    on its own."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            f"{float(v):.17g}" if isinstance(v, (int, float))
+            or hasattr(v, "__float__") else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                        elements=st.one_of(st.floats(allow_nan=False,
+                                                     allow_infinity=False),
+                                           st.sampled_from(EDGE_FLOATS))))
+def test_csv_text_matches_per_cell_writer_and_round_trips(table, tmp_path_factory):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    text = csv_text(header, table)
+    assert text == per_cell_csv_text(header, table)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text(text)
+    back_header, rows = read_csv(str(path))
+    assert back_header == header
+    back = np.array(rows, dtype=float).reshape(table.shape)
+    assert back.tobytes() == table.tobytes()
 
 
 class TestCertifyInputErrors:
@@ -208,6 +268,46 @@ class TestCertifyInputErrors:
         assert capsys.readouterr().err == (
             "error: f f'' is not finite at t = 365.77842061829665\n")
         assert not out.exists()
+
+
+class TestCleanErrors:
+    """Input that used to end in an OverflowError or IndexError traceback,
+    or print numpy warnings ahead of its error line."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["certify", "--kind", "oscillation", "--c", "1.0001"],
+         "c = 1.0001 is too close to 1"),
+        (["sweep", "--c", "1.00001:1.2:3"], "c = 1.00001 is too close to 1"),
+        (["solve", "--n", "3", "--points", "0"], "need at least 3 grid points"),
+        (["solve", "--n", "3", "--points", "1"], "need at least 3 grid points"),
+        (["solve", "--n", "3", "--points", "2"], "need at least 3 grid points"),
+    ], ids=["certify-c", "sweep-c", "points0", "points1", "points2"])
+    def test_one_error_line_and_nothing_written(self, args, message, tmp_path,
+                                                capsys):
+        out = tmp_path / "o"
+        assert main(args + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, err", [
+        (["oracle", "--profile", "exp(exp(t))", "--n", "3", "--t", "3:10:3"],
+         "error: curvature is not finite at t = 5.477225575051662\n"),
+        (["certify", "--kind", "thm38", "--kappa-sq", "6", "--delta", "1",
+          "--profile", "exp(t)"],
+         "error: f f'' is not finite at t = 365.77842061829665\n"),
+        (["curvature", "--profile", "exp(exp(t))", "--n", "3",
+          "--t", "3:10:5"],
+         "error: curvature is not finite at t = 7.400828044922854\n"),
+        (["raylength", "--u", "exp(exp(t))", "--n", "3", "--T", "20"],
+         "error: u is not finite at t = 6.566716739113921\n"),
+    ], ids=["oracle", "certify-thm38", "curvature", "raylength"])
+    def test_overflow_prints_no_numpy_warning(self, args, err):
+        # numpy's RuntimeWarnings must not reach stderr ahead of the error
+        code, stdout, stderr = run_cli(args)
+        assert (code, stdout, stderr) == (1, "", err)
 
 
 class TestDeterminism:
@@ -314,7 +414,7 @@ def scipy_modules_loaded(jobs, tmp_path):
                                 if m.split(".")[0] == "scipy")))
     """)
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvlab import expr
 from curvlab.errors import ExpressionError
@@ -58,7 +61,7 @@ class TestParse:
 
     def test_unparse_round_trip(self):
         for src in ["t^2 + 1", "sin(t)*exp(-t)", "(t + 1)/(t - 1)",
-                    "t*ln(t)", "2^t"]:
+                    "t*ln(t)", "2^t", "(-2)^2"]:
             node = expr.parse(src)
             again = expr.parse(node.unparse())
             t = np.linspace(1.5, 4.0, 7)
@@ -95,3 +98,90 @@ class TestDiff:
 
     def test_constant_folding(self):
         assert expr.parse("0*t + 1").diff("t").eval({}) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-drawn expressions: the unparse round trip, and diff against sympy
+
+FUNCS = sorted(expr.FUNCTIONS)
+
+
+def sources(leaves, extend):
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
+
+
+# anything the grammar allows, negative and signed-zero constants included
+ANY_SOURCE = sources(
+    ["t", "x1", "2", "0.5", "3", "1.25", "0.1", "7", "(-2)", "(-0)", "1e-3"],
+    lambda c: st.one_of(
+        st.tuples(c, st.sampled_from("+-*/"), c).map(
+            lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        c.map(lambda a: f"-{a}"),
+        st.tuples(c, c).map(lambda a: f"({a[0]})^{a[1]}"),
+        st.tuples(st.sampled_from(FUNCS), c).map(lambda a: f"{a[0]}({a[1]})")))
+
+# every node kind, with ln, sqrt, division and general powers kept on
+# positive arguments so the derivatives are finite and real
+SMOOTH_SOURCE = sources(
+    ["t", "x1", "2", "0.5", "3", "1.25"],
+    lambda c: st.one_of(
+        st.tuples(c, st.sampled_from("+-*"), c).map(
+            lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        st.tuples(c, c).map(lambda a: f"({a[0]}/(1 + ({a[1]})^2))"),
+        c.map(lambda a: f"-{a}"),
+        st.tuples(c, st.sampled_from(["2", "3", "(-1)", "0.5"])).map(
+            lambda a: f"(1 + ({a[0]})^2)^{a[1]}"),
+        st.tuples(c, c).map(lambda a: f"(1 + ({a[0]})^2)^({a[1]})"),
+        st.tuples(st.sampled_from(["exp", "sin", "cos", "sinh", "cosh"]),
+                  c).map(lambda a: f"{a[0]}({a[1]})"),
+        st.tuples(st.sampled_from(["ln", "sqrt"]), c).map(
+            lambda a: f"{a[0]}(1 + ({a[1]})^2)")))
+
+ARRAY_ENV = {"t": np.array([0.3, 1.7, 2.9, 11.0]),
+             "x1": np.array([0.4, -1.2, 2.0, 0.0])}
+SCALAR_ENV = {"t": 1.7, "x1": -0.45}
+
+
+def outcome(node, env):
+    """The bits of node's value at env, or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(node.eval(env), dtype=float).tobytes()
+    except ArithmeticError as err:
+        return type(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_SOURCE)
+def test_unparse_round_trip_is_bit_exact(src):
+    tree = expr.parse(src)
+    again = expr.parse(tree.unparse())
+    assert again == tree
+    for env in (ARRAY_ENV, SCALAR_ENV):
+        assert outcome(again, env) == outcome(tree, env)
+
+
+T, X1 = sympy.symbols("t x1", real=True)
+
+
+def sympy_value(source, var, order, t, x1):
+    sym = sympy.sympify(source.replace("^", "**"),
+                        locals={"ln": sympy.log, "t": T, "x1": X1})
+    value = complex(sympy.diff(sym, var, order).evalf(30, subs={T: t, X1: x1}))
+    assume(value.imag == 0 and math.isfinite(value.real))
+    return value.real
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMOOTH_SOURCE, st.sampled_from([(0.7, 0.4), (1.7, -1.2), (2.9, 2.0)]))
+def test_diff_matches_sympy(src, point):
+    tree = expr.parse(src)
+    t, x1 = point
+    d_t = tree.diff("t")
+    for var, order, deriv in ((T, 1, d_t), (T, 2, d_t.diff("t")),
+                              (X1, 1, tree.diff("x1"))):
+        with np.errstate(all="ignore"):
+            ours = float(deriv.eval({"t": np.float64(t), "x1": np.float64(x1)}))
+        assume(math.isfinite(ours))
+        ref = sympy_value(tree.unparse(), var, order, t, x1)
+        assert ours == pytest.approx(ref, rel=1e-9)

@@ -40,7 +40,7 @@ def test_parser_sees_every_import_form(tmp_path):
                    "import curvlab.cli\n"
                    "def f():\n"
                    "    from curvlab import expr\n"
-                   "    from curvlab.serialize import fmt17\n"
+                   "    from curvlab.serialize import csv_text\n"
                    "import numpy\n")
     assert imported_modules(src) == {"polar", "oracle", "cli", "expr", "serialize"}
 
@@ -61,3 +61,36 @@ def test_oracle_stays_independent_of_the_closed_forms():
     # completeness) are checked against, so it may not reach them; polar
     # gives it the torus base grid
     assert imported_modules(PACKAGE / "oracle.py") <= {"errors", "polar"}
+
+
+def unused_imports(path):
+    """Names a module imports (at any depth) but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_unused_import_finder(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "import numpy as np\n"
+                   "from .serialize import csv_text, read_csv\n"
+                   "def f():\n"
+                   "    from .completeness import ray_length\n"
+                   "    return np.pi, os.path, csv_text\n")
+    assert unused_imports(src) == {"read_csv", "ray_length"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_no_unused_imports(module):
+    # __init__ imports to re-export; every other module reads what it imports
+    unused = unused_imports(PACKAGE / f"{module}.py")
+    assert not unused, f"{module} never uses {sorted(unused)}"

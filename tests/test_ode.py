@@ -92,10 +92,10 @@ class TestOscillation:
         # re-integration at tighter tolerance moves crossings by < 0.1%
         v1 = oscillation_certificate(2.0, 3.0)
         c1 = v1.witnesses["crossings"]
-        from curvlab.ode import _integrate_linear_log
-        sol = _integrate_linear_log(-1.0, lambda s: 0.5, math.log(3.0),
-                                    math.log(c1[-1]*1.01), 1.0, 0.5,
-                                    rtol=1e-12)
+        # the certificate's log-time equation w'' - w' + (c/4) w = 0
+        sol = ode.solve_ivp(lambda s, y: [y[1], y[1] - 0.5 * y[0]],
+                            (math.log(3.0), math.log(c1[-1]*1.01)), [1.0, 0.5],
+                            rtol=1e-12, atol=ode.ATOL, events=lambda s, y: y[0])
         c2 = [math.exp(s) for s in sol.t_events[0]]
         for a, b in zip(c1, c2):
             assert abs(a/b - 1.0) < 1e-3
