@@ -21,7 +21,7 @@ class DomainError(CurvlabError):
 
 
 class BracketError(DomainError):
-    """Sub/supersolution ordering violated, or an iterate left the bracket."""
+    """Sub/supersolution ordering violated."""
 
 
 class StiffFailure(CurvlabError):

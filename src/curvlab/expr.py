@@ -118,6 +118,13 @@ class Neg(Node):
         self.a._collect_vars(out)
 
 
+def _ieee(op, a, b):
+    """The IEEE result of op(a, b) on Python floats that raised instead:
+    +-inf on division by zero or overflow, nan for 0/0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(op(np.float64(a), b))
+
+
 @dataclass(frozen=True, slots=True)
 class BinOp(Node):
     a: Node
@@ -163,7 +170,11 @@ class Mul(BinOp):
 
 class Div(BinOp):
     def eval(self, env):
-        return self.a.eval(env) / self.b.eval(env)
+        a, b = self.a.eval(env), self.b.eval(env)
+        try:
+            return a / b
+        except ZeroDivisionError:  # Python floats; IEEE gives +-inf or nan
+            return _ieee(np.divide, a, b)
 
     def diff(self, var):
         da, db = self.a.diff(var), self.b.diff(var)
@@ -179,7 +190,10 @@ class Pow(BinOp):
         base = self.a.eval(env)
         expo = self.b.eval(env)
         if isinstance(self.b, Const) and float(self.b.value) == int(self.b.value):
-            return base ** int(self.b.value)
+            try:
+                return base ** int(self.b.value)
+            except (ZeroDivisionError, OverflowError):  # Python floats
+                return _ieee(np.power, base, expo)
         return np.power(base, expo)
 
     def diff(self, var):

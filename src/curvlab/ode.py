@@ -248,8 +248,9 @@ class SubSuperPair:
         return lo, hi
 
     def residual_signs(self, spec: OdeSpec, t_grid):
-        """FD residuals of both barrier functions (sub >= 0, super <= 0 up
-        to discretization error); informational."""
+        """FD residuals of both barrier functions at the interior nodes
+        (sub >= 0, super <= 0 up to round-off); monotone_solve checks them
+        before it iterates."""
         h = t_grid[1] - t_grid[0]
         out = {}
         for name, fn in (("sub", self.u_minus), ("super", self.u_plus)):
@@ -276,13 +277,37 @@ class MonotoneSolution:
     bracketed: bool
 
 
+def _solve_tridiagonal(dl, d, du, b):
+    """Solve the tridiagonal system with sub-diagonal dl, diagonal d and
+    super-diagonal du for the right-hand side b.
+
+    Gaussian elimination without pivoting in the operation order of LAPACK
+    dgtsv, which takes no row interchange when every pivot |d_i| is at least
+    |dl_i| (a diagonally dominant matrix), so the result is then bit for bit
+    scipy.linalg.solve_banded((1, 1), ...).
+    """
+    d, x = list(d), list(b)
+    for i in range(len(d) - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        x[i + 1] -= fact * x[i]
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
+    return np.array(x)
+
+
 def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
                    tol=1.0e-12, max_iter=20000, start="lower") -> MonotoneSolution:
     """Monotone iteration on the centered-difference discretization.
 
-    The nonlinearity is shifted by a constant M exceeding its Lipschitz
-    bound on the bracket, so iterates march monotonically from one end of
-    the bracket to the true solution.  bc = (left, right) Dirichlet values.
+    The barriers are checked first: each must be a discrete sub- or
+    supersolution up to the round-off of its residual.  At each
+    node the nonlinearity is shifted by M_i exceeding its Lipschitz bound on
+    that node's bracket, so iterates march monotonically from one end of the
+    bracket to the true solution.  The iteration stops when the step falls
+    below tol or stops shrinking (round-off).  bc = (left, right) Dirichlet
+    values.
     """
     if spec.form != "eq31":
         raise DomainError("monotone_solve expects the eq31 normalization")
@@ -307,53 +332,63 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
 
     R_int = R_vals[1:-1]
 
+    # each barrier may miss its sign only by the round-off of its residual:
+    # every value off by ~2 eps, weighted by the stencil (1, -2, 1)
+    residuals = pair.residual_signs(spec, t)
+    eps = np.finfo(float).eps
+    for name, kind, vals, sign in (("u_minus", "sub", lo, 1.0),
+                                   ("u_plus", "super", hi, -1.0)):
+        res = residuals[kind]
+        slack = 2 * eps * (a / h ** 2 * (vals[2:] + 2 * vals[1:-1] + vals[:-2])
+                           + np.abs(R_int) * vals[1:-1]
+                           - spec.R_g * _signed_pow(vals[1:-1], p))
+        bad = sign * res < -slack
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"{name} is not a {kind}solution: residual {res[i]:.6g} "
+                f"{'<' if sign > 0 else '>'} 0 at t = {float(t[i + 1])!r}")
+
     def nonlin(u):
         # n(n-1) u^p + R u, the non-second-derivative part of eq31
         return -spec.R_g * _signed_pow(u, p) + R_int * u
 
-    # smallest shift that keeps Phi(u) + M u nondecreasing on the bracket:
-    # M >= sup(-Phi'), Phi' = n(n-1) p u^(p-1) + R (first term >= 0 for u > 0)
-    umin, umax = float(lo.min()), float(hi.max())
-    probes = np.geomspace(umin, umax, 64)
-    dphi = -spec.R_g * p * _signed_pow(probes, p - 1)
-    neg_part = -(dphi[None, :] + R_vals[:, None])
-    M = max(0.0, float(neg_part.max())) + 1e-6
+    # per-node shift keeping Phi_i(u) + M_i u nondecreasing on [lo_i, hi_i]:
+    # M_i >= sup(-Phi_i'), Phi_i' = n(n-1) p u^(p-1) + R_i, monotone in u
+    # for u > 0, so the sup is at one end of the bracket
+    def neg_dphi(v):
+        return spec.R_g * p * _signed_pow(v, p - 1) - R_int
+    M = np.maximum(0.0, np.maximum(neg_dphi(lo[1:-1]), neg_dphi(hi[1:-1]))) + 1e-6
 
-    # banded matrix for a*D2 - M*I with Dirichlet rows folded in
-    N = num_points - 2
-    ab = np.zeros((3, N))
-    ab[0, 1:] = a / h ** 2            # super-diagonal
-    ab[1, :] = -2.0 * a / h ** 2 - M  # diagonal
-    ab[2, :-1] = a / h ** 2           # sub-diagonal
-
-    from scipy.linalg import solve_banded
+    # tridiagonal a*D2 - diag(M) with the Dirichlet rows folded in; it is
+    # diagonally dominant, so the elimination needs no pivoting
+    off = [a / h ** 2] * (num_points - 3)
+    diag = (-2.0 * a / h ** 2 - M).tolist()
 
     u = np.array(lo if start == "lower" else hi, dtype=float)
     u[0], u[-1] = bc_l, bc_r
-    prev_interior = u[1:-1].copy()
+    direction = 1.0 if start == "lower" else -1.0
     monotone = True
-    bracketed = True
+    delta = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         rhs = -M * u[1:-1] - nonlin(u[1:-1])
         rhs[0] -= a / h ** 2 * bc_l
         rhs[-1] -= a / h ** 2 * bc_r
-        new_interior = solve_banded((1, 1), ab, rhs)
-        step = new_interior - prev_interior
-        if iterations > 1:
-            direction = 1.0 if start == "lower" else -1.0
-            if np.any(direction * step < -1e-9 * max(1.0, np.abs(new_interior).max())):
-                monotone = False
-        if (np.any(new_interior < lo[1:-1] - 1e-8 * max(1.0, umax))
-                or np.any(new_interior > hi[1:-1] + 1e-8 * max(1.0, umax))):
-            raise BracketError(
-                f"iterate {iterations} left the bracket")
+        new_interior = _solve_tridiagonal(off, diag, off, rhs)
+        step = new_interior - u[1:-1]
+        size = float(np.abs(new_interior).max())
+        if iterations > 1 and np.any(direction * step < -1e-9 * max(1.0, size)):
+            monotone = False
         u[1:-1] = new_interior
-        delta = float(np.abs(step).max())
-        prev_interior = new_interior.copy()
-        if delta < tol:
+        prev_delta, delta = delta, float(np.abs(step).max())
+        # steps stall at a few eps * max|u|; one that has stopped shrinking
+        # is round-off once it is that small (early steps can grow)
+        if delta < tol or (delta >= prev_delta and delta < math.sqrt(eps) * size):
             break
 
+    margin = 1e-8 * max(1.0, float(hi.max()))
+    bracketed = bool(np.all(u >= lo - margin) and np.all(u <= hi + margin))
     d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
     res = _discrete_residual(spec, t[1:-1], u[1:-1], d2)
     return MonotoneSolution(t=t, u=u, residual_norm=float(np.abs(res).max()),

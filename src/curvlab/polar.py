@@ -39,6 +39,12 @@ class BaseGrid:
         self.axis_points = np.arange(m) * self.spacing
         self.volume = (2.0 * math.pi) ** n
         self._k = np.fft.fftfreq(m, d=1.0 / m)  # integer wavenumbers
+        # one broadcastable axis array per coordinate, shape (m, 1, ..) etc.
+        self._axes = np.meshgrid(*([self.axis_points] * n), indexing="ij",
+                                 sparse=True)
+        if stencil == "spectral":
+            self._ksq = sum(k ** 2 for k in np.meshgrid(
+                *([self._k] * n), indexing="ij", sparse=True))
 
     # -- sampling -----------------------------------------------------------
 
@@ -47,9 +53,9 @@ class BaseGrid:
         return np.meshgrid(*([self.axis_points] * self.n), indexing="ij")
 
     def env(self, t):
-        """Evaluation environment at a t-slice: t plus x1..xn mesh arrays."""
-        coords = self.mesh()
-        env = {f"x{i + 1}": coords[i] for i in range(self.n)}
+        """Evaluation environment at a t-slice: t plus x1..xn axis arrays,
+        which broadcast against each other to the mesh."""
+        env = {f"x{i + 1}": x for i, x in enumerate(self._axes)}
         env["t"] = t
         return env
 
@@ -61,12 +67,7 @@ class BaseGrid:
             raise DomainError("grid function has wrong shape")
         if self.stencil == "spectral":
             spec = np.fft.fftn(arr)
-            ksq = np.zeros((self.m,) * self.n)
-            for ax in range(self.n):
-                shape = [1] * self.n
-                shape[ax] = self.m
-                ksq = ksq + self._k.reshape(shape) ** 2
-            return np.real(np.fft.ifftn(spec * (-ksq)))
+            return np.real(np.fft.ifftn(spec * (-self._ksq)))
         out = np.zeros_like(arr)
         h2 = self.spacing ** 2
         for ax in range(self.n):

@@ -59,8 +59,12 @@ class Field:
         if np.any(np.asarray(t) <= self.domain_min):
             raise DomainError(f"t must exceed domain_min = {self.domain_min}")
         val = evaluate()
-        if np.any(np.asarray(val) <= 0):
-            raise DomainError(f"field '{self.source}' is nonpositive at t = {t}")
+        bad = np.asarray(val) <= 0
+        if bad.any():
+            # t is one slice's t or the t of each value; name the first bad one
+            t_all, bad = np.broadcast_arrays(t, bad)
+            raise DomainError(f"field '{self.source}' is nonpositive at "
+                              f"t = {float(t_all[bad][0])!r}")
         return val
 
     def _env(self, t, xs):

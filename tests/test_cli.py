@@ -148,8 +148,9 @@ TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "table_golden.json")
 @pytest.mark.parametrize("case", sorted(TABLE_GOLDEN))
 def test_table_golden_bytes(case, capsys):
     """curvature tables on constant, hyperbolic and sphere bases (stdout)
-    and on the torus (fd2 and spectral, n = 3 and 4), and two solve tables
-    (sha256), recorded while csv_text still formatted one cell at a time."""
+    and on the torus (fd2 and spectral, n = 3 and 4), recorded while
+    csv_text still formatted one cell at a time, and two solve tables
+    (sha256), recorded when monotone_solve took its shift per node."""
     assert main(TABLE_GOLDEN[case]["args"]) == 0
     out = capsys.readouterr().out
     if "stdout" in TABLE_GOLDEN[case]:
@@ -355,6 +356,41 @@ class TestSolveAndOracle:
         assert header == ["t", "u", "du"]
         assert all(abs(row[1] - 6.0) < 1e-8 for row in rows)
 
+    @pytest.mark.parametrize("args", [["--n", "4"],
+                                      ["--n", "3", "--R-coeff", "3"]])
+    def test_solve_rejects_a_bad_barrier_up_front(self, args, tmp_path,
+                                                  capsys):
+        # 6 t^2 is a supersolution only for n = 3 and C >= 7 (alpha = 2)
+        out = tmp_path / "u.csv"
+        assert main(["solve", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: u_plus is not a supersolution: residual ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["oracle", "--profile", "1/(t-4)+5", "--n", "3", "--t", "4"],
+        ["oracle", "--profile", "(t-4)^-1+5", "--n", "3", "--t", "4"],
+        ["oracle", "--profile", "t^400", "--n", "3", "--t", "1000"],
+        ["curvature", "--profile", "1/(t-4)+5", "--n", "3", "--t", "4",
+         "--base", "torus", "--m", "8"]])
+    def test_python_float_inf_is_a_domain_error(self, args, tmp_path,
+                                                 capsys):
+        # Python-float evaluation gives the IEEE inf, which the finite
+        # checks then name, instead of a ZeroDivisionError or OverflowError
+        out = tmp_path / "o.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite at" in err
+        assert not out.exists()
+
+    def test_nonpositive_field_names_the_first_bad_t(self, capsys):
+        code = main(["curvature", "--profile", "5-t", "--n", "3",
+                     "--t", "2.5:10:400"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: field '5-t' is nonpositive at t = 5.008693604020039\n")
+
     @pytest.mark.parametrize("t, bad_t", [("3:10:3", "5.477225575051662"),
                                           ("5.4772", "5.4772"),
                                           ("10", None)])
@@ -449,13 +485,12 @@ class TestScipyLoading:
         ]
         assert scipy_modules_loaded(jobs, tmp_path) == []
 
-    def test_solve_loads_scipy_linalg_only(self, tmp_path):
+    def test_solve_leaves_scipy_unloaded(self, tmp_path):
         jobs = [["solve", "--n", "3", "--R-const", "-1", "--u-minus-const",
                  "1", "--u-plus-coeff", "10", "--u-plus-power", "0",
-                 "--bc-left", "6", "--bc-right", "6", "--points", "101"]]
-        loaded = scipy_modules_loaded(jobs, tmp_path)
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.integrate")]
+                 "--bc-left", "6", "--bc-right", "6", "--points", "101"],
+                ["solve", "--n", "3", "--points", "201"]]
+        assert scipy_modules_loaded(jobs, tmp_path) == []
 
     def test_integration_goes_through_module_solve_ivp(self, monkeypatch):
         # the traced benchmark counts calls by rebinding ode.solve_ivp

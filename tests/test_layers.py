@@ -94,3 +94,14 @@ def test_no_unused_imports(module):
     # __init__ imports to re-export; every other module reads what it imports
     unused = unused_imports(PACKAGE / f"{module}.py")
     assert not unused, f"{module} never uses {sorted(unused)}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_scipy(module):
+    # numpy is the one runtime dependency; scipy is a test reference only
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [m for m in names if m.split(".")[0] == "scipy"]

@@ -6,13 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from curvlab import ode
 from curvlab.errors import (BracketError, DomainError, StiffFailure,
                            WindowTooSmall)
 from curvlab.geometry import BaseGeometry
 from curvlab.ode import (ComparisonTransform, OdeSpec, SubSuperPair,
-                         _discrete_residual, average_over_base,
+                         _discrete_residual, _solve_tridiagonal,
+                         average_over_base,
                          barrier_certificate_33, comparison_certificate,
                          monotone_solve, oscillation_certificate, shoot)
 from curvlab.polar import BaseGrid, PolarWarpField
@@ -154,6 +157,70 @@ class TestMonotoneSolve:
             errs.append(float(np.max(np.abs(sol.u - ref.u[::step]))))
         assert errs[0]/errs[1] > 3.5  # ~4x per halving
 
+    def test_default_bracket_converges_in_a_few_iterations(self):
+        # the per-node shift gives a contraction factor ~1e-6 here (n = 3:
+        # the equation is linear); one global shift needed ~3,600 steps
+        for num in (201, 801, 6401):
+            sol = monotone_solve(self.spec_alpha2(100.0), self.pair_alpha2(),
+                                 bc=(2.0, 2.0), num_points=num)
+            assert sol.iterations <= 10
+            assert sol.residual_norm < 1e-6 and sol.bracketed
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    @pytest.mark.parametrize("start", ["lower", "upper"])
+    def test_stop_rule_is_reached(self, n, start):
+        # constant R = -c: u* with c u* = n(n-1) u*^p solves eq31, and the
+        # constants u*/3, 3 u* bracket every solution with boundary values
+        # between them; for n = 10 the step stalls at round-off (~eps u*)
+        # above tol = 1e-12, which must still stop the iteration
+        c = 0.5
+        p = (n - 3) / (n + 1)
+        ustar = (n * (n - 1) / c) ** (1 / (1 - p))
+        spec = OdeSpec(n=n, R=-c, R_g=-n * (n - 1), t0=3.0, T=100.0,
+                       form="eq31")
+        sol = monotone_solve(spec, SubSuperPair(ustar / 3, 3 * ustar),
+                             bc=(ustar / 2, 2 * ustar), start=start)
+        assert sol.iterations < 100
+        assert sol.residual_norm < 1e-11 * c * ustar
+        assert sol.monotone and sol.bracketed
+
+    def test_linear_case_matches_a_direct_solve(self):
+        # n = 3: eq31 is a u'' + R u + 6 = 0, linear; one banded solve of the
+        # same centered-difference system is the independent reference
+        spec, bc = self.spec_alpha2(100.0), (2.0, 2.5)
+        sol = monotone_solve(spec, self.pair_alpha2(), bc=bc)
+        t = sol.t
+        h, k = t[1] - t[0], 3.0 / (t[1] - t[0]) ** 2
+        N = len(t) - 2
+        ab = np.zeros((3, N))
+        ab[0, 1:], ab[2, :-1] = k, k
+        ab[1] = -2.0 * k + spec.R_at(t[1:-1])
+        rhs = np.full(N, -6.0)
+        rhs[0] -= k * bc[0]
+        rhs[-1] -= k * bc[1]
+        ref = solve_banded((1, 1), ab, rhs)
+        assert np.max(np.abs(sol.u[1:-1] / ref - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("pair, bc, message", [
+        (SubSuperPair(7.0, 10.0), (8.0, 8.0),
+         "u_minus is not a subsolution: residual -1 < 0 at t = 3.12125"),
+        (SubSuperPair(1.0, 5.0), (3.0, 3.0),
+         "u_plus is not a supersolution: residual 1 > 0 at t = 3.12125")])
+    def test_barriers_checked_up_front(self, pair, bc, message):
+        # the constant solution of R = -1 is 6: 7 lies above it, 5 below
+        with pytest.raises(DomainError) as exc:
+            monotone_solve(self.spec_const(), pair, bc=bc)
+        assert str(exc.value) == message
+
+    def test_bracketed_checks_the_final_iterate(self, monkeypatch):
+        # an iterate pushed out of the bracket is reported, not assumed away
+        real = ode._solve_tridiagonal
+        monkeypatch.setattr(ode, "_solve_tridiagonal",
+                            lambda *args: real(*args) + 20.0)
+        sol = monotone_solve(self.spec_const(), SubSuperPair(1.0, 10.0),
+                             bc=(6.0, 6.0))
+        assert not sol.bracketed
+
     def test_supersolution_residual_signs(self):
         # u+ = 7 t^2 is a strict supersolution: residual 6 - 7 = -1 < 0
         spec = self.spec_alpha2()
@@ -163,6 +230,29 @@ class TestMonotoneSolve:
         signs = pair.residual_signs(spec, np.linspace(spec.t0, spec.T, 401))
         assert np.all(signs["super"] <= 1e-10)  # supersolution
         assert np.all(signs["sub"] >= -1e-10)   # subsolution
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(1, 900), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(-6.0, 6.0), zeros=st.integers(0, 3))
+def test_tridiagonal_solve_matches_solve_banded(N, seed, scale, zeros):
+    # diagonally dominant by rows and columns, so dgtsv takes no row
+    # interchange; every bit of the solution must match, signed zeros too
+    rng = np.random.default_rng(seed)
+    dl, du = (rng.uniform(-1, 1, N - 1) * 10.0 ** rng.uniform(-3, 3, N - 1)
+              for _ in range(2))
+    # off-diagonal magnitudes of row and column i: |dl|, |du| at i - 1 and i
+    off = np.zeros(N + 1)
+    off[1:-1] = np.abs(dl) + np.abs(du)
+    bound = off[:-1] + off[1:]
+    d = (bound + rng.uniform(1e-3, 10.0, N)) * rng.choice([-1.0, 1.0], N)
+    b = rng.uniform(-1, 1, N) * 10.0 ** (scale + rng.uniform(-3, 3, N))
+    b[rng.integers(0, N, zeros)] = 0.0
+    ab = np.zeros((3, N))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    expected = solve_banded((1, 1), ab, b)
+    got = _solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), b)
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestAveraging:
