@@ -251,7 +251,7 @@ def build_parser():
         # what _warp reads, plus the t samples: shared by curvature and oracle
         common(p)
         p.add_argument("--profile", required=True)
-        p.add_argument("--n", type=int)
+        p.add_argument("--n", type=int, required=True)
         p.add_argument("--base", default="constant",
                        choices=["constant", "sphere", "torus"])
         p.add_argument("--base-R", dest="base_R", type=float, default=0.0)
@@ -264,7 +264,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="monotone sub/supersolution solve")
     common(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--t0", type=float, default=3.0)
     p.add_argument("--T", type=float, default=100.0)
     p.add_argument("--R-const", dest="R_const", type=float, default=None)
@@ -297,7 +297,7 @@ def build_parser():
     p = sub.add_parser("raylength", help="radial ray length of a deformation")
     common(p)
     p.add_argument("--u", required=True, help="expression for u(t)")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--t0", type=float, default=3.0)
     p.add_argument("--T", type=float, default=1.0e4)
 
@@ -317,8 +317,6 @@ _DISPATCH = {
     "raylength": cmd_raylength,
     "sweep": cmd_sweep,
 }
-
-_NEEDS_N = {"curvature", "solve", "oracle", "raylength"}
 
 
 def main(argv=None):
@@ -350,10 +348,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_usage(sys.stderr)
-        return 2
-    if args.command in _NEEDS_N and getattr(args, "n", None) is None:
-        print(f"usage error: --n is required for '{args.command}'",
-              file=sys.stderr)
         return 2
     try:
         # overflow and 0/0 reach the checks of each command as inf or nan,

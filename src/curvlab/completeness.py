@@ -38,6 +38,17 @@ class RayLengthReport:
 TAIL_MARGIN = 0.05
 
 
+def fit_loglog_slope(t, v):
+    """Least-squares slope of ln v against ln t over the points with v > 0."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    keep = v > 0
+    lt, lv = np.log(t[keep]), np.log(v[keep])
+    A = np.vstack([lt, np.ones_like(lt)]).T
+    slope, _ = np.linalg.lstsq(A, lv, rcond=None)[0]
+    return float(slope)
+
+
 def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
     """Length of the radial curve t -> (t, x0) in the deformed metric:
     quadrature of u^(2/(n-1)) on [t0, T] plus a fitted power-law tail.
@@ -64,11 +75,7 @@ def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
 
     # fitted exponent over the last decade in log-log
     last = t >= T / 10.0
-    lt = np.log(t[last])
-    lv = np.log(integrand[last])
-    A = np.vstack([lt, np.ones_like(lt)]).T
-    p, _ = np.linalg.lstsq(A, lv, rcond=None)[0]
-    p = float(p)
+    p = fit_loglog_slope(t[last], integrand[last])
 
     if p < -1.0 - TAIL_MARGIN:
         # integrand ~ c t^p beyond T: tail = c T^(p+1)/(-(p+1))

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .completeness import fit_loglog_slope, ray_length
 from .errors import BracketError, DomainError, StiffFailure, WindowTooSmall
 from .geometry import DimensionConstants
 from .rk45 import solve_ivp  # every integration goes through this one name
@@ -127,6 +128,23 @@ def _signed_pow(u, p):
     return np.sign(u) * np.abs(u) ** p
 
 
+def _second_order(rhs, t_span, y0, crossing=None, terminal=False, rtol=RTOL,
+                  **kw):
+    """Integrate y'' = rhs(t, y, y') as a first-order system.  With crossing
+    (+1, -1 or 0) the zeros of y rising, falling or either way are recorded
+    in t_events[0], and terminal stops at the first one."""
+    def sys(t, y):
+        return [y[1], rhs(t, y[0], y[1])]
+
+    if crossing is not None:
+        def event(t, y):
+            return y[0]
+        event.terminal = bool(terminal)
+        event.direction = crossing
+        kw["events"] = event
+    return solve_ivp(sys, t_span, y0, rtol=rtol, atol=ATOL, **kw)
+
+
 def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
           max_step=np.inf):
     """Integrate the equation as a first-order system with adaptive RK45,
@@ -137,35 +155,14 @@ def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
     p = DimensionConstants(n).nonlin_exp
     coeff = (n + 1) / (4.0 * n)
 
-    def rhs(t, y):
-        u, du = y
-        return [du, coeff * (spec.R_g * _signed_pow(u, p) - spec.R_at(t) * u)]
+    def rhs(t, u, du):
+        return coeff * (spec.R_g * _signed_pow(u, p) - spec.R_at(t) * u)
 
-    def crossing(t, y):
-        return y[0]
-    crossing.terminal = bool(stop_at_crossing)
-    crossing.direction = 0
-
-    sol = solve_ivp(rhs, (spec.t0, spec.T), [u0, du0], rtol=rtol, atol=ATOL,
-                    events=crossing, max_step=max_step)
+    sol = _second_order(rhs, (spec.t0, spec.T), [u0, du0], crossing=0,
+                        terminal=stop_at_crossing, rtol=rtol, max_step=max_step)
     crossings = list(sol.t_events[0])
     return Trajectory(t=sol.t, u=sol.y[0], du=sol.y[1], crossings=crossings,
                       terminated_at_crossing=(sol.status == 1 and bool(crossings)))
-
-
-def _integrate_linear_log(a1, a0_fn, s0, s1, w0, dw0):
-    """Integrate w'' + a1 w' + a0(s) w = 0 on [s0, s1] in the log-time
-    variable s = ln t, recording zero crossings of w."""
-    def rhs(s, y):
-        return [y[1], -a1 * y[1] - a0_fn(s) * y[0]]
-
-    def crossing(s, y):
-        return y[0]
-    crossing.terminal = False
-    crossing.direction = 0
-
-    return solve_ivp(rhs, (s0, s1), [w0, dw0], rtol=RTOL, atol=ATOL,
-                     events=crossing)
 
 
 def oscillation_certificate(c, t0, T=None) -> Verdict:
@@ -200,9 +197,10 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
             raise WindowTooSmall(
                 "window cannot contain two predicted crossings", required_T)
         horizon = required_T
-    # log-time form: w'' - w' + (c/4) w = 0
-    sol = _integrate_linear_log(-1.0, lambda s: c / 4.0,
-                                math.log(t0), math.log(horizon), 1.0, 0.5)
+    # log-time form: w'' + a1 w' + a0 w = 0 with a1 = -1, a0 = c/4
+    sol = _second_order(lambda s, w, dw: -(-1.0) * dw - c / 4.0 * w,
+                        (math.log(t0), math.log(horizon)), [1.0, 0.5],
+                        crossing=0)
     crossings = [math.exp(s) for s in sol.t_events[0]]
     if c <= 1:
         alpha = 0.5 * (1.0 - math.sqrt(1.0 - c))
@@ -424,34 +422,20 @@ def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
 
     if f is not None and f.grid is not u.grid:
         raise DomainError("incompatible grids between u and f")
-    if u.grid is not None:
-        if u.grid is not base:
-            raise DomainError("incompatible grids between u and the base")
-        vals = []
-        for t in t_grid:
-            uval = u.sample(t)
-            if weight == "1":
-                w = 1.0
-            else:
-                if f is None:
-                    raise DomainError(f"weight {weight} needs the warp field")
-                fval = f.sample(t)
-                w = fval ** 2 if weight == "f2" else fval ** base.n
-            vals.append(base.integrate(uval * w))
-        return AveragedProfile(t_grid=t_grid, values=np.array(vals),
-                               tag=_WEIGHT_TAG[weight])
-
-    # analytic constant-base path
-    vol = base.volume
+    on_grid = u.grid is not None
+    if on_grid and u.grid is not base:
+        raise DomainError("incompatible grids between u and the base")
+    if weight != "1" and f is None:
+        raise DomainError(f"weight {weight} needs the warp field")
     vals = []
     for t in t_grid:
-        uval = u.eval(t)
-        if weight == "1":
-            w = 1.0
-        else:
-            fval = f.eval(t)
+        uval = u.sample(t) if on_grid else u.eval(t)
+        w = 1.0
+        if weight != "1":
+            fval = f.sample(t) if on_grid else f.eval(t)
             w = fval ** 2 if weight == "f2" else fval ** base.n
-        vals.append(vol * uval * w)
+        vals.append(base.integrate(uval * w) if on_grid
+                    else base.volume * uval * w)
     return AveragedProfile(t_grid=t_grid, values=np.array(vals),
                            tag=_WEIGHT_TAG[weight])
 
@@ -495,16 +479,8 @@ def _forced_crossing(rhs, t0, y0, T, what, tries=1, grow=None):
     """First downward zero crossing of y'' = rhs(t, y, y') with y(t0) = y0,
     searched on [t0, T], then on [t0, grow(T)], ... over `tries` windows.
     Finding none is a StiffFailure naming `what`, never a verdict."""
-    def sys(t, y):
-        return [y[1], rhs(t, y[0], y[1])]
-
-    def crossing(t, y):
-        return y[0]
-    crossing.terminal = True
-    crossing.direction = -1
-
     for _ in range(tries):
-        sol = solve_ivp(sys, (t0, T), y0, rtol=RTOL, atol=ATOL, events=crossing)
+        sol = _second_order(rhs, (t0, T), y0, crossing=-1, terminal=True)
         if len(sol.t_events[0]):
             return float(sol.t_events[0][0])
         if grow is not None:
@@ -512,28 +488,14 @@ def _forced_crossing(rhs, t0, y0, T, what, tries=1, grow=None):
     raise StiffFailure(f"no crossing found {what}")
 
 
-def _fit_loglog_slope(t, v):
-    """Least-squares slope of ln v against ln t (v > 0)."""
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    keep = v > 0
-    lt, lv = np.log(t[keep]), np.log(v[keep])
-    A = np.vstack([lt, np.ones_like(lt)]).T
-    slope, _ = np.linalg.lstsq(A, lv, rcond=None)[0]
-    return float(slope)
-
-
 def _growth_exponent(coeff_fn, t0, T, y0=1.0, dy0=None):
     """Measured power-law growth of the extremal solution of
     v'' = coeff(t) v over the last decade of [t0, T]."""
     if dy0 is None:
         dy0 = y0 / t0
-    def sys(t, y):
-        return [y[1], coeff_fn(t) * y[0]]
-    t_eval = np.geomspace(T / 10.0, T, 40)
-    sol = solve_ivp(sys, (t0, T), [y0, dy0], rtol=RTOL, atol=ATOL,
-                    t_eval=t_eval)
-    return _fit_loglog_slope(sol.t, sol.y[0]), sol
+    sol = _second_order(lambda t, v, dv: coeff_fn(t) * v, (t0, T), [y0, dy0],
+                        t_eval=np.geomspace(T / 10.0, T, 40))
+    return fit_loglog_slope(sol.t, sol.y[0]), sol
 
 
 # Certificate bodies: each takes its checked, coerced parameters and returns
@@ -658,7 +620,7 @@ def _thm38(p):
 
     # growth class: (i) f <= C t ln t (the ratio f/(t ln t) stays bounded on
     # the window), else (ii) f >= C t^alpha with alpha > 1
-    slope_tail = _fit_loglog_slope(grid[-64:], fvals[-64:])
+    slope_tail = fit_loglog_slope(grid[-64:], fvals[-64:])
     ratio = fvals / (grid * np.log(grid))
     if float(ratio.max()) <= 2.0 * float(np.median(ratio)):
         case = "log"
@@ -720,7 +682,6 @@ def _thm38(p):
             t = np.asarray(t, dtype=float)
             return v_cap * np.asarray(f.eval(t), dtype=float) ** alpha
 
-    from .completeness import ray_length
     report = ray_length(u_bound, None, n, t0, T)
     witnesses["ray_integral"] = report.integral
     witnesses["ray_tail_exponent"] = report.tail_exponent

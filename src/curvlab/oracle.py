@@ -112,10 +112,11 @@ class MetricGrid:
             raise DomainError(
                 f"t - 2h must exceed domain_min = {self.domain_min}")
         g = self.components(point)
+        t = float(point[0])
         if not np.isfinite(g).all():
-            raise DomainError(f"metric is not finite at {point}")
+            raise DomainError(f"metric is not finite at t = {t!r}")
         if np.any(np.linalg.eigvalsh(g) <= 0):
-            raise DomainError(f"metric not positive definite at {point}")
+            raise DomainError(f"metric not positive definite at t = {t!r}")
 
 
 def assemble_metric(f, base, conformal=None, h=1.0e-3):
@@ -149,7 +150,8 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
                     p = points[r]
                     val = field.eval_point(p[0], p[1:])
                     if val <= 0:
-                        raise DomainError(f"{what} is nonpositive at {p}")
+                        raise DomainError(
+                            f"{what} is nonpositive at t = {float(p[0])!r}")
                     seen[key] = fn(val)
         fv, *scale = (np.array([seen[key] for key in column], dtype=float)
                       for column, seen in zip(keys, known))
@@ -227,7 +229,7 @@ def _inverse(g, point):
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError:
-        raise DomainError(f"metric is singular at {point}")
+        raise DomainError(f"metric is singular at t = {float(point[0])!r}")
 
 
 def _christoffel(ginv, dg):

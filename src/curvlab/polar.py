@@ -119,14 +119,14 @@ def mu_field(f: PolarWarpField, t):
     return f.sample(t) ** ((n - 2) / 2.0)
 
 
-def conformal_base_curvature(mu, base, base_scalar=0.0):
+def conformal_base_curvature(mu, base):
     """Scalar curvature of the base metric conformally scaled by f^2, from
     mu = f^((n-2)/2):
 
         R = c_n^{-1} mu^{-(n+2)/(n-2)} [c_n R(g) mu - Lap_g mu]
 
-    `base` is a BaseGrid (grid path) or a BaseGeometry with constant data
-    (analytic path; mu must then be a scalar).
+    `base` is a BaseGrid (grid path: the flat torus, R(g) = 0) or a
+    BaseGeometry with constant data (analytic path; mu must then be a scalar).
     """
     if isinstance(base, BaseGrid):
         n = base.n
@@ -136,7 +136,9 @@ def conformal_base_curvature(mu, base, base_scalar=0.0):
         if np.any(mu <= 0):
             raise DomainError("mu must be positive")
         cn = DimensionConstants(n).c_n
-        return (cn * base_scalar * mu - base.laplacian(mu)) / cn * mu ** (-(n + 2.0) / (n - 2.0))
+        # 0.0 - Lap, not -Lap: a zero Laplacian (constant mu) must give +0,
+        # which a constant warp's curvature table prints as 0, not -0
+        return (0.0 - base.laplacian(mu)) / cn * mu ** (-(n + 2.0) / (n - 2.0))
     # analytic constant path: f = lambda, R = R(g)/lambda^2
     base.require_dimension(3)
     mu = float(mu)
@@ -146,7 +148,7 @@ def conformal_base_curvature(mu, base, base_scalar=0.0):
     return base.scalar_curvature / lam ** 2
 
 
-def polar_scalar_curvature(f: PolarWarpField, t, base_scalar=0.0):
+def polar_scalar_curvature(f: PolarWarpField, t):
     """Scalar curvature slice of dt^2 + f^2(t,x) g(x):
 
         Rbar = R(f^2(t,.) g) - (1/f^2) [2n f f_tt + n(n-1) f_t^2]
@@ -156,7 +158,7 @@ def polar_scalar_curvature(f: PolarWarpField, t, base_scalar=0.0):
     fval = f.sample(t)
     ft = f.sample_dt(t)
     ftt = f.sample_dtt(t)
-    r_base = conformal_base_curvature(fval ** ((n - 2) / 2.0), grid, base_scalar)
+    r_base = conformal_base_curvature(fval ** ((n - 2) / 2.0), grid)
     return r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2) / fval ** 2
 
 
@@ -177,8 +179,7 @@ def polar_laplacian(f: PolarWarpField, u: PolarWarpField, t):
             + grid.laplacian(uval) / fval ** 2)
 
 
-def conformal_scalar_curvature(u: PolarWarpField, f: PolarWarpField, t,
-                               base_scalar=0.0):
+def conformal_scalar_curvature(u: PolarWarpField, f: PolarWarpField, t):
     """Scalar curvature slice of u^(4/(n-1)) [dt^2 + f^2 g], solved from
 
         Lap u - c_{n+1} Rbar u + c_{n+1} R_c u^((n+3)/(n-1)) = 0
@@ -187,6 +188,6 @@ def conformal_scalar_curvature(u: PolarWarpField, f: PolarWarpField, t,
     n = grid.n
     uval = u.sample(t)
     cnp1 = DimensionConstants(n).c_np1
-    rbar = polar_scalar_curvature(f, t, base_scalar)
+    rbar = polar_scalar_curvature(f, t)
     lap = polar_laplacian(f, u, t)
     return (cnp1 * rbar * uval - lap) / (cnp1 * uval ** ((n + 3.0) / (n - 1.0)))

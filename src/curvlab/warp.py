@@ -208,23 +208,14 @@ def power_law_curvature(alpha, n, t):
     return out if out.shape else float(out)
 
 
-def warped_laplacian(f: WarpProfile, u: Field, base: BaseGeometry, t, base_laplacian=0.0):
-    """Laplacian of u in the warped metric:
-    u_tt + (n f'/f) u_t + (1/f^2) * Delta_g u.
-
-    base_laplacian supplies Delta_g u at the point; it must stay 0 when the
-    base is abstract (no grid to differentiate on).
+def warped_laplacian(f: WarpProfile, u: Field, base: BaseGeometry, t):
+    """Laplacian of a t-only u in the warped metric:
+    u_tt + (n f'/f) u_t (Delta_g u = 0).
     """
     if u.x_vars:
         raise DomainError(
             "x-dependent field over an analytic base: use the polar Laplacian")
-    fval = f.eval(t)
-    term = u.d2(t) + base.n * f.d1(t) / fval * u.d1(t)
-    if base_laplacian:
-        if base.kind == "abstract-constant":
-            raise DomainError("abstract base carries no Laplacian for x-dependent data")
-        term = term + base_laplacian / fval ** 2
-    return term
+    return u.d2(t) + base.n * f.d1(t) / f.eval(t) * u.d1(t)
 
 
 def cone_log_curvature(n, t):

@@ -72,6 +72,17 @@ class TestCurvature:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("args", [
+        ["curvature", "--profile", "t", "--t", "3"],
+        ["oracle", "--profile", "t", "--t", "3"],
+        ["solve"],
+        ["raylength", "--u", "t^-2"]], ids=lambda args: args[0])
+    def test_n_is_a_required_flag(self, args):
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"curvlab {args[0]}: error: "
+                            "the following arguments are required: --n\n")
+
     def test_domain_error_exit_1(self):
         code, _, err = run_cli(["curvature", "--profile", "ln(t)-10",
                                 "--n", "3", "--base-R", "0", "--t", "3:5:2"])
@@ -150,7 +161,9 @@ def test_table_golden_bytes(case, capsys):
     """curvature tables on constant, hyperbolic and sphere bases (stdout)
     and on the torus (fd2 and spectral, n = 3 and 4), recorded while
     csv_text still formatted one cell at a time, and two solve tables
-    (sha256), recorded when monotone_solve took its shift per node."""
+    (sha256), recorded when monotone_solve took its shift per node.  The
+    constant-warp torus tables (every cell +0) were recorded while the torus
+    closed form still took a base_scalar argument."""
     assert main(TABLE_GOLDEN[case]["args"]) == 0
     out = capsys.readouterr().out
     if "stdout" in TABLE_GOLDEN[case]:
@@ -343,6 +356,13 @@ class TestConfigFile:
                      "--out", str(out2)]) == 0
         assert json.loads(out2.read_text())["params"]["c"] == 1.2
 
+    def test_config_supplies_the_required_n(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("command=raylength\nn=3\nu=t^-2\n")
+        code, out, err = run_cli(["--config", str(cfg)])
+        assert (code, err) == (0, "")
+        assert out == run_cli(["raylength", "--n", "3", "--u", "t^-2"])[1]
+
 
 class TestSolveAndOracle:
     def test_solve_csv(self, tmp_path):
@@ -383,6 +403,19 @@ class TestSolveAndOracle:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite at" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, err", [
+        (["--profile", "1/(t-4)+5", "--t", "4"],
+         "error: metric is not finite at t = 4.0\n"),
+        (["--profile", "t^400", "--t", "1000"],
+         "error: metric is not finite at t = 1000.0\n"),
+        (["--profile", "t-3.5", "--t", "3.5015", "--domain-min", "0.5"],
+         "error: warp is nonpositive at t = 3.4995000000000003\n"),
+    ], ids=["pole", "overflow", "nonpositive"])
+    def test_oracle_errors_name_t(self, args, err, capsys):
+        # the stencil point's t as its repr, not the point array's print
+        assert main(["oracle", "--n", "3"] + args) == 1
+        assert capsys.readouterr().err == err
 
     def test_nonpositive_field_names_the_first_bad_t(self, capsys):
         code = main(["curvature", "--profile", "5-t", "--n", "3",

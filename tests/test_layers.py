@@ -105,3 +105,56 @@ def test_no_scipy(module):
     names += [node.module for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.level == 0]
     assert not [m for m in names if m.split(".")[0] == "scipy"]
+
+
+def unreferenced_private_names(paths):
+    """Module-level private names (one leading underscore) of the given
+    modules that no module among them reads, as (module stem, name)."""
+    defined, read = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((path.stem, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {(stem, name) for stem, name in defined if name not in read}
+
+
+def test_unreferenced_private_name_finder(tmp_path):
+    (tmp_path / "a.py").write_text("_LIMIT = 3\n"
+                                   "_TABLE: dict = {}\n"
+                                   "__all__ = []\n"
+                                   "def _left_behind():\n"
+                                   "    def _local():\n"
+                                   "        pass\n"
+                                   "def _used_here():\n"
+                                   "    return _LIMIT\n"
+                                   "class _Helper:\n"
+                                   "    pass\n"
+                                   "def public():\n"
+                                   "    return _used_here()\n")
+    (tmp_path / "b.py").write_text("from .a import _Helper\n"
+                                   "from . import a\n"
+                                   "x = a._TABLE\n")
+    assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == {
+        ("a", "_left_behind")}
+
+
+def test_no_unreferenced_private_names():
+    # a private helper that nothing calls is left over from a consolidation
+    left = unreferenced_private_names(sorted(PACKAGE.glob("*.py")))
+    assert not left, f"never read: {sorted(left)}"

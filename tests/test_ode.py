@@ -300,6 +300,15 @@ class TestAveraging:
                                t_grid=np.array([2.5, 4.0]))
         assert np.allclose(ap.values, 2.0*np.array([2.5, 4.0]), rtol=1e-14)
 
+    @pytest.mark.parametrize("weight", ["f2", "fn"])
+    def test_warp_weight_without_warp_is_named(self, weight):
+        # the analytic path used to fail with an AttributeError on None.eval
+        base = BaseGeometry.constant(3, -6.0, volume=2.0)
+        with pytest.raises(DomainError,
+                           match=f"weight {weight} needs the warp field"):
+            average_over_base(parse_field("1/t"), None, base, weight=weight,
+                              t_grid=np.array([2.5, 4.0]))
+
 
 class TestComparisonTransforms:
     def test_defining_relations(self):

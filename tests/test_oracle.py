@@ -152,6 +152,18 @@ class TestConformalMetric:
         with pytest.raises(DomainError, match="metric is not finite"):
             metric.check_point(np.array([10.0, 0.3, 0.3, 0.3]))
 
+    def test_point_errors_name_t(self):
+        # t as its repr, not the rounded print of the whole point array
+        point = np.array([0.1 + 0.2, 0.3])
+        metric = MetricGrid(1, lambda p: np.diag([1.0, -1.0]))
+        with pytest.raises(DomainError) as err:
+            metric.check_point(point)
+        assert str(err.value) == \
+            "metric not positive definite at t = 0.30000000000000004"
+        with pytest.raises(DomainError) as err:
+            oracle._inverse(np.zeros((2, 2)), point)
+        assert str(err.value) == "metric is singular at t = 0.30000000000000004"
+
     def test_domain_guard(self):
         f = parse_profile("t", domain_min=2.0)
         metric = assemble_metric(f, BaseGrid(3, 16))

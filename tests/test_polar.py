@@ -53,7 +53,7 @@ class TestConformalBaseCurvature:
     def test_constant_factor_flat_base(self, grid):
         lam = 1.7
         mu = np.full((24,)*3, lam**((3 - 2)/2.0))
-        R = conformal_base_curvature(mu, grid, base_scalar=0.0)
+        R = conformal_base_curvature(mu, grid)
         assert np.max(np.abs(R)) < 1e-12
 
     def test_constant_factor_analytic(self):
@@ -72,7 +72,7 @@ class TestConformalBaseCurvature:
         t = 1.0
         fv = f.sample(t)
         mu = mu_field(f, t)
-        R = conformal_base_curvature(mu, g, 0.0)
+        R = conformal_base_curvature(mu, g)
         lnf = np.log(fv)
         expect = (-2*(n - 1)*g.laplacian(lnf)
                   - (n - 1)*(n - 2)*g.grad_inner(lnf, lnf)) / fv**2
