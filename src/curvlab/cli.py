@@ -19,7 +19,7 @@ from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
 from .oracle import assemble_metric, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from .serialize import atomic_write_text, csv_text, jsonl_text
-from .warp import parse_profile, warped_scalar_curvature
+from .warp import parse_field, parse_profile, warped_scalar_curvature
 
 
 def parse_range(text):
@@ -102,17 +102,15 @@ def cmd_curvature(args):
             R = closed_form(float(t))
             _check_finite(t, R)
             slices.append(R.ravel())
-        nodes = np.stack([x.ravel() for x in base.mesh()], axis=1)
         header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
-        table = np.column_stack([np.repeat(t_vals, len(nodes)),
-                                 np.tile(nodes, (len(t_vals), 1)),
-                                 np.concatenate(slices)])
+        axes = [t_vals] + [base.axis_points] * base.n
+        values = [np.concatenate(slices)]
     else:
         R = np.broadcast_to(np.asarray(closed_form(t_vals), dtype=float),
                             t_vals.shape)
         _check_finite(t_vals, R)
-        header, table = ["t", "R"], np.column_stack([t_vals, R])
-    _emit(args, csv_text(header, table), {"command": "curvature"})
+        header, axes, values = ["t", "R"], [t_vals], [R]
+    _emit(args, csv_text(header, axes, values), {"command": "curvature"})
     return 0
 
 
@@ -126,7 +124,7 @@ def cmd_solve(args):
     sol = monotone_solve(spec, pair, bc=(args.bc_left, args.bc_right),
                          num_points=args.points)
     du = np.gradient(sol.u, sol.t)
-    text = csv_text(["t", "u", "du"], np.column_stack([sol.t, sol.u, du]))
+    text = csv_text(["t", "u", "du"], [sol.t], [sol.u, du])
     _emit(args, text, {"command": "solve",
                        "residual_norm": sol.residual_norm,
                        "iterations": sol.iterations})
@@ -209,14 +207,13 @@ def cmd_oracle(args):
         _check_finite(t, [closed, fd])
         abs_err = abs(fd - closed)
         rel = abs_err / max(abs(closed), 1e-300)
-        rows.append([t, closed, fd, abs_err, rel])
+        rows.append([closed, fd, abs_err, rel])
     _emit(args, csv_text(["point", "closed_form", "fd", "abs_err", "rel_err"],
-                         np.array(rows)), {"command": "oracle"})
+                         [t_vals], np.transpose(rows)), {"command": "oracle"})
     return 0
 
 
 def cmd_raylength(args):
-    from .warp import parse_field
     u = parse_field(args.u)
     report = ray_length(lambda t: np.asarray(u.eval(t), dtype=float),
                         None, args.n, args.t0, args.T)
@@ -237,7 +234,7 @@ def cmd_sweep(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="curvlab",
+        prog="curvlab", allow_abbrev=False,
         description="Curvature of warped ends: closed forms, solvers, "
                     "certificates, and finite-difference cross-checks.")
     parser.add_argument("--config", help="key=value config file; flags override")
@@ -323,15 +320,20 @@ def main(argv=None):
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    # config file values become defaults; flags override
-    if "--config" in argv:
-        i = argv.index("--config")
+    # config file values become defaults; flags override.  Both spellings,
+    # --config PATH and --config=PATH, are read here (the parser takes no
+    # abbreviation, which would bypass this).
+    at = [i for i, arg in enumerate(argv)
+          if arg == "--config" or arg.startswith("--config=")]
+    if at:
+        i = at[0]
+        _, joined, path = argv[i].partition("=")
         try:
-            cfg = load_config(argv[i + 1])
+            cfg = load_config(path if joined else argv[i + 1])
         except (OSError, IndexError, CurvlabError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
-        del argv[i:i + 2]
+        del argv[i:i + (1 if joined else 2)]
         # the subcommand must come first; the config may name it
         cmd = cfg.get("command")
         if cmd and (not argv or argv[0] not in _DISPATCH):

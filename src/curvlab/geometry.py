@@ -39,14 +39,12 @@ def sphere_volume(n, radius):
 class BaseGeometry:
     """The compact base (N, g): dimension, constant scalar curvature, volume.
 
-    kind is one of 'abstract-constant', 'sphere-analytic', 'torus-grid'.
     The discretized torus itself is polar.BaseGrid.
     """
 
     n: int
     scalar_curvature: float
     volume: float
-    kind: str = "abstract-constant"
     radius: float | None = None
 
     def __post_init__(self):
@@ -58,20 +56,14 @@ class BaseGeometry:
     @staticmethod
     def constant(n, scalar_curvature, volume=1.0):
         return BaseGeometry(n=n, scalar_curvature=float(scalar_curvature),
-                            volume=float(volume), kind="abstract-constant")
+                            volume=float(volume))
 
     @staticmethod
     def sphere(n, radius=1.0):
         if radius <= 0:
             raise DomainError("sphere radius must be positive")
         return BaseGeometry(n=n, scalar_curvature=n * (n - 1) / radius ** 2,
-                            volume=sphere_volume(n, radius),
-                            kind="sphere-analytic", radius=radius)
-
-    @staticmethod
-    def torus(n):
-        return BaseGeometry(n=n, scalar_curvature=0.0,
-                            volume=(2.0 * math.pi) ** n, kind="torus-grid")
+                            volume=sphere_volume(n, radius), radius=radius)
 
     def require_dimension(self, minimum):
         if self.n < minimum:

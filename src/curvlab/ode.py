@@ -21,8 +21,9 @@ import numpy as np
 
 from .completeness import fit_loglog_slope, ray_length
 from .errors import BracketError, DomainError, StiffFailure, WindowTooSmall
-from .geometry import DimensionConstants
+from .geometry import BaseGeometry, DimensionConstants
 from .rk45 import solve_ivp  # every integration goes through this one name
+from .warp import warped_scalar_curvature
 
 DEFAULT_T_MAX = 1.0e4
 RTOL = 1.0e-10
@@ -793,8 +794,6 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
 
     if profile is not None:
         # hypothesis check: R(t) >= -n(n-1)/t^2 on the window
-        from .warp import warped_scalar_curvature
-        from .geometry import BaseGeometry
         base = BaseGeometry.constant(n, base_scalar if base_scalar is not None
                                      else -kappa_sq)
         grid = np.geomspace(t0, T, 256)

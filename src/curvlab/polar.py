@@ -48,10 +48,6 @@ class BaseGrid:
 
     # -- sampling -----------------------------------------------------------
 
-    def mesh(self):
-        """Meshgrid of coordinates, a tuple of n arrays of shape (m,)*n."""
-        return np.meshgrid(*([self.axis_points] * self.n), indexing="ij")
-
     def env(self, t):
         """Evaluation environment at a t-slice: t plus x1..xn axis arrays,
         which broadcast against each other to the mesh."""

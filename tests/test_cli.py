@@ -64,7 +64,8 @@ class TestCurvature:
               "--base-R", "-6", "--t", "2.5:50:33", "--out", str(out)])
         header, rows = read_csv(str(out))
         # re-formatting the parsed values reproduces the file exactly
-        assert csv_text(header, rows) == out.read_text()
+        table = np.array(rows)
+        assert csv_text(header, [table[:, 0]], table[:, 1:].T) == out.read_text()
 
     def test_missing_n_is_usage_error(self):
         code, _, err = run_cli(["curvature", "--profile", "t",
@@ -187,17 +188,38 @@ def per_cell_csv_text(header, rows):
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_FLOATS))
 
 
-@settings(max_examples=60, deadline=None)
-@given(table=hnp.arrays(np.float64,
-                        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
-                        elements=st.one_of(st.floats(allow_nan=False,
-                                                     allow_infinity=False),
-                                           st.sampled_from(EDGE_FLOATS))))
-def test_csv_text_matches_per_cell_writer_and_round_trips(table, tmp_path_factory):
+def product_table(axes, values):
+    """The (rows, columns) table csv_text writes, flattened as
+    cmd_curvature once built it: np.repeat of the first axis, np.tile of
+    the meshgrid nodes of the others, then the value columns."""
+    nodes = np.stack([x.ravel() for x in np.meshgrid(*axes[1:], indexing="ij")],
+                     axis=1) if len(axes) > 1 else np.empty((1, 0))
+    return np.column_stack([np.repeat(axes[0], len(nodes)),
+                            np.tile(nodes, (len(axes[0]), 1)), values.T])
+
+
+@st.composite
+def keyed_tables(draw):
+    """1-3 key axes and a values array with one row per value column."""
+    axes = draw(st.lists(hnp.arrays(np.float64, st.integers(1, 6),
+                                    elements=FLOATS), min_size=1, max_size=3))
+    rows = int(np.prod([len(a) for a in axes]))
+    values = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), rows),
+                             elements=FLOATS))
+    return axes, values
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyed=keyed_tables())
+def test_csv_text_matches_per_cell_writer_and_round_trips(keyed, tmp_path_factory):
+    axes, values = keyed
+    table = product_table(axes, values)
     header = [f"c{j}" for j in range(table.shape[1])]
-    text = csv_text(header, table)
+    text = csv_text(header, axes, values)
     assert text == per_cell_csv_text(header, table)
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_text(text)
@@ -362,6 +384,23 @@ class TestConfigFile:
         code, out, err = run_cli(["--config", str(cfg)])
         assert (code, err) == (0, "")
         assert out == run_cli(["raylength", "--n", "3", "--u", "t^-2"])[1]
+
+    def test_both_config_spellings_apply_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("base_R=-6\n")
+        args = ["curvature", "--profile", "t", "--n", "3", "--t", "3:5:2"]
+        outs = []
+        for config in (["--config", str(cfg)], [f"--config={cfg}"], []):
+            assert main(config + args) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != outs[2]
+
+    def test_abbreviated_config_flag_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("base_R=-6\n")
+        code, out, _ = run_cli([f"--conf={cfg}", "curvature", "--profile", "t",
+                                "--n", "3", "--t", "3:5:2"])
+        assert (code, out) == (2, "")
 
 
 class TestSolveAndOracle:

@@ -96,6 +96,48 @@ def test_no_unused_imports(module):
     assert not unused, f"{module} never uses {sorted(unused)}"
 
 
+def function_local_package_imports(path):
+    """(function name, line) of each import of a curvlab module made inside a
+    function body rather than at module level."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                package = any(a.name.split(".")[0] == "curvlab" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                package = node.level > 0 or \
+                    (node.module or "").split(".")[0] == "curvlab"
+            else:
+                continue
+            if package:
+                found.append((func.name, node.lineno))
+    return sorted(set(found))
+
+
+def test_function_local_import_finder(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .warp import parse_field\n"
+                   "def f():\n"
+                   "    import numpy as np\n"
+                   "    from .warp import parse_profile\n"
+                   "    return np, parse_field, parse_profile\n"
+                   "class C:\n"
+                   "    def g(self):\n"
+                   "        import curvlab.expr\n"
+                   "        from curvlab import ode\n")
+    assert function_local_package_imports(src) == [("f", 4), ("g", 8), ("g", 9)]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_function_local_package_imports(module):
+    # package modules import each other at module level, where the layering
+    # checks above see them and an import cycle shows at once
+    found = function_local_package_imports(PACKAGE / f"{module}.py")
+    assert not found, f"{module} imports inside {found}"
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_no_scipy(module):
     # numpy is the one runtime dependency; scipy is a test reference only
