@@ -325,6 +325,9 @@ def main(argv=None):
     # abbreviation, which would bypass this).
     at = [i for i, arg in enumerate(argv)
           if arg == "--config" or arg.startswith("--config=")]
+    if len(at) > 1:
+        print("config error: --config given more than once", file=sys.stderr)
+        return 2
     if at:
         i = at[0]
         _, joined, path = argv[i].partition("=")

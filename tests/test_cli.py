@@ -204,16 +204,21 @@ def product_table(axes, values):
 
 @st.composite
 def keyed_tables(draw):
-    """1-3 key axes and a values array with one row per value column."""
-    axes = draw(st.lists(hnp.arrays(np.float64, st.integers(1, 6),
-                                    elements=FLOATS), min_size=1, max_size=3))
+    """1-3 key axes and a values array with one row per value column.  One
+    axis of 1-12 values with 0-11 value columns is every table of at most
+    12 x 12 cells; later axes of 1-6 values keep the grid at 144 rows or
+    fewer, and the value columns at 144 cells or fewer."""
+    axes = [draw(hnp.arrays(np.float64, st.integers(1, 12), elements=FLOATS))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows = int(np.prod([len(a) for a in axes]))
+        size = st.integers(1, max(1, min(6, 144 // rows)))
+        axes.append(draw(hnp.arrays(np.float64, size, elements=FLOATS)))
     rows = int(np.prod([len(a) for a in axes]))
-    values = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), rows),
-                             elements=FLOATS))
-    return axes, values
+    columns = draw(st.integers(0, max(1, min(11, 144 // rows))))
+    return axes, draw(hnp.arrays(np.float64, (columns, rows), elements=FLOATS))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(keyed=keyed_tables())
 def test_csv_text_matches_per_cell_writer_and_round_trips(keyed, tmp_path_factory):
     axes, values = keyed
@@ -394,6 +399,17 @@ class TestConfigFile:
             assert main(config + args) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] != outs[2]
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_repeated_config_is_a_config_error(self, tmp_path, capsys, joined):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("base_R=-6\n")
+        second = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+        code = main(["--config", str(cfg)] + second + [
+            "curvature", "--profile", "t", "--n", "3", "--t", "3:5:2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "config error: --config given more than once\n"
 
     def test_abbreviated_config_flag_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "d.cfg"
