@@ -13,11 +13,10 @@ from .warp import (Field, SubstitutedProfile, WarpProfile, cone_log_curvature,
 from .polar import (BaseGrid, PolarWarpField, conformal_base_curvature,
                     conformal_scalar_curvature, mu_field, polar_laplacian,
                     polar_scalar_curvature)
-from .ode import (AveragedProfile, ComparisonTransform, MonotoneSolution,
-                  OdeSpec, SubSuperPair, Trajectory, Verdict,
-                  average_over_base, barrier_certificate_33,
-                  comparison_certificate, monotone_solve,
-                  oscillation_certificate, shoot)
+from .ode import (AveragedProfile, MonotoneSolution, OdeSpec, SubSuperPair,
+                  Trajectory, Verdict, average_over_base,
+                  barrier_certificate_33, comparison_certificate,
+                  monotone_solve, oscillation_certificate, shoot)
 from .oracle import (BaseChart, ChristoffelTable, CurvatureTensorSample,
                      MetricGrid, assemble_metric, chart_for, fd_christoffel,
                      fd_scalar_curvature)
@@ -36,8 +35,8 @@ __all__ = [
     "PolarWarpField", "conformal_base_curvature",
     "conformal_scalar_curvature", "mu_field", "polar_laplacian",
     "polar_scalar_curvature",
-    "AveragedProfile", "ComparisonTransform", "MonotoneSolution", "OdeSpec",
-    "SubSuperPair", "Trajectory", "Verdict", "average_over_base",
+    "AveragedProfile", "MonotoneSolution", "OdeSpec", "SubSuperPair",
+    "Trajectory", "Verdict", "average_over_base",
     "barrier_certificate_33", "comparison_certificate", "monotone_solve",
     "oscillation_certificate", "shoot", "BaseChart", "ChristoffelTable",
     "CurvatureTensorSample", "MetricGrid", "assemble_metric", "chart_for",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -22,14 +23,35 @@ from .serialize import atomic_write_text, csv_text, jsonl_text
 from .warp import parse_field, parse_profile, warped_scalar_curvature
 
 
+def finite_float(text):
+    """The argparse type of every numeric flag: a float, but not nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_range(text):
     """'a:b:k' -> k log-spaced samples on [a, b]; a bare number -> [a]."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise DomainError(f"bad range '{text}': expected a:b:k")
-    a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
+    values = []
+    for part, kind, what in zip(parts, (float, float, int),
+                                ("a number", "a number", "an integer")):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            raise DomainError(
+                f"bad range '{text}': '{part}' is not {what}") from None
+        if kind is float and not math.isfinite(values[-1]):
+            raise DomainError(f"bad range '{text}': '{part}' is not finite")
+    if len(parts) == 1:
+        return np.array(values)
+    a, b, k = values
     if not (0 < a < b) or k < 1:
         raise DomainError(f"bad range '{text}': need 0 < a < b and k >= 1")
     return np.geomspace(a, b, k)
@@ -242,7 +264,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--domain-min", dest="domain_min", type=float, default=2.0)
+        p.add_argument("--domain-min", dest="domain_min", type=finite_float,
+                       default=2.0)
 
     def warp_table(p):
         # what _warp reads, plus the t samples: shared by curvature and oracle
@@ -251,8 +274,8 @@ def build_parser():
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--base", default="constant",
                        choices=["constant", "sphere", "torus"])
-        p.add_argument("--base-R", dest="base_R", type=float, default=0.0)
-        p.add_argument("--radius", type=float, default=1.0)
+        p.add_argument("--base-R", dest="base_R", type=finite_float, default=0.0)
+        p.add_argument("--radius", type=finite_float, default=1.0)
         p.add_argument("--m", type=int, default=16)
         p.add_argument("--stencil", default="fd2", choices=["fd2", "spectral"])
         p.add_argument("--t", required=True, help="a:b:k log-spaced samples")
@@ -262,16 +285,19 @@ def build_parser():
     p = sub.add_parser("solve", help="monotone sub/supersolution solve")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t0", type=float, default=3.0)
-    p.add_argument("--T", type=float, default=100.0)
-    p.add_argument("--R-const", dest="R_const", type=float, default=None)
-    p.add_argument("--R-coeff", dest="R_coeff", type=float, default=7.0)
-    p.add_argument("--R-power", dest="R_power", type=float, default=2.0)
-    p.add_argument("--u-minus-const", dest="u_minus_const", type=float, default=0.5)
-    p.add_argument("--u-plus-coeff", dest="u_plus_coeff", type=float, default=6.0)
-    p.add_argument("--u-plus-power", dest="u_plus_power", type=float, default=2.0)
-    p.add_argument("--bc-left", dest="bc_left", type=float, default=2.0)
-    p.add_argument("--bc-right", dest="bc_right", type=float, default=2.0)
+    p.add_argument("--t0", type=finite_float, default=3.0)
+    p.add_argument("--T", type=finite_float, default=100.0)
+    p.add_argument("--R-const", dest="R_const", type=finite_float, default=None)
+    p.add_argument("--R-coeff", dest="R_coeff", type=finite_float, default=7.0)
+    p.add_argument("--R-power", dest="R_power", type=finite_float, default=2.0)
+    p.add_argument("--u-minus-const", dest="u_minus_const", type=finite_float,
+                   default=0.5)
+    p.add_argument("--u-plus-coeff", dest="u_plus_coeff", type=finite_float,
+                   default=6.0)
+    p.add_argument("--u-plus-power", dest="u_plus_power", type=finite_float,
+                   default=2.0)
+    p.add_argument("--bc-left", dest="bc_left", type=finite_float, default=2.0)
+    p.add_argument("--bc-right", dest="bc_right", type=finite_float, default=2.0)
     p.add_argument("--points", type=int, default=801)
 
     p = sub.add_parser("certify", help="nonexistence/incompleteness certificates")
@@ -280,29 +306,29 @@ def build_parser():
                    choices=["oscillation", "thm48", "thm413", "thm418",
                             "thm112", "thm38", "barrier33"])
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--t0", type=float, default=3.0)
+    p.add_argument("--t0", type=finite_float, default=3.0)
     for name in _CERTIFY_FLAGS:
         p.add_argument(_flag(name), dest=name, default=None,
-                       type=str if name == "profile" else float)
+                       type=str if name == "profile" else finite_float)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "text"])
 
     p = sub.add_parser("oracle", help="closed form vs finite differences")
     warp_table(p)
-    p.add_argument("--h", type=float, default=1.0e-3)
-    p.add_argument("--x0", type=float, default=0.3)
+    p.add_argument("--h", type=finite_float, default=1.0e-3)
+    p.add_argument("--x0", type=finite_float, default=0.3)
 
     p = sub.add_parser("raylength", help="radial ray length of a deformation")
     common(p)
     p.add_argument("--u", required=True, help="expression for u(t)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t0", type=float, default=3.0)
-    p.add_argument("--T", type=float, default=1.0e4)
+    p.add_argument("--t0", type=finite_float, default=3.0)
+    p.add_argument("--T", type=finite_float, default=1.0e4)
 
     p = sub.add_parser("sweep", help="oscillation certificates over a c-range")
     common(p)
     p.add_argument("--c", required=True, help="a:b:k range of c values")
-    p.add_argument("--t0", type=float, default=3.0)
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--t0", type=finite_float, default=3.0)
+    p.add_argument("--T", type=finite_float, default=None)
     return parser
 
 

@@ -25,7 +25,8 @@ class BracketError(DomainError):
 
 
 class StiffFailure(CurvlabError):
-    """The adaptive integrator underflowed its step size; not a verdict."""
+    """The adaptive integrator underflowed its step size or started from a
+    non-finite derivative; not a verdict."""
 
 
 class WindowTooSmall(DomainError):

@@ -28,6 +28,8 @@ from .warp import warped_scalar_curvature
 DEFAULT_T_MAX = 1.0e4
 RTOL = 1.0e-10
 ATOL = 1.0e-12
+MONOTONE_TOL = 1.0e-12      # a monotone_solve step this small ends the solve
+MONOTONE_MAX_ITER = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +131,7 @@ def _signed_pow(u, p):
     return np.sign(u) * np.abs(u) ** p
 
 
-def _second_order(rhs, t_span, y0, crossing=None, terminal=False, rtol=RTOL,
-                  **kw):
+def _second_order(rhs, t_span, y0, crossing=None, terminal=False, **kw):
     """Integrate y'' = rhs(t, y, y') as a first-order system.  With crossing
     (+1, -1 or 0) the zeros of y rising, falling or either way are recorded
     in t_events[0], and terminal stops at the first one."""
@@ -143,11 +144,10 @@ def _second_order(rhs, t_span, y0, crossing=None, terminal=False, rtol=RTOL,
         event.terminal = bool(terminal)
         event.direction = crossing
         kw["events"] = event
-    return solve_ivp(sys, t_span, y0, rtol=rtol, atol=ATOL, **kw)
+    return solve_ivp(sys, t_span, y0, rtol=RTOL, atol=ATOL, **kw)
 
 
-def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
-          max_step=np.inf):
+def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, max_step=np.inf):
     """Integrate the equation as a first-order system with adaptive RK45,
     recording every sign change of u."""
     if u0 <= 0:
@@ -160,7 +160,7 @@ def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, rtol=RTOL,
         return coeff * (spec.R_g * _signed_pow(u, p) - spec.R_at(t) * u)
 
     sol = _second_order(rhs, (spec.t0, spec.T), [u0, du0], crossing=0,
-                        terminal=stop_at_crossing, rtol=rtol, max_step=max_step)
+                        terminal=stop_at_crossing, max_step=max_step)
     crossings = list(sol.t_events[0])
     return Trajectory(t=sol.t, u=sol.y[0], du=sol.y[1], crossings=crossings,
                       terminated_at_crossing=(sol.status == 1 and bool(crossings)))
@@ -231,39 +231,24 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
 
 
 class SubSuperPair:
-    """Ordered bracket (u_minus, u_plus) of sub/supersolutions."""
+    """The barriers of a monotone solve: a subsolution u_minus and a
+    supersolution u_plus above it, each a callable of t or a constant.
+    monotone_solve checks both on its grid."""
 
     def __init__(self, u_minus, u_plus):
         self.u_minus = u_minus if callable(u_minus) else (lambda t, v=u_minus: np.full_like(np.asarray(t, dtype=float), v))
         self.u_plus = u_plus if callable(u_plus) else (lambda t, v=u_plus: np.full_like(np.asarray(t, dtype=float), v))
 
-    def check_ordering(self, t_grid):
-        lo = np.asarray(self.u_minus(t_grid), dtype=float)
-        hi = np.asarray(self.u_plus(t_grid), dtype=float)
-        if np.any(lo <= 0):
-            raise DomainError("subsolution must be positive")
-        if np.any(lo > hi):
-            raise BracketError("ordering violated: u_minus > u_plus somewhere")
-        return lo, hi
 
-    def residual_signs(self, spec: OdeSpec, t_grid):
-        """FD residuals of both barrier functions at the interior nodes
-        (sub >= 0, super <= 0 up to round-off); monotone_solve checks them
-        before it iterates."""
-        h = t_grid[1] - t_grid[0]
-        out = {}
-        for name, fn in (("sub", self.u_minus), ("super", self.u_plus)):
-            vals = np.asarray(fn(t_grid), dtype=float)
-            d2 = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h ** 2
-            res = _discrete_residual(spec, t_grid[1:-1], vals[1:-1], d2)
-            out[name] = res
-        return out
-
-
-def _discrete_residual(spec, t, u, d2u):
+def _discrete_residual(spec, t, u):
+    """Centered-difference residual of the equation for u on the uniform
+    grid t, at its interior nodes."""
     n = spec.n
     p = DimensionConstants(n).nonlin_exp
-    return (4.0 * n / (n + 1)) * d2u + spec.R_at(t) * u - spec.R_g * _signed_pow(u, p)
+    h = t[1] - t[0]
+    d2u = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
+    return ((4.0 * n / (n + 1)) * d2u + spec.R_at(t[1:-1]) * u[1:-1]
+            - spec.R_g * _signed_pow(u[1:-1], p))
 
 
 @dataclass
@@ -297,7 +282,7 @@ def _solve_tridiagonal(dl, d, du, b):
 
 
 def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
-                   tol=1.0e-12, max_iter=20000, start="lower") -> MonotoneSolution:
+                   start="lower") -> MonotoneSolution:
     """Monotone iteration on the centered-difference discretization.
 
     The barriers are checked first: each must be a discrete sub- or
@@ -305,8 +290,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     node the nonlinearity is shifted by M_i exceeding its Lipschitz bound on
     that node's bracket, so iterates march monotonically from one end of the
     bracket to the true solution.  The iteration stops when the step falls
-    below tol or stops shrinking (round-off).  bc = (left, right) Dirichlet
-    values.
+    below MONOTONE_TOL or stops shrinking (round-off).  bc = (left, right)
+    Dirichlet values.
     """
     if spec.form != "eq31":
         raise DomainError("monotone_solve expects the eq31 normalization")
@@ -318,7 +303,12 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     a = 4.0 * n / (n + 1)
     t = np.linspace(spec.t0, spec.T, num_points)
     h = t[1] - t[0]
-    lo, hi = pair.check_ordering(t)
+    lo = np.asarray(pair.u_minus(t), dtype=float)
+    hi = np.asarray(pair.u_plus(t), dtype=float)
+    if np.any(lo <= 0):
+        raise DomainError("subsolution must be positive")
+    if np.any(lo > hi):
+        raise BracketError("ordering violated: u_minus > u_plus somewhere")
 
     bc_l, bc_r = bc
     if not (lo[0] - 1e-12 <= bc_l <= hi[0] + 1e-12
@@ -333,11 +323,10 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
 
     # each barrier may miss its sign only by the round-off of its residual:
     # every value off by ~2 eps, weighted by the stencil (1, -2, 1)
-    residuals = pair.residual_signs(spec, t)
     eps = np.finfo(float).eps
     for name, kind, vals, sign in (("u_minus", "sub", lo, 1.0),
                                    ("u_plus", "super", hi, -1.0)):
-        res = residuals[kind]
+        res = _discrete_residual(spec, t, vals)
         slack = 2 * eps * (a / h ** 2 * (vals[2:] + 2 * vals[1:-1] + vals[:-2])
                            + np.abs(R_int) * vals[1:-1]
                            - spec.R_g * _signed_pow(vals[1:-1], p))
@@ -370,7 +359,7 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     monotone = True
     delta = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MONOTONE_MAX_ITER + 1):
         rhs = -M * u[1:-1] - nonlin(u[1:-1])
         rhs[0] -= a / h ** 2 * bc_l
         rhs[-1] -= a / h ** 2 * bc_r
@@ -383,13 +372,12 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
         prev_delta, delta = delta, float(np.abs(step).max())
         # steps stall at a few eps * max|u|; one that has stopped shrinking
         # is round-off once it is that small (early steps can grow)
-        if delta < tol or (delta >= prev_delta and delta < math.sqrt(eps) * size):
+        if delta < MONOTONE_TOL or (delta >= prev_delta and delta < math.sqrt(eps) * size):
             break
 
     margin = 1e-8 * max(1.0, float(hi.max()))
     bracketed = bool(np.all(u >= lo - margin) and np.all(u <= hi + margin))
-    d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
-    res = _discrete_residual(spec, t[1:-1], u[1:-1], d2)
+    res = _discrete_residual(spec, t, u)
     return MonotoneSolution(t=t, u=u, residual_norm=float(np.abs(res).max()),
                             iterations=iterations, monotone=monotone,
                             bracketed=bracketed)
@@ -409,7 +397,7 @@ class AveragedProfile:
 _WEIGHT_TAG = {"1": "U", "f2": "F", "fn": "calF"}
 
 
-def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
+def average_over_base(u, f, base, t_grid, weight="1") -> AveragedProfile:
     """Integrate the field u over the base with weight 1, f^2, or f^n.
 
     Grid path (u sampled on a grid): u and f live on the BaseGrid `base`.
@@ -417,8 +405,6 @@ def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
     """
     if weight not in _WEIGHT_TAG:
         raise DomainError(f"unknown weight '{weight}'")
-    if t_grid is None:
-        raise DomainError("t_grid required")
     t_grid = np.asarray(t_grid, dtype=float)
 
     if f is not None and f.grid is not u.grid:
@@ -439,37 +425,6 @@ def average_over_base(u, f, base, weight="1", t_grid=None) -> AveragedProfile:
                     else base.volume * uval * w)
     return AveragedProfile(t_grid=t_grid, values=np.array(vals),
                            tag=_WEIGHT_TAG[weight])
-
-
-# ---------------------------------------------------------------------------
-# comparison transforms (the substitutions used by the nonexistence proofs)
-
-
-@dataclass(frozen=True)
-class ComparisonTransform:
-    """Records a proof substitution and verifies its defining relation."""
-
-    name: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    delta: float = 0.0
-    epsilon: float = 0.0
-    c: float = 0.0
-
-    def __post_init__(self):
-        if self.name == "euler-shift":      # delta^2 = (c - 1)/4, beta = 2 alpha
-            if abs(self.delta ** 2 - (self.c - 1.0) / 4.0) > 1e-12:
-                raise DomainError("euler-shift: delta^2 != (c-1)/4")
-            if abs(self.beta - 2.0 * self.alpha) > 1e-12:
-                raise DomainError("euler-shift: beta != 2 alpha")
-        elif self.name == "warp-power":     # n + 2 alpha = 1 (n stored in c)
-            if abs(self.c + 2.0 * self.alpha - 1.0) > 1e-12:
-                raise DomainError("warp-power: n + 2 alpha != 1")
-        elif self.name == "indicial":       # epsilon(epsilon - 1) = c
-            if abs(self.epsilon * (self.epsilon - 1.0) - self.c) > 1e-12:
-                raise DomainError("indicial: epsilon(epsilon-1) != c")
-        else:
-            raise DomainError(f"unknown transform '{self.name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +477,9 @@ def _thm413(p):
     cp = p["c"] / n
     witnesses = {}
     if cp > 0:
-        # sub-check: extremal growth of F'' = (c'/t^2) F has the indicial
-        # exponent eps with eps(eps - 1) = c'
+        # extremal growth of F'' = (c'/t^2) F: the indicial exponent, the
+        # larger root of eps(eps - 1) = c', against the measured one
         eps = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * cp))
-        ComparisonTransform(name="indicial", epsilon=eps, c=cp)
         measured, _ = _growth_exponent(lambda t: cp / t ** 2, t0, 1.0e4 * t0)
         witnesses["indicial_exponent"] = eps
         witnesses["measured_growth_exponent"] = measured
@@ -632,8 +586,7 @@ def _thm38(p):
                 "f matches neither growth hypothesis (i) nor (ii)",
                 {"f_tail_log_slope": slope_tail})
 
-    alpha = -(n - 1.0) / 2.0
-    ComparisonTransform(name="warp-power", alpha=alpha, c=float(n))
+    alpha = -(n - 1.0) / 2.0     # U = f^alpha v, n + 2 alpha = 1
 
     # extremal trajectory of (f v')' = -delta v / f with stretched time tau
     def sys(t, y):
@@ -654,7 +607,7 @@ def _thm38(p):
     beta = (n - 1.0) / 2.0
     if case == "log":
         # decay bound on the positive arc, with C = sup f/(t ln t)
-        C_f = float(np.max(fvals / (grid * np.log(grid))))
+        C_f = float(ratio.max())
         decay_rate = delta / (2.0 * C_f ** 2)
         lnln = np.log(np.log(tt[pos])) - math.log(math.log(t0))
         bound = np.exp(-decay_rate * lnln ** 2)
@@ -808,8 +761,7 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
                            witnesses={"min_margin_t2R_plus_nn1": float(margin.min())})
 
     C0 = (n + 1.0) * (n - 1.0) / 4.0
-    eps_ind = (n + 1.0) / 2.0
-    ComparisonTransform(name="indicial", epsilon=eps_ind, c=C0)
+    eps_ind = (n + 1.0) / 2.0    # the indicial root: eps(eps - 1) = C0
     measured, sol = _growth_exponent(lambda t: C0 / t ** 2, t0, 100.0 * t0,
                                      y0=1.0, dy0=eps_ind / t0)
     cap_c = float(np.max(sol.y[0] / sol.t ** eps_ind)) * 1.05

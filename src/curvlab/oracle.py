@@ -200,6 +200,8 @@ def _derivatives(metric, point, h, second):
     d2[i, j, a, b] = d_i d_j g_ab, from one evaluation of the stencil:
     centred first differences, 5-point O(h^4) diagonal second differences
     and 4-point mixed ones."""
+    if not h > 0:
+        raise DomainError(f"need h > 0, got h = {h!r}")
     metric.check_point(point)
     k, rows, axes, steps, reads = _stencil(metric.dim, second)
     stack = np.repeat(point[None], k, axis=0)

@@ -9,7 +9,8 @@ This is a port of the RK45 path of scipy 1.17.1's
 down to what curvlab integrates: forward in time, at most one event
 function, optional `t_eval` and `max_step`, scalar `rtol` and `atol`.  It
 keeps scipy's operation order throughout, so for the same inputs it returns
-bit-identical `t`, `y`, `t_events` and `nfev`; importing it costs numpy
+bit-identical `t`, `y`, `t_events` and `nfev` (where scipy loops forever on
+a non-finite fun(t0, y0), it raises StiffFailure); importing it costs numpy
 only, where `scipy.integrate` costs most of a CLI process's start-up.
 
 scipy is Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers,
@@ -251,7 +252,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
     output and returned in t_events[0].  Its `terminal` attribute stops the
     integration at the first zero; its `direction` (+1, -1, 0) keeps only
     rising, falling or all zeros.  Raises StiffFailure (scipy's status -1)
-    when the step would fall below ten float spacings at t.
+    when the step would fall below ten float spacings at t, and when
+    fun(t0, y0) is not finite.
     """
     t0, t_bound = map(float, t_span)
     if not t0 < t_bound:
@@ -280,6 +282,10 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
         return np.asarray(fun(t, y), dtype=float)
 
     f = rhs(t0, y)
+    if not np.isfinite(f).all():
+        # a nan first step never falls below the minimum step, so the step
+        # loop would never end (scipy's solve_ivp hangs the same way)
+        raise StiffFailure(f"right-hand side is not finite at t0 = {t0!r}")
     h_abs = _initial_step(rhs, t0, y, t_bound, max_step, f, rtol, atol)
     K = np.empty((len(C) + 1, y.size))
     ts, ys = ([t0], [y]) if t_eval is None else ([], [])

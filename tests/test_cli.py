@@ -1,5 +1,6 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from curvlab import ode
-from curvlab.cli import main, parse_range
+from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
 from curvlab.serialize import csv_text, read_csv
 
@@ -45,6 +46,32 @@ class TestParseRange:
         for bad in ("1:2", "0:5:3", "5:1:3"):
             with pytest.raises(DomainError):
                 parse_range(bad)
+
+    @pytest.mark.parametrize("text, why", [
+        ("abc", "'abc' is not a number"),
+        ("3:5:abc", "'abc' is not an integer"),
+        ("3:5:2.5", "'2.5' is not an integer"),
+        ("3:x:2", "'x' is not a number"),
+        ("1.1:inf:3", "'inf' is not finite"),
+        ("nan", "'nan' is not finite"),
+    ])
+    def test_bad_parts_are_named(self, text, why):
+        # these used to end in a bare ValueError, or in rk45's late
+        # "need t_span[0] < t_span[1]" for an infinite endpoint
+        with pytest.raises(DomainError) as err:
+            parse_range(text)
+        assert str(err.value) == f"bad range '{text}': {why}"
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--c", "1.1:inf:3"],
+        ["curvature", "--profile", "t", "--n", "3", "--t", "3:5:2.5"]],
+        ids=lambda a: a[0])
+    def test_bad_range_is_one_error_line(self, args, capsys):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad range '{args[-1]}': ")
+        assert captured.err.count("\n") == 1
 
 
 class TestCurvature:
@@ -311,6 +338,64 @@ class TestCertifyInputErrors:
         assert not out.exists()
 
 
+def _takes_a_float(action):
+    try:
+        return isinstance(action.type("0.5"), float)
+    except (TypeError, ValueError):
+        return False
+
+
+def float_options():
+    """(subcommand, flag) for every option of every subcommand whose type
+    parses a float, so a flag added later is covered too."""
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, sub in subcommands.items()
+            for action in sub._actions if _takes_a_float(action)]
+
+
+class TestNonFiniteFlags:
+    """nan and inf used to pass every float flag: into a NaN JSON token, a
+    nan CSV cell, a late integrator message or a traceback."""
+
+    def test_every_float_flag_is_walked(self):
+        found = set(float_options())
+        assert {("certify", "--b"), ("oracle", "--h"), ("oracle", "--x0"),
+                ("solve", "--R-const"), ("sweep", "--t0"),
+                ("curvature", "--domain-min")} <= found
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", float_options(),
+                             ids=lambda x: x)
+    def test_non_finite_value_is_a_usage_error(self, command, flag, value,
+                                               capsys):
+        # flag=value, so that argparse hands "-inf" to the flag's type
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: curvlab {command}")
+        assert err.endswith(
+            f"error: argument {flag}: '{value}' is not a finite number\n")
+        assert "Traceback" not in err
+
+    def test_config_value_goes_through_the_same_type(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("command=certify\nkind=thm48\nb=nan\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --b: 'nan' is not a finite number\n")
+
+    def test_non_numeric_value_keeps_argparse_wording(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["certify", "--kind", "thm48", "--b", "abc"])
+        assert capsys.readouterr().err.endswith(
+            "error: argument --b: invalid float value: 'abc'\n")
+
+
 class TestCleanErrors:
     """Input that used to end in an OverflowError or IndexError traceback,
     or print numpy warnings ahead of its error line."""
@@ -495,6 +580,16 @@ class TestSolveAndOracle:
             assert "error: metric is not finite at" in err
         else:
             assert f"error: curvature is not finite at t = {bad_t}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", ["0", "-1"])
+    def test_oracle_nonpositive_step_is_named(self, h, tmp_path, capsys):
+        # --h 0 used to fail as "curvature is not finite", --h -1 exited 0
+        out = tmp_path / "o.csv"
+        code = main(["oracle", "--profile", "t", "--n", "3", "--t", "3:5:2",
+                     "--h", h, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: need h > 0, got h = {float(h)!r}\n"
         assert not out.exists()
 
     def test_raylength_overflow_is_a_domain_error(self, tmp_path, capsys):

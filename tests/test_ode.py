@@ -13,8 +13,7 @@ from curvlab import ode
 from curvlab.errors import (BracketError, DomainError, StiffFailure,
                            WindowTooSmall)
 from curvlab.geometry import BaseGeometry
-from curvlab.ode import (ComparisonTransform, OdeSpec, SubSuperPair,
-                         _discrete_residual, _solve_tridiagonal,
+from curvlab.ode import (OdeSpec, SubSuperPair, _solve_tridiagonal,
                          average_over_base,
                          barrier_certificate_33, comparison_certificate,
                          monotone_solve, oscillation_certificate, shoot)
@@ -222,14 +221,14 @@ class TestMonotoneSolve:
         assert not sol.bracketed
 
     def test_supersolution_residual_signs(self):
-        # u+ = 7 t^2 is a strict supersolution: residual 6 - 7 = -1 < 0
-        spec = self.spec_alpha2()
-        pair = SubSuperPair(
-            lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
-            lambda t: 7.0*np.asarray(t, dtype=float)**2)
-        signs = pair.residual_signs(spec, np.linspace(spec.t0, spec.T, 401))
-        assert np.all(signs["super"] <= 1e-10)  # supersolution
-        assert np.all(signs["sub"] >= -1e-10)   # subsolution
+        # u+ = 7 t^2 is a strict supersolution (residual 6 - 7 = -1 < 0) and
+        # u- = 1/2 a strict subsolution (6 - 3.5/t^2 > 0): the pair passes
+        # the up-front check and brackets the solution
+        pair = SubSuperPair(0.5, lambda t: 7.0*np.asarray(t, dtype=float)**2)
+        sol = monotone_solve(self.spec_alpha2(), pair, bc=(2.0, 2.0),
+                             num_points=401)
+        assert sol.monotone and sol.bracketed
+        assert sol.residual_norm < 1e-6
 
 
 @settings(max_examples=200, deadline=None)
@@ -308,21 +307,6 @@ class TestAveraging:
                            match=f"weight {weight} needs the warp field"):
             average_over_base(parse_field("1/t"), None, base, weight=weight,
                               t_grid=np.array([2.5, 4.0]))
-
-
-class TestComparisonTransforms:
-    def test_defining_relations(self):
-        ComparisonTransform(name="euler-shift", alpha=1.0, beta=2.0,
-                            delta=0.5, c=2.0)
-        ComparisonTransform(name="warp-power", alpha=-1.0, c=3.0)
-        ComparisonTransform(name="indicial", epsilon=2.0, c=2.0)
-
-    def test_violations_rejected(self):
-        with pytest.raises(DomainError):
-            ComparisonTransform(name="euler-shift", alpha=1.0, beta=2.0,
-                                delta=0.9, c=2.0)
-        with pytest.raises(DomainError):
-            ComparisonTransform(name="indicial", epsilon=2.0, c=3.0)
 
 
 class TestCertificates:

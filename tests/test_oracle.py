@@ -170,6 +170,15 @@ class TestConformalMetric:
         with pytest.raises(DomainError):
             fd_christoffel(metric, torus_point(3, 2.001))
 
+    @pytest.mark.parametrize("fd", [fd_christoffel, fd_scalar_curvature])
+    @pytest.mark.parametrize("h", [0.0, -1.0e-3])
+    def test_nonpositive_step_is_named(self, fd, h):
+        # h = 0 used to surface as a non-finite curvature, h < 0 passed
+        metric = assemble_metric(parse_profile("t"), BaseGeometry.constant(3, 0.0))
+        with pytest.raises(DomainError) as err:
+            fd(metric, torus_point(3, 3.0), h=h)
+        assert str(err.value) == f"need h > 0, got h = {h!r}"
+
 
 # ---------------------------------------------------------------------------
 # the batched stencil against the point-by-point evaluation it replaced
