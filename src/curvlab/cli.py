@@ -18,7 +18,8 @@ from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
                   comparison_certificate, comparison_parameters,
                   monotone_solve, oscillation_certificate)
 from .oracle import assemble_metric, fd_scalar_curvature
-from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
+from .polar import (BaseGrid, PolarWarpField, polar_scalar_curvature,
+                    polar_scalar_curvature_at)
 from .serialize import atomic_write_text, csv_text, jsonl_text
 from .warp import parse_field, parse_profile, warped_scalar_curvature
 
@@ -218,13 +219,14 @@ def cmd_oracle(args):
         # the closed form is read at the grid node nearest x0
         x0 = np.full(base.n, args.x0)
         node = (int(round(args.x0 / base.spacing)) % base.m,) * base.n
+        closed_form = lambda t: polar_scalar_curvature_at(f, t, node)
     else:
-        x0, node = np.full(base.n, 0.3), ()
+        x0 = np.full(base.n, 0.3)
     metric = assemble_metric(f, base, h=args.h)
     rows = []
     for t in t_vals:
         point = np.concatenate([[t], x0])
-        closed = float(np.asarray(closed_form(float(t)))[node])
+        closed = float(closed_form(float(t)))
         fd = fd_scalar_curvature(metric, point).scalar
         _check_finite(t, [closed, fd])
         abs_err = abs(fd - closed)

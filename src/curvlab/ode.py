@@ -700,8 +700,11 @@ def comparison_certificate(kind, params) -> Verdict:
             raise DomainError(f"{kind} takes no parameter '{name}'")
         try:
             p[name] = _COERCE.get(name, float)(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DomainError(f"{kind} parameter '{name}' must be a number")
+        if isinstance(p[name], float) and not math.isfinite(p[name]):
+            raise DomainError(f"{kind} parameter '{name}' must be finite, "
+                              f"got {p[name]!r}")
     if not p["t0"] > 0:
         raise DomainError("need t0 > 0")
     if "T" in p and not p["t0"] < p["T"]:
@@ -734,11 +737,16 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     below -n(n-1)/t^2 yields an inconclusive verdict (hypotheses unmet).
     """
     kappa_sq = float(g_curvature_min)
+    t0, T = t_range
+    for name, value in {"kappa^2": kappa_sq, "t0": t0, "T": T,
+                        "base_scalar": base_scalar}.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"barrier certificate parameter {name} must be "
+                              f"finite, got {value!r}")
     if n < 3:
         raise DomainError("barrier certificate requires n >= 3")
     if kappa_sq <= 0:
         raise DomainError("need kappa^2 > 0")
-    t0, T = t_range
     if not t0 > 0:
         raise DomainError("need t0 > 0")
     if not t0 < T:

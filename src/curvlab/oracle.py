@@ -106,9 +106,12 @@ class MetricGrid:
         g = 0.5 * (g + g.swapaxes(1, 2))  # enforce exact symmetry
         return g.reshape(points.shape + (self.dim,))
 
-    def check_point(self, point):
+    def check_point(self, point, h=None):
+        """A finite, positive definite metric at point, whose stencil of step
+        h (default the metric's) stays above domain_min."""
+        h = self.h if h is None else h
         point = np.asarray(point, dtype=float)
-        if point[0] - 2.0 * self.h <= self.domain_min:
+        if point[0] - 2.0 * h <= self.domain_min:
             raise DomainError(
                 f"t - 2h must exceed domain_min = {self.domain_min}")
         g = self.components(point)
@@ -202,7 +205,7 @@ def _derivatives(metric, point, h, second):
     and 4-point mixed ones."""
     if not h > 0:
         raise DomainError(f"need h > 0, got h = {h!r}")
-    metric.check_point(point)
+    metric.check_point(point, h)
     k, rows, axes, steps, reads = _stencil(metric.dim, second)
     stack = np.repeat(point[None], k, axis=0)
     stack[rows, axes] += steps * h  # as point[axis] += delta, one at a time

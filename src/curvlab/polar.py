@@ -48,10 +48,13 @@ class BaseGrid:
 
     # -- sampling -----------------------------------------------------------
 
-    def env(self, t):
+    def env(self, t, node=None):
         """Evaluation environment at a t-slice: t plus x1..xn axis arrays,
-        which broadcast against each other to the mesh."""
-        env = {f"x{i + 1}": x for i, x in enumerate(self._axes)}
+        which broadcast against each other to the mesh, or at one node (a
+        tuple of n grid indices) 1-element arrays of its coordinates."""
+        axes = (self._axes if node is None
+                else [self.axis_points[j:j + 1] for j in node])
+        env = {f"x{i + 1}": x for i, x in enumerate(axes)}
         env["t"] = t
         return env
 
@@ -68,6 +71,21 @@ class BaseGrid:
         h2 = self.spacing ** 2
         for ax in range(self.n):
             out += (np.roll(arr, 1, axis=ax) + np.roll(arr, -1, axis=ax) - 2.0 * arr) / h2
+        return out
+
+    def laplacian_at(self, lines, node):
+        """laplacian(arr)[node] as a 1-element array, from the n grid lines
+        of arr through the node: lines[ax] is arr along axis ax, the other
+        indices fixed at the node's.  The axis terms are summed in
+        laplacian's order; a spectral term is the line's 1-D spectral second
+        derivative, which is the n-D FFT Laplacian in exact arithmetic."""
+        out = np.zeros(1)
+        h2 = self.spacing ** 2
+        for line, j in zip(lines, node):
+            if self.stencil == "spectral":
+                out += np.real(np.fft.ifft(np.fft.fft(line) * -self._k ** 2))[j]
+            else:
+                out += (line[j - 1] + line[(j + 1) % self.m] - 2.0 * line[j]) / h2
         return out
 
     def gradient(self, arr):
@@ -125,16 +143,10 @@ def conformal_base_curvature(mu, base):
     BaseGeometry with constant data (analytic path; mu must then be a scalar).
     """
     if isinstance(base, BaseGrid):
-        n = base.n
-        if n < 3:
-            raise DomainError("formula degenerates for n < 3")
         mu = np.asarray(mu, dtype=float)
         if np.any(mu <= 0):
             raise DomainError("mu must be positive")
-        cn = DimensionConstants(n).c_n
-        # 0.0 - Lap, not -Lap: a zero Laplacian (constant mu) must give +0,
-        # which a constant warp's curvature table prints as 0, not -0
-        return (0.0 - base.laplacian(mu)) / cn * mu ** (-(n + 2.0) / (n - 2.0))
+        return _flat_conformal(base.n, mu, base.laplacian(mu))
     # analytic constant path: f = lambda, R = R(g)/lambda^2
     base.require_dimension(3)
     mu = float(mu)
@@ -142,6 +154,16 @@ def conformal_base_curvature(mu, base):
         raise DomainError("mu must be positive")
     lam = mu ** (2.0 / (base.n - 2.0))
     return base.scalar_curvature / lam ** 2
+
+
+def _flat_conformal(n, mu, lap):
+    """conformal_base_curvature on the flat torus from mu and Lap mu."""
+    if n < 3:
+        raise DomainError("formula degenerates for n < 3")
+    cn = DimensionConstants(n).c_n
+    # 0.0 - Lap, not -Lap: a zero Laplacian (constant mu) must give +0,
+    # which a constant warp's curvature table prints as 0, not -0
+    return (0.0 - lap) / cn * mu ** (-(n + 2.0) / (n - 2.0))
 
 
 def polar_scalar_curvature(f: PolarWarpField, t):
@@ -156,6 +178,28 @@ def polar_scalar_curvature(f: PolarWarpField, t):
     ftt = f.sample_dtt(t)
     r_base = conformal_base_curvature(fval ** ((n - 2) / 2.0), grid)
     return r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2) / fval ** 2
+
+
+def polar_scalar_curvature_at(f: PolarWarpField, t, node):
+    """polar_scalar_curvature(f, t)[node] for a node given as n grid indices:
+    f_t and f_tt at the node, mu = f^((n-2)/2) on the n grid lines through
+    it.  The whole slice is still sampled, for its positivity check.
+
+    Node values stay 1-element arrays: numpy's scalar ** calls libm pow,
+    while an array's takes the slice's loop, so on fd2 the value is the
+    slice's to the bit."""
+    grid = f.grid
+    n = grid.n
+    fslice = f.sample(t)
+    ft = f.sample_dt(t, node)
+    ftt = f.sample_dtt(t, node)
+    mu_lines = [fslice[node[:ax] + (slice(None),) + node[ax + 1:]]
+                ** ((n - 2) / 2.0) for ax in range(n)]
+    fval = fslice[node].reshape(1)
+    r_base = _flat_conformal(n, mu_lines[0][node[0]:node[0] + 1],
+                             grid.laplacian_at(mu_lines, node))
+    return float((r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2)
+                  / fval ** 2)[0])
 
 
 def polar_laplacian(f: PolarWarpField, u: PolarWarpField, t):

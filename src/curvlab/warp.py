@@ -94,20 +94,21 @@ class Field:
 
     # -- grid sampling (fields built on a BaseGrid) ---------------------------
 
-    def _sample(self, node, t):
+    def _sample(self, tree, t, node=None):
         grid = self.grid
-        val = node.eval(grid.env(t))
-        return np.broadcast_to(np.asarray(val, dtype=float),
-                               (grid.m,) * grid.n).copy()
+        val = tree.eval(grid.env(t, node))
+        shape = (grid.m,) * grid.n if node is None else (1,)
+        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
 
     def sample(self, t):
         return self._checked(t, lambda: self._sample(self.ast, t))
 
-    def sample_dt(self, t):
-        return self._sample(self._d1, t)
+    def sample_dt(self, t, node=None):
+        """f_t on the t-slice, or at one grid node as a 1-element array."""
+        return self._sample(self._d1, t, node)
 
-    def sample_dtt(self, t):
-        return self._sample(self._d2, t)
+    def sample_dtt(self, t, node=None):
+        return self._sample(self._d2, t, node)
 
 
 class WarpProfile(Field):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curvlab import ode
+from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
 from curvlab.serialize import csv_text, read_csv
@@ -178,6 +178,38 @@ def test_oracle_golden_bytes(case, capsys):
     batch."""
     assert main(ORACLE_GOLDEN[case]["args"]) == 0
     assert capsys.readouterr().out == ORACLE_GOLDEN[case]["stdout"]
+
+
+TORUS_ORACLE_CASES = sorted(c for c in ORACLE_GOLDEN if c.startswith("torus"))
+
+
+@pytest.mark.parametrize("case", TORUS_ORACLE_CASES)
+def test_torus_oracle_takes_the_closed_form_at_its_node(case, monkeypatch,
+                                                        capsys):
+    """The torus oracle never computes a whole curvature slice: with
+    polar_scalar_curvature made to raise, its bytes are still the golden
+    ones."""
+    def whole_slice(f, t):
+        raise AssertionError("the torus oracle computed a whole slice")
+
+    monkeypatch.setattr(cli, "polar_scalar_curvature", whole_slice)
+    args = ORACLE_GOLDEN[case]["args"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == ORACLE_GOLDEN[case]["stdout"]
+    # the guard is live: curvature on the same flags, less --x0, meets it
+    x0 = args.index("--x0")
+    with pytest.raises(AssertionError, match="whole slice"):
+        main(["curvature"] + args[1:x0] + args[x0 + 2:])
+
+
+def test_torus_oracle_checks_the_whole_slice(capsys):
+    # f > 0 at the node nearest x0 = 0, but not at x1 = pi
+    assert main(["oracle", "--profile", "t*(0.5+cos(x1))", "--n", "3",
+                 "--base", "torus", "--m", "8", "--t", "3", "--x0", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: field 't*(0.5+cos(x1))' is nonpositive at t = 3.0\n"
 
 
 TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "table_golden.json")

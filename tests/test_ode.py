@@ -2,6 +2,7 @@
 and the comparison certificates."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -392,6 +393,17 @@ class TestCertificates:
         with pytest.raises(DomainError, match=message):
             comparison_certificate(kind, params)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"t0": 3.0, "b": float("nan")}, "'b' must be finite, got nan"),
+        ({"b": 1.0, "F0": float("inf")}, "'F0' must be finite, got inf"),
+        ({"b": "-inf"}, "'b' must be finite, got -inf"),
+        ({"b": 1.0, "n": float("inf")}, "'n' must be a number"),
+    ])
+    def test_non_finite_parameters_are_named(self, params, message):
+        # a NaN would reach the verdict's JSON as a non-standard token
+        with pytest.raises(DomainError, match="thm48 parameter " + message):
+            comparison_certificate("thm48", params)
+
     def test_params_echoed_as_given(self):
         v = comparison_certificate("thm48", {"b": 1, "n": 3.0})
         assert v.params == {"b": 1, "n": 3.0}
@@ -450,6 +462,20 @@ class TestBarrier:
                                    base_scalar=-6.0)
         assert v.kind == "inconclusive"
         assert v.witnesses["min_margin_t2R_plus_nn1"] < 0
+
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((float("inf"), 3, (3.0, 1e4)), {}, "kappa^2 must be finite, got inf"),
+        ((float("nan"), 3, (3.0, 1e4)), {}, "kappa^2 must be finite, got nan"),
+        ((6.0, 3, (3.0, float("inf"))), {}, "T must be finite, got inf"),
+        ((6.0, 3, (3.0, 1e4)), {"profile": parse_profile("t"),
+                                "base_scalar": float("-inf")},
+         "base_scalar must be finite, got -inf"),
+    ])
+    def test_non_finite_parameters_are_named(self, args, kwargs, name):
+        # an infinite kappa^2 used to end in rk45's StiffFailure
+        with pytest.raises(DomainError, match=re.escape(
+                "barrier certificate parameter " + name)):
+            barrier_certificate_33(*args, **kwargs)
 
     def test_n2_rejected(self):
         with pytest.raises(DomainError):

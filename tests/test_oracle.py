@@ -152,6 +152,17 @@ class TestConformalMetric:
         with pytest.raises(DomainError, match="metric is not finite"):
             metric.check_point(np.array([10.0, 0.3, 0.3, 0.3]))
 
+    @pytest.mark.parametrize("fd", [fd_scalar_curvature, fd_christoffel])
+    def test_stencil_guard_uses_the_step_given(self, fd):
+        # with h = 0.5 the stencil reaches t = 1.01, below domain_min = 2
+        metric = assemble_metric(parse_profile("t", domain_min=2.0),
+                                 BaseGeometry.constant(3, 0.0))
+        point = [2.01, 0.3, 0.3, 0.3]
+        fd(metric, point)  # the metric's own h = 1e-3 stays above 2
+        with pytest.raises(DomainError,
+                           match="t - 2h must exceed domain_min = 2.0"):
+            fd(metric, point, h=0.5)
+
     def test_point_errors_name_t(self):
         # t as its repr, not the rounded print of the whole point array
         point = np.array([0.1 + 0.2, 0.3])

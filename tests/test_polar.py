@@ -4,19 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry, DimensionConstants
 from curvlab.polar import (BaseGrid, PolarWarpField,
                            conformal_base_curvature,
                            conformal_scalar_curvature, mu_field,
-                           polar_laplacian, polar_scalar_curvature)
+                           polar_laplacian, polar_scalar_curvature,
+                           polar_scalar_curvature_at)
 from curvlab.warp import parse_profile, warped_scalar_curvature
 
 
 @pytest.fixture(params=["fd2", "spectral"])
 def grid(request):
     return BaseGrid(3, 24, stencil=request.param)
+
+
+def lines_through(arr, node):
+    """The n grid lines of arr through node, one per axis."""
+    return [arr[node[:ax] + (slice(None),) + node[ax + 1:]]
+            for ax in range(arr.ndim)]
 
 
 class TestBaseGrid:
@@ -43,6 +51,25 @@ class TestBaseGrid:
     def test_integrate_volume(self, grid):
         assert grid.integrate(np.ones((24,)*3)) == pytest.approx(
             (2*math.pi)**3, rel=1e-14)
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 8, 0), (3, 24, 1), (4, 10, 2),
+                                            (5, 8, 3)])
+    def test_laplacian_at_is_the_laplacian_at_the_node(self, n, m, seed):
+        # fd2 sums the same neighbours in the same order, so to the bit;
+        # spectral differs from the n-D FFT by round-off only
+        rng = np.random.default_rng(seed)
+        arr = rng.uniform(1.0, 3.0, (m,) * n)
+        for stencil in ("fd2", "spectral"):
+            g = BaseGrid(n, m, stencil=stencil)
+            full = g.laplacian(arr)
+            for node in [(0,) * n, (m - 1,) * n,
+                         tuple(rng.integers(0, m, n).tolist())]:
+                at = g.laplacian_at(lines_through(arr, node), node)
+                assert at.shape == (1,)
+                if stencil == "fd2":
+                    assert at[0] == full[node]
+                else:
+                    assert abs(at[0] - full[node]) <= 1e-12 * np.abs(full).max()
 
     def test_rejects_small_grid(self):
         with pytest.raises(DomainError):
@@ -108,6 +135,52 @@ class TestPolarScalarCurvature:
             PolarWarpField("exp(t)", BaseGrid(3, 8), domain_min=domain_min)
         with pytest.raises(DomainError, match="domain_min"):
             parse_profile("exp(t)", domain_min=domain_min)
+
+
+# low-degree trig warps: the spectral Laplacian is exact to round-off on them
+TRIG_TERMS = ["cos({k}*x1)", "sin({k}*x1)*cos(x2)", "cos(x{n})*sin({k}*x2)",
+              "sin(x1+{k}*x{n})"]
+
+
+@st.composite
+def trig_warps(draw):
+    n = draw(st.integers(3, 5))
+    m = draw(st.sampled_from([8, 10, 12, 16] if n < 5 else [8, 10]))
+    terms = draw(st.lists(st.sampled_from(TRIG_TERMS), min_size=1, max_size=3))
+    coeffs = [draw(st.floats(0.05, 0.4)) for _ in terms]
+    ks = [draw(st.integers(1, 3)) for _ in terms]
+    radial = draw(st.sampled_from(["t", "t^1.4", "t^2", "exp(t/5)"]))
+    body = "+".join(f"{c!r}*{term.format(k=k, n=n)}"
+                    for c, term, k in zip(coeffs, terms, ks))
+    source = f"{radial}*(3.5+{body})"
+    node = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+    t = draw(st.floats(2.5, 12.0))
+    return n, m, source, node, t
+
+
+class TestPolarScalarCurvatureAt:
+    @settings(max_examples=60, deadline=None)
+    @given(trig_warps(), st.sampled_from(["fd2", "spectral"]))
+    def test_matches_the_slice_at_the_node(self, warp, stencil):
+        n, m, source, node, t = warp
+        f = PolarWarpField(source, BaseGrid(n, m, stencil=stencil))
+        full = polar_scalar_curvature(f, t)
+        at = polar_scalar_curvature_at(f, t, node)
+        if stencil == "fd2":
+            assert at == full[node]
+        else:
+            assert abs(at - full[node]) <= 1e-12 * np.abs(full).max()
+
+    @pytest.mark.parametrize("stencil", ["fd2", "spectral"])
+    def test_constant_warp_gives_plus_zero(self, stencil):
+        f = PolarWarpField("3 + 0*x1", BaseGrid(4, 8, stencil=stencil))
+        R = polar_scalar_curvature_at(f, 3.0, (1, 2, 3, 4))
+        assert R == 0.0 and math.copysign(1.0, R) == 1.0
+
+    def test_needs_n_at_least_3(self):
+        f = PolarWarpField("t*(2+cos(x1))", BaseGrid(2, 8))
+        with pytest.raises(DomainError, match="formula degenerates for n < 3"):
+            polar_scalar_curvature_at(f, 3.0, (0, 0))
 
 
 class TestPolarLaplacian:

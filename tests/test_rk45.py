@@ -151,20 +151,19 @@ def test_brentq_matches_scipy(c, a, b):
 
 def test_non_finite_first_derivative_raises_instead_of_hanging():
     # a nan first step is never below the minimum step, so the step loop
-    # used to run forever (as scipy's does); barrier33 reached it with a nan
-    # kappa^2.  The child runs under a timeout, which a hang exceeds
+    # used to run forever (as scipy's does).  barrier33 reached it with a nan
+    # kappa^2, which it now rejects up front (test_ode.TestBarrier).  The
+    # child runs under a timeout, which a hang exceeds
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = textwrap.dedent("""
         from curvlab.errors import StiffFailure
-        from curvlab.ode import barrier_certificate_33
         from curvlab.rk45 import solve_ivp
         runs = [lambda: solve_ivp(lambda t, y: [y[1], float("nan")],
                                   (3, 10), [1.0, 0.0]),
                 lambda: solve_ivp(lambda t, y: [y[1], float("inf")],
-                                  (3, 10), [1.0, 0.0]),
-                lambda: barrier_certificate_33(float("nan"), 3, (3.0, 1e4))]
+                                  (3, 10), [1.0, 0.0])]
         for run in runs:
             try:
                 run()
@@ -174,7 +173,7 @@ def test_non_finite_first_derivative_raises_instead_of_hanging():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "right-hand side is not finite at t0 = 3.0\n" * 3
+    assert proc.stdout == "right-hand side is not finite at t0 = 3.0\n" * 2
 
 
 def test_bad_arguments():
