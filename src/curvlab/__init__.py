@@ -11,7 +11,7 @@ from .warp import (Field, SubstitutedProfile, WarpProfile, cone_log_curvature,
                    parse_profile, power_law_curvature, substitute_u,
                    warped_laplacian, warped_scalar_curvature)
 from .polar import (BaseGrid, PolarWarpField, conformal_base_curvature,
-                    conformal_scalar_curvature, mu_field, polar_laplacian,
+                    conformal_scalar_curvature, polar_laplacian,
                     polar_scalar_curvature)
 from .ode import (AveragedProfile, MonotoneSolution, OdeSpec, SubSuperPair,
                   Trajectory, Verdict, average_over_base,
@@ -33,7 +33,7 @@ __all__ = [
     "parse_field", "parse_profile", "power_law_curvature", "substitute_u",
     "warped_laplacian", "warped_scalar_curvature", "BaseGrid",
     "PolarWarpField", "conformal_base_curvature",
-    "conformal_scalar_curvature", "mu_field", "polar_laplacian",
+    "conformal_scalar_curvature", "polar_laplacian",
     "polar_scalar_curvature",
     "AveragedProfile", "MonotoneSolution", "OdeSpec", "SubSuperPair",
     "Trajectory", "Verdict", "average_over_base",

@@ -73,31 +73,27 @@ def load_config(path):
     return out
 
 
-def _emit(args, text, meta=None):
+def _emit(args, text, meta):
     if getattr(args, "out", None):
         atomic_write_text(args.out, text)
-        if meta is not None:
-            meta = dict(meta)
-            meta["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-            atomic_write_text(args.out + ".meta.json",
-                              json.dumps(meta, sort_keys=True) + "\n")
+        meta = {**meta, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+        atomic_write_text(args.out + ".meta.json",
+                          json.dumps(meta, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
 
 
 def _warp(args):
-    """The base, the warp over it and its closed-form scalar curvature at t
-    (one R(x) grid per t on the torus), as curvature and oracle read them."""
+    """The base and the warp over it, as curvature and oracle read them."""
     if args.base == "torus":
         base = BaseGrid(args.n, args.m, stencil=args.stencil)
-        f = PolarWarpField(args.profile, base, domain_min=args.domain_min)
-        return base, f, lambda t: polar_scalar_curvature(f, t)
+        return base, PolarWarpField(args.profile, base,
+                                    domain_min=args.domain_min)
     if args.base == "sphere":
         base = BaseGeometry.sphere(args.n, radius=args.radius)
     else:
         base = BaseGeometry.constant(args.n, args.base_R)
-    f = parse_profile(args.profile, domain_min=args.domain_min)
-    return base, f, lambda t: warped_scalar_curvature(f, base, t)
+    return base, parse_profile(args.profile, domain_min=args.domain_min)
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +113,20 @@ def _check_finite(t, R):
 
 def cmd_curvature(args):
     t_vals = parse_range(args.t)
-    base, _, closed_form = _warp(args)
+    base, f = _warp(args)
     if args.base == "torus":
         # one row per (t, grid node), nodes in C (np.ndindex) order
         slices = []
         for t in t_vals:
-            R = closed_form(float(t))
+            R = polar_scalar_curvature(f, float(t))
             _check_finite(t, R)
             slices.append(R.ravel())
         header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
         axes = [t_vals] + [base.axis_points] * base.n
         values = [np.concatenate(slices)]
     else:
-        R = np.broadcast_to(np.asarray(closed_form(t_vals), dtype=float),
-                            t_vals.shape)
+        R = np.broadcast_to(np.asarray(warped_scalar_curvature(f, base, t_vals),
+                                       dtype=float), t_vals.shape)
         _check_finite(t_vals, R)
         header, axes, values = ["t", "R"], [t_vals], [R]
     _emit(args, csv_text(header, axes, values), {"command": "curvature"})
@@ -214,19 +210,20 @@ def cmd_certify(args):
 
 def cmd_oracle(args):
     t_vals = parse_range(args.t)
-    base, f, closed_form = _warp(args)
+    base, f = _warp(args)
     if args.base == "torus":
         # the closed form is read at the grid node nearest x0
         x0 = np.full(base.n, args.x0)
         node = (int(round(args.x0 / base.spacing)) % base.m,) * base.n
-        closed_form = lambda t: polar_scalar_curvature_at(f, t, node)
     else:
         x0 = np.full(base.n, 0.3)
     metric = assemble_metric(f, base, h=args.h)
     rows = []
     for t in t_vals:
         point = np.concatenate([[t], x0])
-        closed = float(closed_form(float(t)))
+        closed = float(polar_scalar_curvature_at(f, float(t), node)
+                       if args.base == "torus"
+                       else warped_scalar_curvature(f, base, float(t)))
         fd = fd_scalar_curvature(metric, point).scalar
         _check_finite(t, [closed, fd])
         abs_err = abs(fd - closed)

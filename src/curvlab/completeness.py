@@ -36,6 +36,7 @@ class RayLengthReport:
 
 
 TAIL_MARGIN = 0.05
+RAY_SAMPLES = 4096   # log-spaced quadrature nodes on [t0, T]
 
 
 def fit_loglog_slope(t, v):
@@ -49,7 +50,7 @@ def fit_loglog_slope(t, v):
     return float(slope)
 
 
-def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
+def ray_length(u, x0, n, t0, T) -> RayLengthReport:
     """Length of the radial curve t -> (t, x0) in the deformed metric:
     quadrature of u^(2/(n-1)) on [t0, T] plus a fitted power-law tail.
     u is a callable t -> u(t, x0) on arrays of t; x0 is only reported.
@@ -62,7 +63,7 @@ def ray_length(u, x0, n, t0, T, num=4096) -> RayLengthReport:
         raise DomainError("need n >= 3")
     if not (0 < t0 < T):
         raise DomainError("need 0 < t0 < T")
-    t = np.geomspace(t0, T, num)
+    t = np.geomspace(t0, T, RAY_SAMPLES)
     uval = np.asarray(u(t), dtype=float)
     finite = np.isfinite(uval)
     if not finite.all():

@@ -15,8 +15,6 @@ class DimensionConstants:
     n: int
     c_n: float = field(init=False)
     c_np1: float = field(init=False)
-    subst_exp: float = field(init=False)
-    conf_exp: float = field(init=False)
     nonlin_exp: float = field(init=False)
 
     def __post_init__(self):
@@ -25,8 +23,6 @@ class DimensionConstants:
             raise DomainError(f"base dimension must be >= 2, got {n}")
         object.__setattr__(self, "c_n", (n - 2) / (4.0 * (n - 1)))
         object.__setattr__(self, "c_np1", (n - 1) / (4.0 * n))
-        object.__setattr__(self, "subst_exp", (n + 1) / 2.0)
-        object.__setattr__(self, "conf_exp", 4.0 / (n - 1))
         object.__setattr__(self, "nonlin_exp", (n - 3) / (n + 1))
 
 
@@ -45,7 +41,6 @@ class BaseGeometry:
     n: int
     scalar_curvature: float
     volume: float
-    radius: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -63,9 +58,4 @@ class BaseGeometry:
         if radius <= 0:
             raise DomainError("sphere radius must be positive")
         return BaseGeometry(n=n, scalar_curvature=n * (n - 1) / radius ** 2,
-                            volume=sphere_volume(n, radius), radius=radius)
-
-    def require_dimension(self, minimum):
-        if self.n < minimum:
-            raise DomainError(
-                f"result requires base dimension >= {minimum}, got n = {self.n}")
+                            volume=sphere_volume(n, radius))

@@ -147,7 +147,28 @@ def _second_order(rhs, t_span, y0, crossing=None, terminal=False, **kw):
     return solve_ivp(sys, t_span, y0, rtol=RTOL, atol=ATOL, **kw)
 
 
-def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, max_step=np.inf):
+def _require_finite(kind, values):
+    """Each value not None must be finite; a DomainError names the one not."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(
+                f"{kind} parameter {name} must be finite, got {value!r}")
+
+
+def _named(kind, p, names):
+    """'kind with name = value, ...' for the parameters that set a window."""
+    return f"{kind} with " + ", ".join(f"{k} = {p[k]!r}" for k in names)
+
+
+def _check_window(who, start, end, what=""):
+    """A search window that overflow or rounding left empty or infinite is a
+    DomainError naming `who`, before anything is integrated on it."""
+    if not start < end < math.inf:
+        raise DomainError(f"{who}: the {what}search window [{start!r}, "
+                          f"{end!r}] is empty or infinite in floating point")
+
+
+def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False):
     """Integrate the equation as a first-order system with adaptive RK45,
     recording every sign change of u."""
     if u0 <= 0:
@@ -160,7 +181,7 @@ def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False, max_step=np.inf):
         return coeff * (spec.R_g * _signed_pow(u, p) - spec.R_at(t) * u)
 
     sol = _second_order(rhs, (spec.t0, spec.T), [u0, du0], crossing=0,
-                        terminal=stop_at_crossing, max_step=max_step)
+                        terminal=stop_at_crossing)
     crossings = list(sol.t_events[0])
     return Trajectory(t=sol.t, u=sol.y[0], du=sol.y[1], crossings=crossings,
                       terminated_at_crossing=(sol.status == 1 and bool(crossings)))
@@ -173,6 +194,8 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
     consecutive ratios are e^(2 pi / sqrt(c-1)).  c <= 1: inconclusive, with
     the positive power-law witness u = t^alpha, alpha(1-alpha) = c/4.
     """
+    given = {"c": c, "t0": t0, "T": T}
+    _require_finite("oscillation", given)
     if c <= 0:
         raise DomainError("need c > 0")
     if t0 <= 2:
@@ -192,16 +215,17 @@ def oscillation_certificate(c, t0, T=None) -> Verdict:
             required_T = math.inf
         if math.isinf(required_T):
             raise DomainError(
-                f"c = {c!r} is too close to 1: the window for three "
-                f"crossings, t0 * e^(6 pi / sqrt(c - 1)), overflows a float")
+                f"c = {c!r} is too close to 1 for t0 = {t0!r}: the window for "
+                f"three crossings, t0 * e^(6 pi / sqrt(c - 1)), overflows a float")
         if T is not None and T < required_T:
             raise WindowTooSmall(
                 "window cannot contain two predicted crossings", required_T)
         horizon = required_T
     # log-time form: w'' + a1 w' + a0 w = 0 with a1 = -1, a0 = c/4
+    span = (math.log(t0), math.log(horizon))
+    _check_window(_named("oscillation", given, given), *span, "log-time ")
     sol = _second_order(lambda s, w, dw: -(-1.0) * dw - c / 4.0 * w,
-                        (math.log(t0), math.log(horizon)), [1.0, 0.5],
-                        crossing=0)
+                        span, [1.0, 0.5], crossing=0)
     crossings = [math.exp(s) for s in sol.t_events[0]]
     if c <= 1:
         alpha = 0.5 * (1.0 - math.sqrt(1.0 - c))
@@ -431,11 +455,13 @@ def average_over_base(u, f, base, t_grid, weight="1") -> AveragedProfile:
 # comparison certificates
 
 
-def _forced_crossing(rhs, t0, y0, T, what, tries=1, grow=None):
+def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None):
     """First downward zero crossing of y'' = rhs(t, y, y') with y(t0) = y0,
     searched on [t0, T], then on [t0, grow(T)], ... over `tries` windows.
-    Finding none is a StiffFailure naming `what`, never a verdict."""
+    Finding none is a StiffFailure naming `what`, never a verdict; a window
+    that floats cannot hold is a DomainError naming `who`."""
     for _ in range(tries):
+        _check_window(who, t0, T)
         sol = _second_order(rhs, (t0, T), y0, crossing=-1, terminal=True)
         if len(sol.t_events[0]):
             return float(sol.t_events[0][0])
@@ -444,12 +470,11 @@ def _forced_crossing(rhs, t0, y0, T, what, tries=1, grow=None):
     raise StiffFailure(f"no crossing found {what}")
 
 
-def _growth_exponent(coeff_fn, t0, T, y0=1.0, dy0=None):
+def _growth_exponent(coeff_fn, t0, T, dy0):
     """Measured power-law growth of the extremal solution of
-    v'' = coeff(t) v over the last decade of [t0, T]."""
-    if dy0 is None:
-        dy0 = y0 / t0
-    sol = _second_order(lambda t, v, dv: coeff_fn(t) * v, (t0, T), [y0, dy0],
+    v'' = coeff(t) v, v(t0) = 1, v'(t0) = dy0, over the last decade of
+    [t0, T]."""
+    sol = _second_order(lambda t, v, dv: coeff_fn(t) * v, (t0, T), [1.0, dy0],
                         t_eval=np.geomspace(T / 10.0, T, 40))
     return fit_loglog_slope(sol.t, sol.y[0]), sol
 
@@ -463,7 +488,8 @@ def _thm48(p):
     the crossing (cosine solution: t0 + pi/(2b) from flat initial data)."""
     b, t0, dF0 = p["b"], p["t0"], p["dF0"]
     cross = _forced_crossing(lambda t, F, dF: -b * b * F, t0, [p["F0"], dF0],
-                             t0 + 4.0 * math.pi / b, "for F'' = -b^2 F")
+                             t0 + 4.0 * math.pi / b, "for F'' = -b^2 F",
+                             _named("thm48", p, ("b", "t0")))
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
             {"crossings": [cross],
              "predicted_crossing": t0 + math.pi / (2.0 * b)
@@ -480,7 +506,8 @@ def _thm413(p):
         # extremal growth of F'' = (c'/t^2) F: the indicial exponent, the
         # larger root of eps(eps - 1) = c', against the measured one
         eps = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * cp))
-        measured, _ = _growth_exponent(lambda t: cp / t ** 2, t0, 1.0e4 * t0)
+        measured, _ = _growth_exponent(lambda t: cp / t ** 2, t0, 1.0e4 * t0,
+                                       1.0 / t0)
         witnesses["indicial_exponent"] = eps
         witnesses["measured_growth_exponent"] = measured
 
@@ -488,8 +515,8 @@ def _thm413(p):
         return max(2.0 * T, t0 + 10.0)
     witnesses["crossings"] = [_forced_crossing(
         lambda t, F, dF: -b * b / n + (cp / t ** 2) * F, t0,
-        [p["F0"], p["dF0"]], grow(t0), "for the thm413 comparison ODE", 12,
-        grow)]
+        [p["F0"], p["dF0"]], grow(t0), "for the thm413 comparison ODE",
+        _named("thm413", p, ("t0",)), 12, grow)]
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
             witnesses)
 
@@ -501,7 +528,14 @@ def _thm418(p):
     where k <= -c^2/2 and report the forced crossing."""
     n, b, C1 = p["n"], p["b"], p["C1"]
     c2 = DimensionConstants(n).c_np1 * b * b
-    A = n * (n - 1) * C1 ** 2 + n * p["C2"]
+    if not 0 < c2 < math.inf:
+        raise DomainError(f"{_named('thm418', p, ('b',))}: c^2 = c_(n+1) b^2 "
+                          f"= {c2!r} is not a positive float")
+    try:
+        A = n * (n - 1) * C1 ** 2 + n * p["C2"]
+    except OverflowError:
+        raise DomainError(f"{_named('thm418', p, ('C1',))}: C1^2 overflows "
+                          "a float") from None
     B = n * p["C"] * C1
     # A/t^2 + B/t <= c^2/2  <=>  (c^2/2) t^2 - B t - A >= 0
     t_bar = (B + math.sqrt(B * B + 2.0 * A * c2)) / c2
@@ -509,7 +543,8 @@ def _thm418(p):
     cp = math.sqrt(c2 / 2.0)
     cross = _forced_crossing(lambda t, F, dF: (A / t ** 2 + B / t - c2) * F,
                              t_start, [1.0, 0.0], t_start + 4.0 * math.pi / cp,
-                             "for the thm418 comparison ODE")
+                             "for the thm418 comparison ODE",
+                             _named("thm418", p, ("C1", "C2", "C", "b", "t0")))
     return ("nonexistence",
             "averaged f^n-weighted conformal factor is forced to vanish",
             {"crossings": [cross],
@@ -535,7 +570,8 @@ def _thm112(p):
     def grow(T):
         return 2.0 * T + 10.0
     cross = _forced_crossing(rhs, t0, [p["U0"], p["dU0"]], grow(t0),
-                             "for the thm112 comparison ODE", 16, grow)
+                             "for the thm112 comparison ODE",
+                             _named("thm112", p, ("t0",)), 16, grow)
     return ("nonexistence", "base-averaged conformal factor is forced to vanish",
             {"crossings": [cross], "transform_alpha": -(n - 1.0) / 2.0})
 
@@ -738,11 +774,8 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     """
     kappa_sq = float(g_curvature_min)
     t0, T = t_range
-    for name, value in {"kappa^2": kappa_sq, "t0": t0, "T": T,
-                        "base_scalar": base_scalar}.items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"barrier certificate parameter {name} must be "
-                              f"finite, got {value!r}")
+    _require_finite("barrier certificate", {"kappa^2": kappa_sq, "t0": t0,
+                                            "T": T, "base_scalar": base_scalar})
     if n < 3:
         raise DomainError("barrier certificate requires n >= 3")
     if kappa_sq <= 0:
@@ -771,7 +804,7 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     C0 = (n + 1.0) * (n - 1.0) / 4.0
     eps_ind = (n + 1.0) / 2.0    # the indicial root: eps(eps - 1) = C0
     measured, sol = _growth_exponent(lambda t: C0 / t ** 2, t0, 100.0 * t0,
-                                     y0=1.0, dy0=eps_ind / t0)
+                                     eps_ind / t0)
     cap_c = float(np.max(sol.y[0] / sol.t ** eps_ind)) * 1.05
 
     # improved bound: kappa^2/u^(4/(n+1)) >= c'/t^2 with the measured cap
@@ -797,7 +830,9 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
         return 2.0 * T + 10.0
     cross = _forced_crossing(lambda t, u, du: k(t) * u, t_neg,
                              [C_lin * t_neg, C_lin], grow(t_neg),
-                             "in the barrier chain", 16, grow)
+                             "in the barrier chain",
+                             _named("barrier33", params, ("kappa_sq", "t0")),
+                             16, grow)
     return Verdict("nonexistence",
                    reason="substituted warp forced through zero under the barrier",
                    params=params,

@@ -138,7 +138,7 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
     factors = [(f, "warp", lambda v: v)]
     if conformal is not None:
         factors.append((conformal, "conformal factor", lambda v: v ** conf_exp))
-    factors = [(field, what, fn, [0] + [int(v[1:]) for v in field.x_vars])
+    factors = [(field, what, fn, [0] + [i + 1 for _, i in field.coords])
                for field, what, fn in factors]
 
     def component_fn(points):

@@ -125,35 +125,16 @@ class PolarWarpField(Field):
         self.grid = grid
 
 
-def mu_field(f: PolarWarpField, t):
-    """mu = f^((n-2)/2) on the t-slice (n >= 3)."""
-    n = f.grid.n
-    if n < 3:
-        raise DomainError("the conformal-on-base exponent needs n >= 3")
-    return f.sample(t) ** ((n - 2) / 2.0)
+def conformal_base_curvature(mu, grid: BaseGrid):
+    """Scalar curvature of the flat torus metric conformally scaled by f^2,
+    from mu = f^((n-2)/2) on the grid (R(g) = 0):
 
-
-def conformal_base_curvature(mu, base):
-    """Scalar curvature of the base metric conformally scaled by f^2, from
-    mu = f^((n-2)/2):
-
-        R = c_n^{-1} mu^{-(n+2)/(n-2)} [c_n R(g) mu - Lap_g mu]
-
-    `base` is a BaseGrid (grid path: the flat torus, R(g) = 0) or a
-    BaseGeometry with constant data (analytic path; mu must then be a scalar).
+        R = -c_n^{-1} mu^{-(n+2)/(n-2)} Lap mu
     """
-    if isinstance(base, BaseGrid):
-        mu = np.asarray(mu, dtype=float)
-        if np.any(mu <= 0):
-            raise DomainError("mu must be positive")
-        return _flat_conformal(base.n, mu, base.laplacian(mu))
-    # analytic constant path: f = lambda, R = R(g)/lambda^2
-    base.require_dimension(3)
-    mu = float(mu)
-    if mu <= 0:
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0):
         raise DomainError("mu must be positive")
-    lam = mu ** (2.0 / (base.n - 2.0))
-    return base.scalar_curvature / lam ** 2
+    return _flat_conformal(grid.n, mu, grid.laplacian(mu))
 
 
 def _flat_conformal(n, mu, lap):

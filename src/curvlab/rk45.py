@@ -7,7 +7,7 @@ This is a port of the RK45 path of scipy 1.17.1's
 `scipy.integrate.solve_ivp` (`_ivp/ivp.py`, `rk.py`, `common.py`,
 `base.py`, and the Brent root finder of `optimize/Zeros/brentq.c`), cut
 down to what curvlab integrates: forward in time, at most one event
-function, optional `t_eval` and `max_step`, scalar `rtol` and `atol`.  It
+function, optional `t_eval`, scalar `rtol` and `atol`, and no step cap.  It
 keeps scipy's operation order throughout, so for the same inputs it returns
 bit-identical `t`, `y`, `t_events` and `nfev` (where scipy loops forever on
 a non-finite fun(t0, y0), it raises StiffFailure); importing it costs numpy
@@ -32,6 +32,8 @@ SAFETY = 0.9        # multiplies steps predicted from the error estimate
 MIN_FACTOR = 0.2    # smallest step decrease
 MAX_FACTOR = 10     # largest step increase
 ERROR_EXPONENT = -1 / 5   # -1 / (error estimator order + 1)
+BRENT_XTOL = BRENT_RTOL = 4 * EPS   # event roots: solve_ivp's brentq call
+BRENT_MAXITER = 100
 
 # Dormand-Prince tableau: stage times C, stage coefficients A, 5th-order
 # weights B, error weights E (5th minus 4th order, with the FSAL stage) and
@@ -85,7 +87,7 @@ def _norm(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4);
     costs one right-hand-side evaluation."""
     interval_length = abs(t_bound - t0)
@@ -104,7 +106,7 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval_length, max_step)
+    return min(100 * h0, h1, interval_length)
 
 
 def _rk_step(fun, t, y, f, h, K):
@@ -119,13 +121,11 @@ def _rk_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-def _step(fun, t, y, f, h_abs, t_bound, max_step, rtol, atol, K):
+def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
     """Advance by one accepted step, shrinking the step on rejection.
     Returns (t_new, y_new, f_new, next h_abs)."""
     min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-    if h_abs > max_step:
-        h_abs = max_step
-    elif h_abs < min_step:
+    if h_abs < min_step:
         h_abs = min_step
     rejected = False
     while True:
@@ -184,7 +184,7 @@ def _div(a, b):
         return float(np.float64(a) / b)
 
 
-def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
+def _brentq(f, xa, xb):
     """Brent's root finder, a line-for-line port of scipy's brentq.c."""
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
@@ -197,14 +197,14 @@ def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
     if _signbit(fpre) == _signbit(fcur):
         raise StiffFailure(
             f"event root is not bracketed on [{xpre!r}, {xcur!r}]")
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -233,7 +233,7 @@ def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-    raise StiffFailure(f"event root not converged in {maxiter} iterations")
+    raise StiffFailure(f"event root not converged in {BRENT_MAXITER} iterations")
 
 
 def _event_occurred(g, g_new, direction):
@@ -244,7 +244,7 @@ def _event_occurred(g, g_new, direction):
 
 
 def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
-              atol=1e-6, max_step=np.inf) -> OdeResult:
+              atol=1e-6) -> OdeResult:
     """Integrate y' = fun(t, y), y(t_span[0]) = y0, forward to t_span[1].
 
     t_eval: increasing output times inside t_span (default: every step).
@@ -258,8 +258,6 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
     t0, t_bound = map(float, t_span)
     if not t0 < t_bound:
         raise DomainError("need t_span[0] < t_span[1]")
-    if max_step <= 0:
-        raise DomainError("max_step must be positive")
     if atol < 0:
         raise DomainError("atol must be nonnegative")
     rtol = max(rtol, 100 * EPS)
@@ -286,7 +284,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
         # a nan first step never falls below the minimum step, so the step
         # loop would never end (scipy's solve_ivp hangs the same way)
         raise StiffFailure(f"right-hand side is not finite at t0 = {t0!r}")
-    h_abs = _initial_step(rhs, t0, y, t_bound, max_step, f, rtol, atol)
+    h_abs = _initial_step(rhs, t0, y, t_bound, f, rtol, atol)
     K = np.empty((len(C) + 1, y.size))
     ts, ys = ([t0], [y]) if t_eval is None else ([], [])
     t_events = None
@@ -300,8 +298,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
     status = None
     while status is None:
         t_old, y_old = t, y
-        t, y, f, h_abs = _step(rhs, t, y, f, h_abs, t_bound, max_step,
-                               rtol, atol, K)
+        t, y, f, h_abs = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K)
         if t >= t_bound:
             status = 0
         sol = None

@@ -36,21 +36,17 @@ class Field:
             raise DomainError("domain_min must be positive")
         self.source = source
         self.domain_min = domain_min
-        self.allowed_vars = tuple(allowed_vars)
         self.ast = expr.parse(source)
         unknown = self.ast.free_vars() - set(allowed_vars)
         if unknown:
             raise ExpressionError(
                 f"unknown identifier(s) {sorted(unknown)} (allowed: {list(allowed_vars)})")
-        # declared coordinates x<k> and their index k - 1 in a point's x part
-        self._coords = tuple((v, int(v[1:]) - 1) for v in allowed_vars
-                             if v[:1] == "x" and v[1:].isdigit())
+        # each coordinate x<k> the tree reads, with its index k - 1 in a
+        # point's x part (the parser admits no other name but t)
+        self.coords = sorted((v, int(v[1:]) - 1)
+                             for v in self.ast.free_vars() - {"t"})
         self._d1 = self.ast.diff("t")
         self._d2 = self._d1.diff("t")
-
-    @property
-    def x_vars(self):
-        return sorted(v for v in self.ast.free_vars() if v != "t")
 
     def _checked(self, t, evaluate):
         """The positivity contract: t > domain_min, then a positive value."""
@@ -67,28 +63,20 @@ class Field:
                               f"t = {float(t_all[bad][0])!r}")
         return val
 
-    def _env(self, t, xs):
-        """{t, **xs}, where every keyword must be a declared variable."""
-        for v in xs:
-            if v not in self.allowed_vars:
-                raise ExpressionError(
-                    f"undeclared variable '{v}' (declared: {list(self.allowed_vars)})")
-        return {"t": t, **xs}
+    def eval(self, t):
+        return self._checked(t, lambda: self.ast.eval({"t": t}))
 
-    def eval(self, t, **xs):
-        return self._checked(t, lambda: self.ast.eval(self._env(t, xs)))
+    def d1(self, t):
+        return self._d1.eval({"t": t})
 
-    def d1(self, t, **xs):
-        return self._d1.eval(self._env(t, xs))
-
-    def d2(self, t, **xs):
-        return self._d2.eval(self._env(t, xs))
+    def d2(self, t):
+        return self._d2.eval({"t": t})
 
     def eval_point(self, t, x):
-        """Unchecked value at the point (t, x1..xn); only the declared
-        coordinates enter the environment."""
+        """Unchecked value at the point (t, x1..xn); only the coordinates the
+        tree reads enter the environment."""
         env = {"t": t}
-        for v, i in self._coords:
+        for v, i in self.coords:
             env[v] = x[i]
         return self.ast.eval(env)
 
@@ -131,7 +119,7 @@ def parse_field(source, allowed_vars=("t",)):
 
 
 class SubstitutedProfile:
-    """u(t) = f(t)^((n+1)/2) with chain-rule derivatives and inverse map."""
+    """u(t) = f(t)^((n+1)/2) with chain-rule derivatives."""
 
     def __init__(self, f: WarpProfile, n: int):
         if n < 2:
@@ -156,13 +144,6 @@ class SubstitutedProfile:
         fpp = self.f.d2(t)
         return (self.m * (self.m - 1.0) * self._powf(t, self.m - 2.0) * fp ** 2
                 + self.m * self._powf(t, self.m - 1.0) * fpp)
-
-    def inverse(self, u_value):
-        """Recover f from a value of u."""
-        u_value = np.asarray(u_value, dtype=float)
-        if np.any(u_value <= 0):
-            raise DomainError("u must be positive to invert the substitution")
-        return np.exp(np.log(u_value) / self.m)
 
 
 def substitute_u(f: WarpProfile, n: int) -> SubstitutedProfile:
@@ -213,7 +194,7 @@ def warped_laplacian(f: WarpProfile, u: Field, base: BaseGeometry, t):
     """Laplacian of a t-only u in the warped metric:
     u_tt + (n f'/f) u_t (Delta_g u = 0).
     """
-    if u.x_vars:
+    if u.coords:
         raise DomainError(
             "x-dependent field over an analytic base: use the polar Laplacian")
     return u.d2(t) + base.n * f.d1(t) / f.eval(t) * u.d1(t)

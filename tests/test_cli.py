@@ -370,6 +370,39 @@ class TestCertifyInputErrors:
         assert not out.exists()
 
 
+class TestCertificateWindows:
+    """Parameters whose search window overflows or rounds to nothing used to
+    end in a bare OverflowError or ZeroDivisionError traceback, or in rk45's
+    late "need t_span[0] < t_span[1]"."""
+
+    @pytest.mark.parametrize("args, named", [
+        (["thm418", "--C1", "1e300", "--C2", "1", "--C", "1", "--b", "1"],
+         "C1 = 1e+300"),
+        (["thm418", "--C1", "1", "--C2", "1", "--C", "1", "--b", "1e-300"],
+         "b = 1e-300"),
+        (["thm418", "--C1", "1", "--C2", "1e300", "--C", "1", "--b", "1"],
+         "C2 = 1e+300"),
+        (["thm48", "--b", "1e300"], "b = 1e+300"),
+        (["thm48", "--b", "1", "--t0", "1e300"], "t0 = 1e+300"),
+        (["oscillation", "--c", "1e300"], "c = 1e+300"),
+        (["oscillation", "--c", "0.5", "--t0", "2e4"], "t0 = 20000.0"),
+    ], ids=["thm418-C1", "thm418-b", "thm418-C2", "thm48-b", "thm48-t0",
+            "oscillation-c", "oscillation-t0"])
+    def test_named_before_integrating(self, args, named, tmp_path, capsys,
+                                      monkeypatch):
+        def integrate(*a, **kw):
+            raise AssertionError("integrated on a window floats cannot hold")
+
+        monkeypatch.setattr(ode, "solve_ivp", integrate)
+        out = tmp_path / "c.jsonl"
+        assert main(["certify", "--kind"] + args + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {args[0]} with ")
+        assert named in captured.err and captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 def _takes_a_float(action):
     try:
         return isinstance(action.type("0.5"), float)

@@ -410,6 +410,30 @@ class TestCertificates:
         assert v.witnesses["crossings"][0] == pytest.approx(3.0 + math.pi / 2)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((float("nan"), 3.0), "oscillation parameter c must be finite, got nan"),
+    ((float("inf"), 3.0), "oscillation parameter c must be finite, got inf"),
+    ((1.2, float("nan")), "oscillation parameter t0 must be finite, got nan"),
+    ((1.2, 3.0, float("inf")), "oscillation parameter T must be finite, got inf"),
+], ids=["c-nan", "c-inf", "t0-nan", "T-inf"])
+def test_oscillation_non_finite_parameters_are_named(args, message):
+    # each used to end in rk45's late "need t_span[0] < t_span[1]"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        oscillation_certificate(*args)
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    ("thm48", {"b": 1e-310}, "thm48 with b = 1e-310, t0 = 3.0"),
+    ("thm418", {"C1": 1.0, "C2": 1.0, "C": 1e160, "b": 1.0},
+     "thm418 with C1 = 1.0, C2 = 1.0, C = 1e+160, b = 1.0, t0 = 3.0"),
+], ids=["thm48", "thm418"])
+def test_infinite_search_window_is_named(kind, params, named, monkeypatch):
+    monkeypatch.setattr(ode, "solve_ivp", None)     # nothing is integrated
+    with pytest.raises(DomainError, match=re.escape(named + ": the search "
+                                                    "window [")):
+        comparison_certificate(kind, params)
+
+
 # windows [t0, T] each crossing search integrates before it gives up
 HORIZONS = {
     "thm48": (lambda: comparison_certificate("thm48", {"b": 0.5}),

@@ -10,7 +10,7 @@ from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry, DimensionConstants
 from curvlab.polar import (BaseGrid, PolarWarpField,
                            conformal_base_curvature,
-                           conformal_scalar_curvature, mu_field,
+                           conformal_scalar_curvature,
                            polar_laplacian, polar_scalar_curvature,
                            polar_scalar_curvature_at)
 from curvlab.warp import parse_profile, warped_scalar_curvature
@@ -83,13 +83,6 @@ class TestConformalBaseCurvature:
         R = conformal_base_curvature(mu, grid)
         assert np.max(np.abs(R)) < 1e-12
 
-    def test_constant_factor_analytic(self):
-        base = BaseGeometry.constant(4, -12.0)
-        lam = 2.0
-        mu = lam**((4 - 2)/2.0)
-        assert conformal_base_curvature(mu, base) == pytest.approx(
-            -12.0/lam**2, rel=1e-14)
-
     def test_x_dependent_factor_spot_check(self):
         # independent closed form: for f^2 g = e^(2 ln f) g on a flat base,
         # R = f^-2 [-2(n-1) Lap ln f - (n-1)(n-2) |grad ln f|^2]
@@ -98,12 +91,32 @@ class TestConformalBaseCurvature:
         f = PolarWarpField("2 + cos(x1)", g, domain_min=0.1)
         t = 1.0
         fv = f.sample(t)
-        mu = mu_field(f, t)
+        mu = fv ** ((n - 2) / 2.0)
         R = conformal_base_curvature(mu, g)
         lnf = np.log(fv)
         expect = (-2*(n - 1)*g.laplacian(lnf)
                   - (n - 1)*(n - 2)*g.grad_inner(lnf, lnf)) / fv**2
         assert np.max(np.abs(R - expect)) < 1e-7
+
+
+@pytest.mark.parametrize("n, source, reads", [
+    (2, "t^2 + 1", {}),
+    (2, "t*(2 + sin(x2))", {"x2": 1}),
+    (3, "t*(2 + cos(x1)*sin(x3))", {"x1": 0, "x3": 2}),
+    (4, "t^1.5*(3 + sin(x2) + cos(x4)^2*x3)", {"x2": 1, "x3": 2, "x4": 3}),
+    (4, "exp(t/9)*(3 + sin(x4))", {"x4": 3}),
+])
+def test_eval_point_matches_sample_at_grid_nodes(n, source, reads):
+    # eval_point binds only the coordinates the tree reads; sample binds
+    # every axis of the grid, so the two agree at every node
+    grid = BaseGrid(n, 8)
+    f = PolarWarpField(source, grid)
+    assert dict(f.coords) == reads
+    for t in (2.5, 7.0):
+        slab = f.sample(t)
+        for node in np.ndindex(slab.shape):
+            x = grid.axis_points[list(node)]
+            assert f.eval_point(t, x) == pytest.approx(slab[node], rel=1e-15)
 
 
 class TestPolarScalarCurvature:

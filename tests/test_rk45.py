@@ -80,8 +80,6 @@ def systems(draw):
 def options(draw, t0, t1):
     kw = {"rtol": draw(st.sampled_from([1e-3, 1e-6, 1e-10, 1e-15])),
           "atol": draw(st.sampled_from([1e-6, 1e-12]))}
-    if draw(st.booleans()):
-        kw["max_step"] = draw(st.floats(0.01, 1.0))
     choice = draw(st.sampled_from(["none", "linspace", "points"]))
     if choice == "linspace":
         kw["t_eval"] = np.linspace(t0, t1, draw(st.integers(1, 30)))
@@ -120,7 +118,7 @@ def test_events_on_an_oscillator(terminal, direction):
     crossing.direction = direction
     assert_same(lambda t, y: [y[1], -y[0]], (0.0, 20.0), [1.0, 0.0],
                 rtol=1e-10, atol=1e-12, events=crossing,
-                t_eval=np.linspace(0.0, 20.0, 41), max_step=0.5)
+                t_eval=np.linspace(0.0, 20.0, 41))
 
 
 def test_blow_up_raises_stiff_failure():
@@ -178,9 +176,8 @@ def test_non_finite_first_derivative_raises_instead_of_hanging():
 
 def test_bad_arguments():
     fun = lambda t, y: -y   # noqa: E731
-    for kw in ({"t_span": (1.0, 0.0)}, {"max_step": 0.0},
-               {"t_eval": [0.5, 0.2]}, {"t_eval": [0.5, 2.0]},
-               {"y0": [np.nan]}):
+    for kw in ({"t_span": (1.0, 0.0)}, {"t_eval": [0.5, 0.2]},
+               {"t_eval": [0.5, 2.0]}, {"y0": [np.nan]}):
         args = {"t_span": (0.0, 1.0), "y0": [1.0], **kw}
         with pytest.raises(DomainError):
             solve_ivp(fun, args.pop("t_span"), args.pop("y0"), **args)
@@ -217,7 +214,7 @@ def test_shooting_matches_scipy(monkeypatch):
     spec = ode.OdeSpec(n=3, R=lambda t: -7.0 / t ** 2, R_g=-6.0, t0=3.0,
                        T=60.0)
     runs = [lambda: ode.shoot(spec, 1.0, -0.4, stop_at_crossing=True),
-            lambda: ode.shoot(spec, 2.0, 0.1, max_step=0.5)]
+            lambda: ode.shoot(spec, 2.0, 0.1)]
     ours = [run() for run in runs]
     monkeypatch.setattr(ode, "solve_ivp", scipy_solve_ivp)
     for run, tr in zip(runs, ours):
