@@ -17,9 +17,8 @@ from .ode import (AveragedProfile, MonotoneSolution, OdeSpec, SubSuperPair,
                   Trajectory, Verdict, average_over_base,
                   barrier_certificate_33, comparison_certificate,
                   monotone_solve, oscillation_certificate, shoot)
-from .oracle import (BaseChart, ChristoffelTable, CurvatureTensorSample,
-                     MetricGrid, assemble_metric, chart_for, fd_christoffel,
-                     fd_scalar_curvature)
+from .oracle import (BaseChart, CurvatureTensorSample, MetricGrid,
+                     assemble_metric, chart_for, fd_scalar_curvature)
 from .completeness import RayLengthReport, ray_length, yamabe_test_integral
 from .serialize import read_csv
 
@@ -38,8 +37,7 @@ __all__ = [
     "AveragedProfile", "MonotoneSolution", "OdeSpec", "SubSuperPair",
     "Trajectory", "Verdict", "average_over_base",
     "barrier_certificate_33", "comparison_certificate", "monotone_solve",
-    "oscillation_certificate", "shoot", "BaseChart", "ChristoffelTable",
-    "CurvatureTensorSample", "MetricGrid", "assemble_metric", "chart_for",
-    "fd_christoffel", "fd_scalar_curvature", "RayLengthReport", "ray_length",
-    "yamabe_test_integral", "read_csv",
+    "oscillation_certificate", "shoot", "BaseChart", "CurvatureTensorSample",
+    "MetricGrid", "assemble_metric", "chart_for", "fd_scalar_curvature",
+    "RayLengthReport", "ray_length", "yamabe_test_integral", "read_csv",
 ]

@@ -18,8 +18,7 @@ from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
                   comparison_certificate, comparison_parameters,
                   monotone_solve, oscillation_certificate)
 from .oracle import assemble_metric, fd_scalar_curvature
-from .polar import (BaseGrid, PolarWarpField, polar_scalar_curvature,
-                    polar_scalar_curvature_at)
+from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from .serialize import atomic_write_text, csv_text, jsonl_text
 from .warp import parse_field, parse_profile, warped_scalar_curvature
 
@@ -157,13 +156,15 @@ def _R_function(args):
     return lambda t: -C / np.asarray(t, dtype=float) ** alpha
 
 
-# certify's kind-specific flags; --n and --t0 have defaults and every kind
-# takes them.  The comparison kinds declare what they read in ode; these two
-# have positional signatures: (required, optional) flags.
-_CERTIFY_FLAGS = ("T", "c", "b", "C1", "C2", "C", "eps", "kappa_sq", "delta",
-                  "profile", "base_R")
+# certify's kind-specific flags; --t0 has a default and every kind takes it,
+# and --n defaults to 3 for every kind that reads it (all but oscillation).
+# The comparison kinds declare what they read in ode; these two have
+# positional signatures: (required, optional) flags.
+_CERTIFY_FLAGS = ("n", "T", "c", "b", "C1", "C2", "C", "eps", "kappa_sq",
+                  "delta", "profile", "base_R")
 _POSITIONAL_READS = {"oscillation": (("c",), ("T",)),
-                     "barrier33": (("kappa_sq",), ("T", "profile", "base_R"))}
+                     "barrier33": (("kappa_sq",), ("n", "T", "profile",
+                                                   "base_R"))}
 
 
 def _flag(name):
@@ -186,17 +187,18 @@ def cmd_certify(args):
         if name not in required + optional:
             raise DomainError(f"{kind} does not read {_flag(name)}")
 
+    n = given.get("n", 3)
     if kind == "oscillation":
         verdict = oscillation_certificate(args.c, args.t0, args.T)
     elif kind == "barrier33":
         profile = (parse_profile(args.profile, domain_min=args.domain_min)
                    if args.profile else None)
         verdict = barrier_certificate_33(
-            args.kappa_sq, args.n,
+            args.kappa_sq, n,
             (args.t0, 1.0e4 if args.T is None else args.T),
             profile=profile, base_scalar=args.base_R)
     else:
-        params = {"n": args.n, "t0": args.t0, **given}
+        params = {"n": n, "t0": args.t0, **given}
         if "profile" in params:
             params["f"] = parse_profile(params.pop("profile"),
                                         domain_min=args.domain_min)
@@ -221,7 +223,7 @@ def cmd_oracle(args):
     rows = []
     for t in t_vals:
         point = np.concatenate([[t], x0])
-        closed = float(polar_scalar_curvature_at(f, float(t), node)
+        closed = float(polar_scalar_curvature(f, float(t), node)
                        if args.base == "torus"
                        else warped_scalar_curvature(f, base, float(t)))
         fd = fd_scalar_curvature(metric, point).scalar
@@ -304,11 +306,10 @@ def build_parser():
     p.add_argument("--kind", required=True,
                    choices=["oscillation", "thm48", "thm413", "thm418",
                             "thm112", "thm38", "barrier33"])
-    p.add_argument("--n", type=int, default=3)
     p.add_argument("--t0", type=finite_float, default=3.0)
     for name in _CERTIFY_FLAGS:
         p.add_argument(_flag(name), dest=name, default=None,
-                       type=str if name == "profile" else finite_float)
+                       type={"n": int, "profile": str}.get(name, finite_float))
     p.add_argument("--format", default="jsonl", choices=["jsonl", "text"])
 
     p = sub.add_parser("oracle", help="closed form vs finite differences")
@@ -356,9 +357,12 @@ def main(argv=None):
     if at:
         i = at[0]
         _, joined, path = argv[i].partition("=")
+        if not joined and i + 1 == len(argv):
+            print("config error: --config needs a path", file=sys.stderr)
+            return 2
         try:
             cfg = load_config(path if joined else argv[i + 1])
-        except (OSError, IndexError, CurvlabError) as e:
+        except (OSError, CurvlabError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
         del argv[i:i + (1 if joined else 2)]

@@ -26,13 +26,22 @@ class RayLengthReport:
     verdict: str             # finite | divergent | undetermined
 
     def to_json(self):
-        return json.dumps({
+        """Strict JSON.  Only a finite verdict has a tail estimate and a
+        total; the others write both as null.  Any other non-finite field,
+        such as an integral that overflowed, is a DomainError naming it."""
+        fields = {
             "x0": list(np.atleast_1d(np.asarray(self.x0, dtype=float)))
             if self.x0 is not None else None,
             "n": self.n, "t0": self.t0, "T": self.T,
             "integral": self.integral, "tail_exponent": self.tail_exponent,
-            "tail_estimate": self.tail_estimate, "total": self.total,
-            "verdict": self.verdict}, sort_keys=True)
+            "tail_estimate": self.tail_estimate, "total": self.total}
+        if self.verdict != "finite":
+            fields["tail_estimate"] = fields["total"] = None
+        for name, value in fields.items():
+            if value is not None and not np.isfinite(value).all():
+                raise DomainError(f"ray length {name} is not finite")
+        return json.dumps({**fields, "verdict": self.verdict}, sort_keys=True,
+                          allow_nan=False)
 
 
 TAIL_MARGIN = 0.05
@@ -64,7 +73,8 @@ def ray_length(u, x0, n, t0, T) -> RayLengthReport:
     if not (0 < t0 < T):
         raise DomainError("need 0 < t0 < T")
     t = np.geomspace(t0, T, RAY_SAMPLES)
-    uval = np.asarray(u(t), dtype=float)
+    # a u that does not read t, such as a constant, gives one value
+    uval = np.broadcast_to(np.asarray(u(t), dtype=float), t.shape)
     finite = np.isfinite(uval)
     if not finite.all():
         raise DomainError(

@@ -160,12 +160,16 @@ def _named(kind, p, names):
     return f"{kind} with " + ", ".join(f"{k} = {p[k]!r}" for k in names)
 
 
-def _check_window(who, start, end, what=""):
+def _check_window(who, start, end, what="", squares_t=False):
     """A search window that overflow or rounding left empty or infinite is a
-    DomainError naming `who`, before anything is integrated on it."""
+    DomainError naming `who`, before anything is integrated on it; so is one
+    on which t^2 overflows, for a right-hand side that squares t."""
     if not start < end < math.inf:
         raise DomainError(f"{who}: the {what}search window [{start!r}, "
                           f"{end!r}] is empty or infinite in floating point")
+    if squares_t and not end * end < math.inf:
+        raise DomainError(f"{who}: t^2 overflows a float on the {what}search "
+                          f"window [{start!r}, {end!r}]")
 
 
 def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False):
@@ -455,13 +459,15 @@ def average_over_base(u, f, base, t_grid, weight="1") -> AveragedProfile:
 # comparison certificates
 
 
-def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None):
+def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None,
+                     squares_t=True):
     """First downward zero crossing of y'' = rhs(t, y, y') with y(t0) = y0,
     searched on [t0, T], then on [t0, grow(T)], ... over `tries` windows.
     Finding none is a StiffFailure naming `what`, never a verdict; a window
-    that floats cannot hold is a DomainError naming `who`."""
+    that floats cannot hold, or on which t^2 overflows for an rhs that
+    squares t, is a DomainError naming `who`."""
     for _ in range(tries):
-        _check_window(who, t0, T)
+        _check_window(who, t0, T, squares_t=squares_t)
         sol = _second_order(rhs, (t0, T), y0, crossing=-1, terminal=True)
         if len(sol.t_events[0]):
             return float(sol.t_events[0][0])
@@ -470,10 +476,11 @@ def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None):
     raise StiffFailure(f"no crossing found {what}")
 
 
-def _growth_exponent(coeff_fn, t0, T, dy0):
+def _growth_exponent(coeff_fn, t0, T, dy0, who):
     """Measured power-law growth of the extremal solution of
     v'' = coeff(t) v, v(t0) = 1, v'(t0) = dy0, over the last decade of
-    [t0, T]."""
+    [t0, T]; coeff(t) squares t."""
+    _check_window(who, t0, T, "growth ", squares_t=True)
     sol = _second_order(lambda t, v, dv: coeff_fn(t) * v, (t0, T), [1.0, dy0],
                         t_eval=np.geomspace(T / 10.0, T, 40))
     return fit_loglog_slope(sol.t, sol.y[0]), sol
@@ -489,7 +496,7 @@ def _thm48(p):
     b, t0, dF0 = p["b"], p["t0"], p["dF0"]
     cross = _forced_crossing(lambda t, F, dF: -b * b * F, t0, [p["F0"], dF0],
                              t0 + 4.0 * math.pi / b, "for F'' = -b^2 F",
-                             _named("thm48", p, ("b", "t0")))
+                             _named("thm48", p, ("b", "t0")), squares_t=False)
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
             {"crossings": [cross],
              "predicted_crossing": t0 + math.pi / (2.0 * b)
@@ -507,7 +514,7 @@ def _thm413(p):
         # larger root of eps(eps - 1) = c', against the measured one
         eps = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * cp))
         measured, _ = _growth_exponent(lambda t: cp / t ** 2, t0, 1.0e4 * t0,
-                                       1.0 / t0)
+                                       1.0 / t0, _named("thm413", p, ("t0",)))
         witnesses["indicial_exponent"] = eps
         witnesses["measured_growth_exponent"] = measured
 
@@ -788,6 +795,8 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
 
     if profile is not None:
         # hypothesis check: R(t) >= -n(n-1)/t^2 on the window
+        _check_window(_named("barrier33", params, ("t0", "T")), t0, T,
+                      "hypothesis ", squares_t=True)
         base = BaseGeometry.constant(n, base_scalar if base_scalar is not None
                                      else -kappa_sq)
         grid = np.geomspace(t0, T, 256)
@@ -804,7 +813,8 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     C0 = (n + 1.0) * (n - 1.0) / 4.0
     eps_ind = (n + 1.0) / 2.0    # the indicial root: eps(eps - 1) = C0
     measured, sol = _growth_exponent(lambda t: C0 / t ** 2, t0, 100.0 * t0,
-                                     eps_ind / t0)
+                                     eps_ind / t0,
+                                     _named("barrier33", params, ("t0",)))
     cap_c = float(np.max(sol.y[0] / sol.t ** eps_ind)) * 1.05
 
     # improved bound: kappa^2/u^(4/(n+1)) >= c'/t^2 with the measured cap

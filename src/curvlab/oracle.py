@@ -106,21 +106,6 @@ class MetricGrid:
         g = 0.5 * (g + g.swapaxes(1, 2))  # enforce exact symmetry
         return g.reshape(points.shape + (self.dim,))
 
-    def check_point(self, point, h=None):
-        """A finite, positive definite metric at point, whose stencil of step
-        h (default the metric's) stays above domain_min."""
-        h = self.h if h is None else h
-        point = np.asarray(point, dtype=float)
-        if point[0] - 2.0 * h <= self.domain_min:
-            raise DomainError(
-                f"t - 2h must exceed domain_min = {self.domain_min}")
-        g = self.components(point)
-        t = float(point[0])
-        if not np.isfinite(g).all():
-            raise DomainError(f"metric is not finite at t = {t!r}")
-        if np.any(np.linalg.eigvalsh(g) <= 0):
-            raise DomainError(f"metric not positive definite at t = {t!r}")
-
 
 def assemble_metric(f, base, conformal=None, h=1.0e-3):
     """Realize the warped/polar metric (and its conformal deformation) as a
@@ -174,22 +159,21 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
 
 
 @lru_cache(maxsize=None)
-def _stencil(dim, second):
+def _stencil(dim):
     """The distinct points of the centred difference stencils in dim
     coordinates, in the order the differences first read them: the centre,
-    +-h on each axis, then, for second derivatives, for each axis a: +-2h
-    on a, and +-h+-h on a and each later axis.
+    +-h on each axis, then for each axis a: +-2h on a, and +-h+-h on a and
+    each later axis.
 
     A point is a move ((axis, steps), ...), the centre shifted by steps * h
     along each axis.  Returns the number of points, the (rows, axes, steps)
     of every shift, and the rows of each pattern of steps, by axis or by
     axis pair in increasing order."""
     moves = [()] + [((a, s),) for a in range(dim) for s in (1.0, -1.0)]
-    if second:
-        for a in range(dim):
-            moves += [((a, 2.0),), ((a, -2.0),)]
-            moves += [((a, sa), (b, sb)) for b in range(a + 1, dim)
-                      for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
+    for a in range(dim):
+        moves += [((a, 2.0),), ((a, -2.0),)]
+        moves += [((a, sa), (b, sb)) for b in range(a + 1, dim)
+                  for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
     rows, axes, steps = map(np.array, zip(*[
         (r, a, s) for r, move in enumerate(moves) for a, s in move]))
     reads = {}
@@ -198,36 +182,46 @@ def _stencil(dim, second):
     return len(moves), rows, axes, steps, {k: np.array(v) for k, v in reads.items()}
 
 
-def _derivatives(metric, point, h, second):
-    """Components g at point, dg[c, a, b] = d_c g_ab and (with second)
-    d2[i, j, a, b] = d_i d_j g_ab, from one evaluation of the stencil:
-    centred first differences, 5-point O(h^4) diagonal second differences
-    and 4-point mixed ones."""
+def _derivatives(metric, point, h):
+    """Components g at point, dg[c, a, b] = d_c g_ab and d2[i, j, a, b] =
+    d_i d_j g_ab: centred first differences, 5-point O(h^4) diagonal second
+    differences and 4-point mixed ones.
+
+    The point is checked first: its stencil must stay above domain_min, and
+    the metric at the centre, evaluated on its own so that a pole there is
+    named at its t, must be finite and positive definite.  The rest of the
+    stencil is then evaluated in one call."""
     if not h > 0:
         raise DomainError(f"need h > 0, got h = {h!r}")
-    metric.check_point(point, h)
-    k, rows, axes, steps, reads = _stencil(metric.dim, second)
+    t = float(point[0])
+    if t - 2.0 * h <= metric.domain_min:
+        raise DomainError(
+            f"t - 2h must exceed domain_min = {metric.domain_min}")
+    g = metric.components(point)
+    if not np.isfinite(g).all():
+        raise DomainError(f"metric is not finite at t = {t!r}")
+    if np.any(np.linalg.eigvalsh(g) <= 0):
+        raise DomainError(f"metric not positive definite at t = {t!r}")
+    k, rows, axes, steps, reads = _stencil(metric.dim)
     stack = np.repeat(point[None], k, axis=0)
     stack[rows, axes] += steps * h  # as point[axis] += delta, one at a time
-    G = metric.components(stack)
+    G = np.concatenate([g[None], metric.components(stack[1:])])
 
     def at(*steps):
         return G[reads[steps]]
 
-    dg = (at(1.0) - at(-1.0)) / (2.0 * h)
-    if not second:
-        return G[0], dg, None
     dim = metric.dim
+    dg = (at(1.0) - at(-1.0)) / (2.0 * h)
     d2 = np.empty((dim, dim, dim, dim))
     diag = np.arange(dim)
-    d2[diag, diag] = (-at(2.0) + 16.0 * at(1.0) - 30.0 * G[0]
+    d2[diag, diag] = (-at(2.0) + 16.0 * at(1.0) - 30.0 * g
                       + 16.0 * at(-1.0) - at(-2.0)) / (12.0 * h * h)
     i, j = np.triu_indices(dim, 1)
     mixed = (at(1.0, 1.0) - at(1.0, -1.0) - at(-1.0, 1.0)
              + at(-1.0, -1.0)) / (4.0 * h * h)
     d2[i, j] = mixed
     d2[j, i] = mixed
-    return G[0], dg, d2
+    return g, dg, d2
 
 
 def _inverse(g, point):
@@ -255,33 +249,19 @@ def _riemann(g, gamma, d2):
 
 
 @dataclass
-class ChristoffelTable:
-    point: np.ndarray
-    gamma: np.ndarray  # gamma[a, b, c] = Gamma^a_bc
-
-
-@dataclass
 class CurvatureTensorSample:
-    point: np.ndarray
+    gamma: np.ndarray    # gamma[a, b, c] = Gamma^a_bc
     riemann: np.ndarray  # fully covariant R_ijkl
     mixed: float         # sum_{1<=j,l} g^{jl} R_{0j0l}
     tangential: float    # sum_{1<=i,j,k,l} g^{jl} g^{ik} R_{ijkl}
     scalar: float        # full contraction g^{ik} g^{jl} R_{ijkl}
 
 
-def fd_christoffel(metric: MetricGrid, point, h=None) -> ChristoffelTable:
-    """Gamma^a_bc = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc),
-    all derivatives by centered differences."""
-    h = metric.h if h is None else h
-    point = np.asarray(point, dtype=float)
-    g, dg, _ = _derivatives(metric, point, h, second=False)
-    return ChristoffelTable(point=point,
-                            gamma=_christoffel(_inverse(g, point), dg))
-
-
 def fd_scalar_curvature(metric: MetricGrid, point, h=None) -> CurvatureTensorSample:
-    """Fully covariant curvature components at a point:
+    """Christoffel symbols and fully covariant curvature components at a
+    point, all derivatives by centred differences:
 
+        Gamma^a_bc = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
         R_ijkl = (1/2)(d_i d_l g_jk + d_j d_k g_il - d_j d_l g_ik - d_i d_k g_jl)
                  + g_ab (Gamma^b_il Gamma^a_jk - Gamma^b_ik Gamma^a_jl)
 
@@ -289,7 +269,7 @@ def fd_scalar_curvature(metric: MetricGrid, point, h=None) -> CurvatureTensorSam
     tangential part, full scalar)."""
     h = metric.h if h is None else h
     point = np.asarray(point, dtype=float)
-    g, dg, d2 = _derivatives(metric, point, h, second=True)
+    g, dg, d2 = _derivatives(metric, point, h)
     ginv = _inverse(g, point)
     gamma = _christoffel(ginv, dg)
 
@@ -298,5 +278,5 @@ def fd_scalar_curvature(metric: MetricGrid, point, h=None) -> CurvatureTensorSam
     tangential = float(np.einsum(
         "jl,ik,ijkl->", ginv[1:, 1:], ginv[1:, 1:], riemann[1:, 1:, 1:, 1:]))
     scalar = float(np.einsum("ik,jl,ijkl->", ginv, ginv, riemann))
-    return CurvatureTensorSample(point=point, riemann=riemann, mixed=mixed,
+    return CurvatureTensorSample(gamma=gamma, riemann=riemann, mixed=mixed,
                                  tangential=tangential, scalar=scalar)

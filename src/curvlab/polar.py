@@ -147,40 +147,32 @@ def _flat_conformal(n, mu, lap):
     return (0.0 - lap) / cn * mu ** (-(n + 2.0) / (n - 2.0))
 
 
-def polar_scalar_curvature(f: PolarWarpField, t):
-    """Scalar curvature slice of dt^2 + f^2(t,x) g(x):
+def polar_scalar_curvature(f: PolarWarpField, t, node=None):
+    """Scalar curvature slice of dt^2 + f^2(t,x) g(x), or its value at one
+    node given as n grid indices:
 
         Rbar = R(f^2(t,.) g) - (1/f^2) [2n f f_tt + n(n-1) f_t^2]
-    """
+
+    The whole slice is sampled, for its positivity check.  At a node, f_t
+    and f_tt are taken there and R(f^2 g) from mu = f^((n-2)/2) on the n
+    grid lines through it.  Node values stay 1-element arrays: numpy's
+    scalar ** calls libm pow, while an array's takes the slice's loop, so on
+    fd2 the value is the slice's to the bit."""
     grid = f.grid
     n = grid.n
     fval = f.sample(t)
-    ft = f.sample_dt(t)
-    ftt = f.sample_dtt(t)
-    r_base = conformal_base_curvature(fval ** ((n - 2) / 2.0), grid)
-    return r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2) / fval ** 2
-
-
-def polar_scalar_curvature_at(f: PolarWarpField, t, node):
-    """polar_scalar_curvature(f, t)[node] for a node given as n grid indices:
-    f_t and f_tt at the node, mu = f^((n-2)/2) on the n grid lines through
-    it.  The whole slice is still sampled, for its positivity check.
-
-    Node values stay 1-element arrays: numpy's scalar ** calls libm pow,
-    while an array's takes the slice's loop, so on fd2 the value is the
-    slice's to the bit."""
-    grid = f.grid
-    n = grid.n
-    fslice = f.sample(t)
     ft = f.sample_dt(t, node)
     ftt = f.sample_dtt(t, node)
-    mu_lines = [fslice[node[:ax] + (slice(None),) + node[ax + 1:]]
-                ** ((n - 2) / 2.0) for ax in range(n)]
-    fval = fslice[node].reshape(1)
-    r_base = _flat_conformal(n, mu_lines[0][node[0]:node[0] + 1],
-                             grid.laplacian_at(mu_lines, node))
-    return float((r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2)
-                  / fval ** 2)[0])
+    if node is None:
+        r_base = conformal_base_curvature(fval ** ((n - 2) / 2.0), grid)
+    else:
+        mu_lines = [fval[node[:ax] + (slice(None),) + node[ax + 1:]]
+                    ** ((n - 2) / 2.0) for ax in range(n)]
+        fval = fval[node].reshape(1)
+        r_base = _flat_conformal(n, mu_lines[0][node[0]:node[0] + 1],
+                                 grid.laplacian_at(mu_lines, node))
+    R = r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2) / fval ** 2
+    return R if node is None else float(R[0])
 
 
 def polar_laplacian(f: PolarWarpField, u: PolarWarpField, t):

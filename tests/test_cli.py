@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
+from curvlab.polar import BaseGrid
 from curvlab.serialize import csv_text, read_csv
 
 
@@ -186,13 +187,13 @@ TORUS_ORACLE_CASES = sorted(c for c in ORACLE_GOLDEN if c.startswith("torus"))
 @pytest.mark.parametrize("case", TORUS_ORACLE_CASES)
 def test_torus_oracle_takes_the_closed_form_at_its_node(case, monkeypatch,
                                                         capsys):
-    """The torus oracle never computes a whole curvature slice: with
-    polar_scalar_curvature made to raise, its bytes are still the golden
-    ones."""
-    def whole_slice(f, t):
+    """The torus oracle never computes a whole curvature slice: with the
+    whole-grid BaseGrid.laplacian made to raise, its bytes are still the
+    golden ones."""
+    def whole_slice(grid, arr):
         raise AssertionError("the torus oracle computed a whole slice")
 
-    monkeypatch.setattr(cli, "polar_scalar_curvature", whole_slice)
+    monkeypatch.setattr(BaseGrid, "laplacian", whole_slice)
     args = ORACLE_GOLDEN[case]["args"]
     assert main(args) == 0
     assert capsys.readouterr().out == ORACLE_GOLDEN[case]["stdout"]
@@ -322,6 +323,7 @@ class TestCertifyInputErrors:
                    "--base-R", "-6"], "--base-R"),
         ("oscillation", ["--c", "1.2", "--b", "1"], "--b"),
         ("barrier33", ["--kappa-sq", "6", "--eps", "1"], "--eps"),
+        ("oscillation", ["--c", "1.2", "--n", "2"], "--n"),
     ])
     def test_unread_flag_is_named(self, kind, args, flag, capsys):
         assert main(["certify", "--kind", kind] + args) == 1
@@ -373,7 +375,10 @@ class TestCertifyInputErrors:
 class TestCertificateWindows:
     """Parameters whose search window overflows or rounds to nothing used to
     end in a bare OverflowError or ZeroDivisionError traceback, or in rk45's
-    late "need t_span[0] < t_span[1]"."""
+    late "need t_span[0] < t_span[1]".  So did a window on which a
+    right-hand side's t^2 overflows; one that reached that point only as it
+    grew read t^2 as inf, and barrier33's hypothesis check then passed on
+    nan margins."""
 
     @pytest.mark.parametrize("args, named", [
         (["thm418", "--C1", "1e300", "--C2", "1", "--C", "1", "--b", "1"],
@@ -386,8 +391,17 @@ class TestCertificateWindows:
         (["thm48", "--b", "1", "--t0", "1e300"], "t0 = 1e+300"),
         (["oscillation", "--c", "1e300"], "c = 1e+300"),
         (["oscillation", "--c", "0.5", "--t0", "2e4"], "t0 = 20000.0"),
+        (["thm413", "--c", "1", "--b", "1", "--t0", "1e200"], "t0 = 1e+200"),
+        (["thm413", "--c", "1", "--b", "1", "--t0", "1e152"],
+         "t^2 overflows a float on the growth search window [1e+152, 1e+156]"),
+        (["thm112", "--t0", "1e200"], "t0 = 1e+200"),
+        (["barrier33", "--kappa-sq", "6", "--t0", "1e200", "--T", "1e201"],
+         "t0 = 1e+200"),
+        (["barrier33", "--kappa-sq", "6", "--T", "1e160", "--profile", "t",
+          "--base-R", "-6"], "T = 1e+160"),
     ], ids=["thm418-C1", "thm418-b", "thm418-C2", "thm48-b", "thm48-t0",
-            "oscillation-c", "oscillation-t0"])
+            "oscillation-c", "oscillation-t0", "thm413-t0", "thm413-growth",
+            "thm112-t0", "barrier33-t0", "barrier33-hypothesis"])
     def test_named_before_integrating(self, args, named, tmp_path, capsys,
                                       monkeypatch):
         def integrate(*a, **kw):
@@ -561,6 +575,14 @@ class TestConfigFile:
         assert (code, captured.out) == (2, "")
         assert captured.err == "config error: --config given more than once\n"
 
+    @pytest.mark.parametrize("before", [[], ["curvature", "--n", "3"]])
+    def test_config_without_a_path_is_a_config_error(self, capsys, before):
+        # it used to print "config error: list index out of range"
+        code = main(before + ["--config"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "config error: --config needs a path\n"
+
     def test_abbreviated_config_flag_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "d.cfg"
         cfg.write_text("base_R=-6\n")
@@ -667,12 +689,31 @@ class TestSolveAndOracle:
         assert not out.exists()
 
     def test_raylength_divergent_bytes(self, capsys):
-        # a genuine divergent verdict keeps its infinite total
+        # strict JSON: a divergent verdict writes its infinite tail and
+        # total as null, where it used to write Infinity
         assert main(["raylength", "--u", "t", "--n", "3"]) == 0
         assert capsys.readouterr().out == (
             '{"T": 10000.0, "integral": 49999995.5, "n": 3, "t0": 3.0, '
-            '"tail_estimate": Infinity, "tail_exponent": 1.0, '
-            '"total": Infinity, "verdict": "divergent", "x0": null}\n')
+            '"tail_estimate": null, "tail_exponent": 1.0, '
+            '"total": null, "verdict": "divergent", "x0": null}\n')
+
+    def test_raylength_undetermined_writes_null(self, capsys):
+        # it used to write NaN for the tail and the total
+        assert main(["raylength", "--u", "1/t", "--n", "3"]) == 0
+        rec = json.loads(capsys.readouterr().out,
+                         parse_constant=lambda name: pytest.fail(name))
+        assert rec["verdict"] == "undetermined"
+        assert rec["tail_estimate"] is None and rec["total"] is None
+
+    def test_raylength_overflowing_integral_is_named(self, tmp_path, capsys):
+        # a constant u, which used to end in numpy's IndexError traceback
+        out = tmp_path / "r.jsonl"
+        code = main(["raylength", "--u", "1e300", "--n", "3", "--T", "1e10",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: ray length integral is not finite\n"
+        assert not out.exists()
 
     def test_oracle_report(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -717,8 +758,8 @@ class TestScipyLoading:
     def test_certificates_and_sweep_leave_scipy_unloaded(self, tmp_path):
         certify = ["certify", "--n", "3", "--kind"]
         jobs = [
-            certify + ["oscillation", "--c", "1.2"],
-            certify + ["oscillation", "--c", "0.8"],
+            ["certify", "--kind", "oscillation", "--c", "1.2"],
+            ["certify", "--kind", "oscillation", "--c", "0.8"],
             certify + ["thm48", "--b", "0.5"],
             certify + ["thm413", "--c", "5", "--b", "1"],
             certify + ["thm418", "--C1", "1", "--C2", "1", "--C", "1",

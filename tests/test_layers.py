@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import curvlab
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvlab"
 LOWER = ("ode", "rk45", "completeness", "warp", "geometry")
 UPPER = {"polar", "oracle", "cli"}
@@ -200,3 +202,37 @@ def test_no_unreferenced_private_names():
     # a private helper that nothing calls is left over from a consolidation
     left = unreferenced_private_names(sorted(PACKAGE.glob("*.py")))
     assert not left, f"never read: {sorted(left)}"
+
+
+def exports(path):
+    """(the names the module's __all__ lists, the public names it imports),
+    each sorted."""
+    tree = ast.parse(path.read_text())
+    imported, listed = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            listed = ast.literal_eval(node.value)
+    return sorted(listed), sorted(n for n in imported if not n.startswith("_"))
+
+
+def test_export_finder(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .a import kept, _private\n"
+                   "from .b import thing as alias\n"
+                   "__version__ = '0'\n"
+                   "__all__ = ['kept', 'alias', 'removed_long_ago']\n")
+    listed, imported = exports(src)
+    assert listed == ["alias", "kept", "removed_long_ago"]
+    assert imported == ["alias", "kept"]
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    # a name removed from a module but left in __all__ breaks
+    # `from curvlab import *`; a name imported but not listed is half public
+    listed, imported = exports(PACKAGE / "__init__.py")
+    assert listed == imported
+    assert [name for name in curvlab.__all__ if not hasattr(curvlab, name)] == []

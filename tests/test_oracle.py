@@ -8,7 +8,7 @@ from curvlab import oracle
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry
 from curvlab.oracle import (BaseChart, MetricGrid, assemble_metric, chart_for,
-                            fd_christoffel, fd_scalar_curvature)
+                            fd_scalar_curvature)
 from curvlab.polar import BaseGrid, PolarWarpField
 from curvlab.warp import parse_field, parse_profile
 
@@ -35,7 +35,7 @@ class TestChristoffel:
     def test_flat_product_all_zero(self):
         f = parse_profile("1 + 0*t", domain_min=0.1)
         metric = assemble_metric(f, BaseGrid(3, 16))
-        gamma = fd_christoffel(metric, torus_point(3, 2.0)).gamma
+        gamma = fd_scalar_curvature(metric, torus_point(3, 2.0)).gamma
         assert np.max(np.abs(gamma)) < 1e-10
 
     def test_cone_closed_forms(self):
@@ -43,7 +43,7 @@ class TestChristoffel:
         f = parse_profile("t", domain_min=0.1)
         metric = assemble_metric(f, BaseGrid(3, 16))
         t = 2.0
-        gamma = fd_christoffel(metric, torus_point(3, t)).gamma
+        gamma = fd_scalar_curvature(metric, torus_point(3, t)).gamma
         assert gamma[0, 1, 1] == pytest.approx(-t, abs=1e-8)
         assert gamma[1, 0, 1] == pytest.approx(1.0/t, abs=1e-8)
         assert gamma[0, 0, 0] == pytest.approx(0.0, abs=1e-10)
@@ -52,7 +52,7 @@ class TestChristoffel:
     def test_exponential_warp(self):
         f = parse_profile("exp(t)", domain_min=0.1)
         metric = assemble_metric(f, BaseGrid(3, 16))
-        gamma = fd_christoffel(metric, torus_point(3, 1.0)).gamma
+        gamma = fd_scalar_curvature(metric, torus_point(3, 1.0)).gamma
         for i in range(1, 4):
             assert gamma[i, 0, i] == pytest.approx(1.0, abs=1e-5)
 
@@ -60,7 +60,7 @@ class TestChristoffel:
         f = PolarWarpField("t*(2 + 0.4*sin(x1))", BaseGrid(3, 16),
                           domain_min=0.1)
         metric = assemble_metric(f, BaseGrid(3, 16))
-        gamma = fd_christoffel(metric, torus_point(3, 2.0)).gamma
+        gamma = fd_scalar_curvature(metric, torus_point(3, 2.0)).gamma
         assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) < 1e-9
 
 
@@ -143,32 +143,45 @@ class TestConformalMetric:
         f = parse_profile("t - 3", domain_min=0.1)  # vanishes at t = 3
         metric = assemble_metric(f, BaseGrid(3, 16))
         with pytest.raises(DomainError):
-            metric.check_point(torus_point(3, 3.0))
+            fd_scalar_curvature(metric, torus_point(3, 3.0))
 
     def test_non_finite_metric_is_rejected(self):
         # f^2 = exp(2 exp(10)) overflows: a DomainError, not eigvalsh failing
         f = parse_profile("exp(exp(t))")
         metric = assemble_metric(f, BaseGeometry.constant(3, 0.0))
         with pytest.raises(DomainError, match="metric is not finite"):
-            metric.check_point(np.array([10.0, 0.3, 0.3, 0.3]))
+            fd_scalar_curvature(metric, np.array([10.0, 0.3, 0.3, 0.3]))
 
-    @pytest.mark.parametrize("fd", [fd_scalar_curvature, fd_christoffel])
-    def test_stencil_guard_uses_the_step_given(self, fd):
+    def test_stencil_guard_uses_the_step_given(self):
         # with h = 0.5 the stencil reaches t = 1.01, below domain_min = 2
         metric = assemble_metric(parse_profile("t", domain_min=2.0),
                                  BaseGeometry.constant(3, 0.0))
         point = [2.01, 0.3, 0.3, 0.3]
-        fd(metric, point)  # the metric's own h = 1e-3 stays above 2
+        # the metric's own h = 1e-3 stays above 2
+        fd_scalar_curvature(metric, point)
         with pytest.raises(DomainError,
                            match="t - 2h must exceed domain_min = 2.0"):
-            fd(metric, point, h=0.5)
+            fd_scalar_curvature(metric, point, h=0.5)
+
+    def test_each_stencil_point_is_evaluated_once(self):
+        # the centre is checked on its own and then reused; it used to be
+        # evaluated again with the rest of the stencil
+        rows = []
+
+        def components(point):
+            rows.append(tuple(point))
+            return np.eye(4)
+
+        fd_scalar_curvature(MetricGrid(3, components), [3.0, 0.3, 0.3, 0.3])
+        assert len(rows) == len(set(rows)) == 1 + 4 * 4 + 2 * 4 * 3
+        assert rows[0] == (3.0, 0.3, 0.3, 0.3)
 
     def test_point_errors_name_t(self):
         # t as its repr, not the rounded print of the whole point array
         point = np.array([0.1 + 0.2, 0.3])
         metric = MetricGrid(1, lambda p: np.diag([1.0, -1.0]))
         with pytest.raises(DomainError) as err:
-            metric.check_point(point)
+            fd_scalar_curvature(metric, point)
         assert str(err.value) == \
             "metric not positive definite at t = 0.30000000000000004"
         with pytest.raises(DomainError) as err:
@@ -179,15 +192,14 @@ class TestConformalMetric:
         f = parse_profile("t", domain_min=2.0)
         metric = assemble_metric(f, BaseGrid(3, 16))
         with pytest.raises(DomainError):
-            fd_christoffel(metric, torus_point(3, 2.001))
+            fd_scalar_curvature(metric, torus_point(3, 2.001))
 
-    @pytest.mark.parametrize("fd", [fd_christoffel, fd_scalar_curvature])
     @pytest.mark.parametrize("h", [0.0, -1.0e-3])
-    def test_nonpositive_step_is_named(self, fd, h):
+    def test_nonpositive_step_is_named(self, h):
         # h = 0 used to surface as a non-finite curvature, h < 0 passed
         metric = assemble_metric(parse_profile("t"), BaseGeometry.constant(3, 0.0))
         with pytest.raises(DomainError) as err:
-            fd(metric, torus_point(3, 3.0), h=h)
+            fd_scalar_curvature(metric, torus_point(3, 3.0), h=h)
         assert str(err.value) == f"need h > 0, got h = {h!r}"
 
 

@@ -11,8 +11,7 @@ from curvlab.geometry import BaseGeometry, DimensionConstants
 from curvlab.polar import (BaseGrid, PolarWarpField,
                            conformal_base_curvature,
                            conformal_scalar_curvature,
-                           polar_laplacian, polar_scalar_curvature,
-                           polar_scalar_curvature_at)
+                           polar_laplacian, polar_scalar_curvature)
 from curvlab.warp import parse_profile, warped_scalar_curvature
 
 
@@ -178,7 +177,7 @@ class TestPolarScalarCurvatureAt:
         n, m, source, node, t = warp
         f = PolarWarpField(source, BaseGrid(n, m, stencil=stencil))
         full = polar_scalar_curvature(f, t)
-        at = polar_scalar_curvature_at(f, t, node)
+        at = polar_scalar_curvature(f, t, node)
         if stencil == "fd2":
             assert at == full[node]
         else:
@@ -187,13 +186,13 @@ class TestPolarScalarCurvatureAt:
     @pytest.mark.parametrize("stencil", ["fd2", "spectral"])
     def test_constant_warp_gives_plus_zero(self, stencil):
         f = PolarWarpField("3 + 0*x1", BaseGrid(4, 8, stencil=stencil))
-        R = polar_scalar_curvature_at(f, 3.0, (1, 2, 3, 4))
+        R = polar_scalar_curvature(f, 3.0, (1, 2, 3, 4))
         assert R == 0.0 and math.copysign(1.0, R) == 1.0
 
     def test_needs_n_at_least_3(self):
         f = PolarWarpField("t*(2+cos(x1))", BaseGrid(2, 8))
         with pytest.raises(DomainError, match="formula degenerates for n < 3"):
-            polar_scalar_curvature_at(f, 3.0, (0, 0))
+            polar_scalar_curvature(f, 3.0, (0, 0))
 
 
 class TestPolarLaplacian:
