@@ -465,12 +465,17 @@ def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None,
     searched on [t0, T], then on [t0, grow(T)], ... over `tries` windows.
     Finding none is a StiffFailure naming `what`, never a verdict; a window
     that floats cannot hold, or on which t^2 overflows for an rhs that
-    squares t, is a DomainError naming `who`."""
+    squares t, is a DomainError naming `who`, and so is a crossing that
+    rounds to t0 (no sign change)."""
     for _ in range(tries):
         _check_window(who, t0, T, squares_t=squares_t)
         sol = _second_order(rhs, (t0, T), y0, crossing=-1, terminal=True)
         if len(sol.t_events[0]):
-            return float(sol.t_events[0][0])
+            cross = float(sol.t_events[0][0])
+            if not cross > t0:
+                raise DomainError(f"{who}: the crossing found at {cross!r} is "
+                                  f"not past t0 = {t0!r} in floating point")
+            return cross
         if grow is not None:
             T = grow(T)
     raise StiffFailure(f"no crossing found {what}")

@@ -62,6 +62,8 @@ P = np.array([
      701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# per stage s >= 1: the coefficient row A[s, :s] and the stage time C[s]
+STAGES = [(A[s, :s], float(C[s])) for s in range(1, len(C))]
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
@@ -83,8 +85,10 @@ class OdeResult:
 
 
 def _norm(x):
-    """RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm of a 1-D float array, as np.linalg.norm computes it.  It is a
+    numpy float, so that a later division by zero gives inf or nan, as in
+    scipy, and not ZeroDivisionError."""
+    return np.float64(math.sqrt(x.dot(x))) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -109,22 +113,23 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand-Prince step of size h; fills the stages into K."""
+def _rk_step(fun, t, y, f, h, K, KT):
+    """One Dormand-Prince step of size h; fills the stages into K, whose
+    view K[:s].T is KT[s - 1]."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, (a, c) in enumerate(STAGES, start=1):
+        dy = np.dot(KT[s - 1], a) * h
         K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+    y_new = y + h * np.dot(KT[-2], B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
-def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
+def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K, KT):
     """Advance by one accepted step, shrinking the step on rejection.
     Returns (t_new, y_new, f_new, next h_abs)."""
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     rejected = False
@@ -135,10 +140,10 @@ def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
         if t_new > t_bound:
             t_new = t_bound
         h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, K)
+        h_abs = abs(h)
+        y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _norm(np.dot(K.T, E) * h / scale)
+        error_norm = _norm(np.dot(KT[-1], E) * h / scale)
         if error_norm < 1:
             if error_norm == 0:
                 factor = MAX_FACTOR
@@ -286,6 +291,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
         raise StiffFailure(f"right-hand side is not finite at t0 = {t0!r}")
     h_abs = _initial_step(rhs, t0, y, t_bound, f, rtol, atol)
     K = np.empty((len(C) + 1, y.size))
+    KT = [K[:s].T for s in range(1, len(K) + 1)]
     ts, ys = ([t0], [y]) if t_eval is None else ([], [])
     t_events = None
     if events is not None:
@@ -298,7 +304,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
     status = None
     while status is None:
         t_old, y_old = t, y
-        t, y, f, h_abs = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K)
+        t, y, f, h_abs = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K,
+                               KT)
         if t >= t_bound:
             status = 0
         sol = None

@@ -20,7 +20,7 @@ from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
 from curvlab.polar import BaseGrid
-from curvlab.serialize import csv_text, read_csv
+from curvlab.serialize import WRITE_SLICE, atomic_write_text, csv_text, read_csv
 
 
 # child interpreters import this checkout's curvlab, as pytest itself does
@@ -294,6 +294,41 @@ def test_csv_text_matches_per_cell_writer_and_round_trips(keyed, tmp_path_factor
     assert back.tobytes() == table.tobytes()
 
 
+@st.composite
+def repeating_grids(draw):
+    """2-3 key axes whose later axes hold 4-6 and 1-4 values, and 1-3 value
+    columns drawn from a pool of three doubles, 0.0 and -0.0 among them:
+    every first-axis slab has at least four cells, so it repeats a value."""
+    axes = [draw(hnp.arrays(np.float64, st.integers(1, 4), elements=FLOATS)),
+            draw(hnp.arrays(np.float64, st.integers(4, 6), elements=FLOATS))]
+    if draw(st.booleans()):
+        axes.append(draw(hnp.arrays(np.float64, st.integers(1, 4),
+                                    elements=FLOATS)))
+    pool = st.sampled_from([0.0, -0.0, draw(FLOATS)])
+    rows = int(np.prod([len(a) for a in axes]))
+    columns = draw(st.integers(1, 3))
+    return axes, draw(hnp.arrays(np.float64, (columns, rows), elements=pool))
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=repeating_grids())
+def test_csv_text_formats_repeated_grid_values_like_the_per_cell_writer(grid):
+    axes, values = grid
+    table = product_table(axes, values)
+    header = [f"c{j}" for j in range(table.shape[1])]
+    assert csv_text(header, axes, values) == per_cell_csv_text(header, table)
+
+
+def test_atomic_write_text_writes_every_slice(tmp_path):
+    # three whole slices and an odd remainder, with multi-byte characters on
+    # both sides of the first slice boundary
+    text = "a" * (WRITE_SLICE - 2) + "é€😀ü" + "b" * (2 * WRITE_SLICE + 12345)
+    path = tmp_path / "t.csv"
+    atomic_write_text(str(path), text)
+    assert path.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
 class TestCertifyInputErrors:
     @pytest.mark.parametrize("kind, args, flag", [
         ("oscillation", [], "--c"),
@@ -415,6 +450,30 @@ class TestCertificateWindows:
         assert captured.err.startswith(f"error: {args[0]} with ")
         assert named in captured.err and captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("t0", ["1e16", "1e150"])
+    def test_crossing_that_rounds_to_t0_is_named(self, t0, tmp_path, capsys):
+        # the crossing, ~2.4 past t0, is below the float spacing at t0, so
+        # the event search stopped at t0 and reported F(t0) = 1 > 0 as a
+        # crossing; the window [t0, 2 t0] itself is fine
+        out = tmp_path / "c.jsonl"
+        args = ["certify", "--kind", "thm413", "--c", "1", "--b", "1",
+                "--t0", t0, "--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        shown = repr(float(t0))
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: thm413 with t0 = {shown}: the crossing found at {shown} "
+            f"is not past t0 = {shown} in floating point\n")
+        assert not out.exists()
+
+    def test_crossing_past_large_t0_still_certifies(self, capsys):
+        assert main(["certify", "--kind", "thm413", "--c", "1", "--b", "1",
+                     "--t0", "1e15"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["kind"] == "nonexistence"
+        assert record["witnesses"]["crossings"][0] > 1e15
 
 
 def _takes_a_float(action):

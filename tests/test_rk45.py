@@ -129,6 +129,15 @@ def test_blow_up_raises_stiff_failure():
     assert str(exc.value) == f"integrator failed: {ref.message}"
 
 
+def test_overflowed_first_norm_divides_like_scipy():
+    # |f0 / scale| ~ 1e210 overflows the norm of f0 to inf, so the first
+    # trial step is 0 and the next norm divides 0 by it: nan in scipy, where
+    # a norm that was a Python float raised ZeroDivisionError instead
+    with np.errstate(all="ignore"):
+        assert_same(lambda t, y: [1e200], (0.0, 1.0), [1.0], rtol=1e-10,
+                    atol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(coef, min_size=4, max_size=4), coef, coef)
 def test_brentq_matches_scipy(c, a, b):
