@@ -126,6 +126,9 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
     factors = [(field, what, fn, [0] + [i + 1 for _, i in field.coords])
                for field, what, fn in factors]
 
+    # a factor that overflows gives inf or nan components, which
+    # fd_scalar_curvature names as a metric that is not finite
+    @np.errstate(over="ignore", invalid="ignore")
     def component_fn(points):
         # one scalar evaluation per distinct point a factor reads, row by row
         # (warp first), so the first nonpositive row is the one named

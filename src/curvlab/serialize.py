@@ -73,24 +73,6 @@ def csv_text(header, axes, values):
     return "".join(pieces)
 
 
-def read_csv(path):
-    """Parse a csv_text table back into header + float rows (non-numeric
-    cells stay strings)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = []
-        for cell in ln.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(cells)
-    return header, rows
-
-
 def jsonl_text(records):
     """One already-serialized JSON object (e.g. Verdict.to_json()) per
     line."""

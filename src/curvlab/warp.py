@@ -1,4 +1,4 @@
-"""Closed-form scalar curvature and Laplacian of g' = dt^2 + f^2(t) g.
+"""Closed-form scalar curvature of g' = dt^2 + f^2(t) g.
 
 All quantities come from the warp profile f and its exact symbolic
 derivatives; nothing here touches finite differences (the oracle module is
@@ -188,16 +188,6 @@ def power_law_curvature(alpha, n, t):
         raise DomainError("t must be positive")
     out = (4.0 * n / (n + 1)) * alpha * (1.0 - alpha) / t ** 2
     return out if out.shape else float(out)
-
-
-def warped_laplacian(f: WarpProfile, u: Field, base: BaseGeometry, t):
-    """Laplacian of a t-only u in the warped metric:
-    u_tt + (n f'/f) u_t (Delta_g u = 0).
-    """
-    if u.coords:
-        raise DomainError(
-            "x-dependent field over an analytic base: use the polar Laplacian")
-    return u.d2(t) + base.n * f.d1(t) / f.eval(t) * u.d1(t)
 
 
 def cone_log_curvature(n, t):

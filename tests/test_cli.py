@@ -20,7 +20,7 @@ from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
 from curvlab.polar import BaseGrid
-from curvlab.serialize import WRITE_SLICE, atomic_write_text, csv_text, read_csv
+from curvlab.serialize import WRITE_SLICE, atomic_write_text, csv_text
 
 
 # child interpreters import this checkout's curvlab, as pytest itself does
@@ -33,6 +33,24 @@ def run_cli(args, tmp_path=None):
     proc = subprocess.run([sys.executable, "-m", "curvlab.cli"] + args,
                           capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def read_csv(path):
+    """Parse a csv_text table back into header + float rows (non-numeric
+    cells stay strings)."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    rows = []
+    for ln in lines[1:]:
+        cells = []
+        for cell in ln.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(cells)
+    return header, rows
 
 
 class TestParseRange:

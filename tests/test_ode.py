@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from curvlab import ode
@@ -102,6 +102,26 @@ class TestOscillation:
         c2 = [math.exp(s) for s in sol.t_events[0]]
         for a, b in zip(c1, c2):
             assert abs(a/b - 1.0) < 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.one_of(st.floats(0.2, 1.0), st.floats(1.05, 6.0)),
+           t0=st.floats(2.5, 40.0), lam=st.floats(0.1, 20.0))
+    def test_crossings_scale_with_t(self, c, t0, lam):
+        # t^2 u'' + (c/4) u = 0 is invariant under t -> lam t, so the
+        # crossings scale by lam and their ratios stay.  In log time the
+        # scaled run is the same integration shifted by ln(lam): only
+        # rounding tells the two apart (<= 7e-14 relative, measured), so a
+        # gap as large as the integrator's RTOL breaks the symmetry
+        assume(lam * t0 > 2.0)
+        T = None if c > 1 else 1e3 * t0   # c > 1 sizes its window from t0
+        v = oscillation_certificate(c, t0, T)
+        w = oscillation_certificate(c, lam * t0, None if T is None else lam * T)
+        assert len(w.witnesses["crossings"]) == len(v.witnesses["crossings"])
+        for a, b in zip(v.witnesses["crossings"], w.witnesses["crossings"]):
+            assert b == pytest.approx(lam * a, rel=ode.RTOL)
+        for a, b in zip(v.witnesses.get("crossing_ratios", []),
+                        w.witnesses.get("crossing_ratios", [])):
+            assert b == pytest.approx(a, rel=ode.RTOL)
 
 
 class TestMonotoneSolve:
@@ -316,6 +336,18 @@ class TestCertificates:
         assert v.kind == "nonexistence"
         assert v.witnesses["crossings"][0] == pytest.approx(
             3.0 + math.pi/(2*0.5), rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.floats(0.05, 7.0), t0=st.floats(0.1, 100.0),
+           shift=st.floats(0.1, 100.0))
+    def test_thm48_crossing_is_shift_invariant(self, b, t0, shift):
+        # F'' = -b^2 F does not read t, so the crossing minus t0 does not
+        # depend on t0: only rounding of t tells the runs apart (<= 1e-13
+        # of pi/(2b), measured), far inside the integrator's RTOL
+        first = comparison_certificate("thm48", {"b": b, "t0": t0})
+        later = comparison_certificate("thm48", {"b": b, "t0": t0 + shift})
+        assert later.witnesses["crossings"][0] - (t0 + shift) == pytest.approx(
+            first.witnesses["crossings"][0] - t0, rel=ode.RTOL)
 
     def test_thm413(self):
         v = comparison_certificate("thm413", {"n": 3, "c": 5.0, "b": 1.0})

@@ -1,5 +1,7 @@
 """Finite-difference tensor calculus against closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry
 from curvlab.oracle import (BaseChart, MetricGrid, assemble_metric, chart_for,
                             fd_scalar_curvature)
-from curvlab.polar import BaseGrid, PolarWarpField
+from curvlab.polar import BaseGrid, PolarWarpField, conformal_scalar_curvature
 from curvlab.warp import parse_field, parse_profile
 
 
@@ -139,6 +141,27 @@ class TestConformalMetric:
             point = np.array([t, 0.3, 1.1, 2.4])
             assert np.array_equal(plain.components(point), polar.components(point))
 
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(-0.3, 0.3), b=st.floats(-0.2, 0.2),
+           k=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+           t=st.floats(2.5, 8.0), node=st.tuples(*[st.integers(0, 31)] * 3))
+    def test_conformal_closed_form_matches_the_oracle(self, a, b, k, t, node):
+        # R of u^(4/(n-1)) (dt^2 + f^2 g), solved from the conformal
+        # equation, against the tensor calculus on the deformed metric.  u
+        # shares x1 with f, so <grad f, grad u> counts.  The spectral grid is
+        # exact to round-off on these fields, so what is left is the
+        # oracle's O(h^2): at most 0.08 h^2 relative, measured over the
+        # corners of this box
+        grid = BaseGrid(3, 32, stencil="spectral")
+        f = PolarWarpField(f"t*(2+{a!r}*cos({k[0]}*x1))", grid, domain_min=0.5)
+        u = PolarWarpField(f"1+{b!r}*sin({k[1]}*x1+x2)/t", grid, domain_min=0.5)
+        h = 2e-3
+        closed = conformal_scalar_curvature(u, f, t)[node]
+        point = np.concatenate([[t], grid.axis_points[list(node)]])
+        fd = fd_scalar_curvature(assemble_metric(f, grid, conformal=u, h=h),
+                                 point).scalar
+        assert abs(fd - closed) <= 0.2 * h**2 * abs(closed)
+
     def test_positive_definiteness_guard(self):
         f = parse_profile("t - 3", domain_min=0.1)  # vanishes at t = 3
         metric = assemble_metric(f, BaseGrid(3, 16))
@@ -147,10 +170,13 @@ class TestConformalMetric:
 
     def test_non_finite_metric_is_rejected(self):
         # f^2 = exp(2 exp(10)) overflows: a DomainError, not eigvalsh failing
+        # and quietly: the overflow is named, so numpy warns of nothing
         f = parse_profile("exp(exp(t))")
         metric = assemble_metric(f, BaseGeometry.constant(3, 0.0))
-        with pytest.raises(DomainError, match="metric is not finite"):
-            fd_scalar_curvature(metric, np.array([10.0, 0.3, 0.3, 0.3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="metric is not finite"):
+                fd_scalar_curvature(metric, np.array([10.0, 0.3, 0.3, 0.3]))
 
     def test_stencil_guard_uses_the_step_given(self):
         # with h = 0.5 the stencil reaches t = 1.01, below domain_min = 2

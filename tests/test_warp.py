@@ -1,4 +1,4 @@
-"""Closed-form warped curvature, the power substitution, and the Laplacian."""
+"""Closed-form warped curvature and the power substitution."""
 
 import math
 
@@ -10,8 +10,7 @@ from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry, DimensionConstants
 from curvlab.warp import (cone_log_curvature, default_probe_grid, ode_residual,
                           parse_field, parse_profile, power_law_curvature,
-                          substitute_u, warped_laplacian,
-                          warped_scalar_curvature)
+                          substitute_u, warped_scalar_curvature)
 
 
 class TestDimensionConstants:
@@ -128,26 +127,6 @@ class TestPowerLawCurvature:
         alphas = np.linspace(0.0, 1.0, 101)
         vals = [power_law_curvature(a, 3, 10.0) for a in alphas]
         assert np.argmax(vals) == 50
-
-
-class TestWarpedLaplacian:
-    def test_against_finite_differences(self):
-        f = parse_profile("t^1.5", domain_min=0.5)
-        u = parse_field("sin(t)/t")
-        base = BaseGeometry.constant(3, -6.0)
-        t, h = 4.0, 1e-5
-        lap = warped_laplacian(f, u, base, t)
-        utt = (u.eval(t + h) - 2*u.eval(t) + u.eval(t - h)) / h**2
-        ut = (u.eval(t + h) - u.eval(t - h)) / (2*h)
-        expect = utt + 3 * f.d1(t) / f.eval(t) * ut
-        assert lap == pytest.approx(expect, rel=1e-5)
-
-    def test_rejects_x_dependent_field_on_abstract_base(self):
-        f = parse_profile("t", domain_min=0.5)
-        u = parse_field("t*x1", allowed_vars=("t", "x1"))
-        base = BaseGeometry.constant(3, 0.0)
-        with pytest.raises(DomainError):
-            warped_laplacian(f, u, base, 2.0)
 
 
 class TestCoordinateList:
