@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -19,7 +20,7 @@ from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
                   monotone_solve, oscillation_certificate)
 from .oracle import assemble_metric, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
-from .serialize import atomic_write_text, csv_text, jsonl_text
+from .serialize import atomic_write_text, chunks_of, csv_text, jsonl_text
 from .warp import parse_field, parse_profile, warped_scalar_curvature
 
 
@@ -72,14 +73,22 @@ def load_config(path):
     return out
 
 
+def _write(path, text):
+    try:
+        atomic_write_text(path, text)
+    except OSError as e:
+        raise CurvlabError(f"cannot write '{path}': {e.strerror or e}") from None
+
+
 def _emit(args, text, meta):
+    """Write `text`, a str or an iterable of str chunks, to --out (with its
+    .meta.json sidecar) or to stdout, one chunk at a time."""
     if getattr(args, "out", None):
-        atomic_write_text(args.out, text)
+        _write(args.out, text)
         meta = {**meta, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-        atomic_write_text(args.out + ".meta.json",
-                          json.dumps(meta, sort_keys=True) + "\n")
+        _write(args.out + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks_of(text))
 
 
 def _warp(args):
@@ -114,21 +123,24 @@ def cmd_curvature(args):
     t_vals = parse_range(args.t)
     base, f = _warp(args)
     if args.base == "torus":
-        # one row per (t, grid node), nodes in C (np.ndindex) order
+        # one row per (t, grid node), nodes in C (np.ndindex) order; every
+        # slice is checked before any is written, and each is then formatted
+        # and written on its own, the header with the first
         slices = []
         for t in t_vals:
             R = polar_scalar_curvature(f, float(t))
             _check_finite(t, R)
             slices.append(R.ravel())
         header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
-        axes = [t_vals] + [base.axis_points] * base.n
-        values = [np.concatenate(slices)]
+        text = (csv_text(header if i == 0 else None,
+                         [t_vals[i:i + 1]] + [base.axis_points] * base.n, [R])
+                for i, R in enumerate(slices))
     else:
         R = np.broadcast_to(np.asarray(warped_scalar_curvature(f, base, t_vals),
                                        dtype=float), t_vals.shape)
         _check_finite(t_vals, R)
-        header, axes, values = ["t", "R"], [t_vals], [R]
-    _emit(args, csv_text(header, axes, values), {"command": "curvature"})
+        text = csv_text(["t", "R"], [t_vals], [R])
+    _emit(args, text, {"command": "curvature"})
     return 0
 
 
@@ -387,9 +399,16 @@ def main(argv=None):
         # overflow and 0/0 reach the checks of each command as inf or nan,
         # which then raise a CurvlabError naming the first bad value
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _DISPATCH[args.command](args)
+            code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
     except CurvlabError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at interpreter exit has nowhere to fail, and end without a trace
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

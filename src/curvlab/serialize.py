@@ -12,16 +12,22 @@ import numpy as np
 WRITE_SLICE = 1 << 20   # characters encoded and written per write call
 
 
+def chunks_of(text):
+    """`text` as an iterable of str: a plain str is one chunk."""
+    return (text,) if isinstance(text, str) else text
+
+
 def atomic_write_text(path, text):
-    """Write `text` as UTF-8 in slices, so that only one slice at a time is
-    held encoded beside it."""
+    """Write `text`, a str or an iterable of str chunks, as UTF-8 in slices,
+    so that only one slice at a time is held encoded beside its chunk."""
     path = os.path.abspath(path)
     d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), WRITE_SLICE):
-                fh.write(text[start:start + WRITE_SLICE])
+            for chunk in chunks_of(text):
+                for start in range(0, len(chunk), WRITE_SLICE):
+                    fh.write(chunk[start:start + WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -32,8 +38,10 @@ def atomic_write_text(path, text):
 def csv_text(header, axes, values):
     """CSV of a table keyed by the C-order product of the 1-D `axes` (the
     last axis fastest): one leading column per axis, then one column per row
-    of `values` (none is allowed).  Every cell is printed at 17 significant
-    digits (the shortest width that round-trips any double).
+    of `values` (none is allowed), after a header line unless `header` is
+    None (a later chunk of a table written in pieces).  Every cell is
+    printed at 17 significant digits (the shortest width that round-trips
+    any double).
 
     A one-axis table is one `%` pass over all its cells: its values (line,
     `solve` and `oracle` tables) are nearly all distinct, so looking for
@@ -44,11 +52,12 @@ def csv_text(header, axes, values):
     strings, with no per-slab text held beside it."""
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float)
+    head = "" if header is None else ",".join(header) + "\n"
     if len(axes) == 1:
         cells = ",%.17g" * len(values) + "\n"
         table = np.column_stack([axes[0], values.T])
         body = (("%.17g" + cells) * len(table)) % tuple(table.ravel().tolist())
-        return ",".join(header) + "\n" + body
+        return head + body
     first = ["%.17g" % v for v in axes[0].tolist()]
     tail = [""]
     for a in axes[1:]:
@@ -63,7 +72,7 @@ def csv_text(header, axes, values):
     rows = len(first) * len(tail)
     width = 2 * len(values) + 3
     pieces = [","] * (1 + rows * width)
-    pieces[0] = ",".join(header) + "\n"
+    pieces[0] = head
     pieces[1::width] = [lead for lead in first for _ in tail]
     pieces[2::width] = tail * len(first)
     for j in range(len(values)):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import hashlib
@@ -19,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
-from curvlab.polar import BaseGrid
+from curvlab.polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from curvlab.serialize import WRITE_SLICE, atomic_write_text, csv_text
 
 
@@ -345,6 +346,102 @@ def test_atomic_write_text_writes_every_slice(tmp_path):
     atomic_write_text(str(path), text)
     assert path.read_bytes() == text.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_atomic_write_text_writes_chunks_in_order(tmp_path):
+    # a generator of chunks, one longer than a slice, one empty, one
+    # multi-byte
+    chunks = ["h\n", "a" * (WRITE_SLICE + 3), "", "é€😀\n"]
+    path = tmp_path / "t.csv"
+    atomic_write_text(str(path), (chunk for chunk in chunks))
+    assert path.read_bytes() == "".join(chunks).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+# the warp of a torus table whose cells are nearly all distinct (91,866
+# distinct doubles in the 110,592 cells of the fd2 table below)
+MIXED_WARP = ("t*(3+0.2*sin(x1)*cos(x2)+0.15*cos(2*x2+x3)"
+              "+0.1*sin(x1-3*x3))")
+TORUS_TABLE = ["curvature", "--n", "3", "--base", "torus", "--m", "24",
+               "--t", "3:10:8"]
+
+
+class TestTorusTableInSlices:
+    """A torus table is formatted and written one t-slice at a time."""
+
+    @pytest.mark.parametrize("profile, stencil", [
+        ("t*(2+0.3*sin(x1)*cos(x3))", "fd2"),
+        ("t*(2+0.3*sin(x1)*cos(x3))", "spectral"),
+        (MIXED_WARP, "fd2"),
+    ], ids=["fd2", "spectral", "mixed-fd2"])
+    def test_bytes_equal_one_csv_text_over_the_grid(self, profile, stencil,
+                                                    tmp_path, capsys):
+        args = TORUS_TABLE + ["--profile", profile, "--stencil", stencil]
+        base = BaseGrid(3, 24, stencil=stencil)
+        f = PolarWarpField(profile, base, domain_min=2.0)
+        t_vals = parse_range("3:10:8")
+        values = np.concatenate([polar_scalar_curvature(f, float(t)).ravel()
+                                 for t in t_vals])
+        whole = csv_text(["t", "x1", "x2", "x3", "value"],
+                         [t_vals] + [base.axis_points] * 3, [values])
+        assert main(args) == 0
+        assert capsys.readouterr().out == whole
+        out = tmp_path / "r.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text() == whole
+
+    def test_overflow_writes_nothing_to_stdout(self, capsys):
+        # every slice is checked before the first is written
+        assert main(["curvature", "--profile", "exp(exp(t)) + 0*x1", "--n",
+                     "3", "--base", "torus", "--m", "8", "--t", "3:10:5"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: curvature is not finite at t = 7.400828044922854\n")
+
+    def test_peak_memory_stays_below_the_table(self, tmp_path):
+        # the whole table was once held as one string, beside its pieces
+        out = tmp_path / "r.csv"
+        args = TORUS_TABLE + ["--profile", "t*(2+0.3*sin(x1)*cos(x3))",
+                              "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_one_error_line(self, where, reason, tmp_path,
+                                              capsys):
+        (tmp_path / "d").mkdir()
+        out = str(tmp_path / "d" / where)
+        assert main(["curvature", "--profile", "t", "--n", "3",
+                     "--t", "3:5:3", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: cannot write '{out}': {reason}\n")
+        # no temp file and no .meta.json, in the directory or beside it
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    @pytest.mark.parametrize("lines_read", [0, 1], ids=["at-once", "one-line"])
+    def test_closed_stdout_ends_quietly(self, lines_read):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "curvlab.cli"] + TORUS_TABLE
+            + ["--profile", "t*(2+0.3*sin(x1)*cos(x3))"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"t,x1,x2,x3,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 class TestCertifyInputErrors:
