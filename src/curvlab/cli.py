@@ -20,7 +20,8 @@ from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
                   monotone_solve, oscillation_certificate)
 from .oracle import assemble_metric, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
-from .serialize import atomic_write_text, chunks_of, csv_text, jsonl_text
+from .serialize import (atomic_write_text, chunks_of, csv_chunks, csv_text,
+                        jsonl_text)
 from .warp import parse_field, parse_profile, warped_scalar_curvature
 
 
@@ -124,17 +125,15 @@ def cmd_curvature(args):
     base, f = _warp(args)
     if args.base == "torus":
         # one row per (t, grid node), nodes in C (np.ndindex) order; every
-        # slice is checked before any is written, and each is then formatted
-        # and written on its own, the header with the first
-        slices = []
-        for t in t_vals:
-            R = polar_scalar_curvature(f, float(t))
-            _check_finite(t, R)
-            slices.append(R.ravel())
+        # slice is checked before any is written, and the table is then
+        # formatted and written one block of rows at a time
+        R = np.empty((len(t_vals), base.m ** base.n))
+        for i, t in enumerate(t_vals):
+            R[i] = polar_scalar_curvature(f, float(t)).ravel()
+            _check_finite(t, R[i])
         header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
-        text = (csv_text(header if i == 0 else None,
-                         [t_vals[i:i + 1]] + [base.axis_points] * base.n, [R])
-                for i, R in enumerate(slices))
+        text = csv_chunks(header, [t_vals] + [base.axis_points] * base.n,
+                          R.reshape(1, -1))
     else:
         R = np.broadcast_to(np.asarray(warped_scalar_curvature(f, base, t_vals),
                                        dtype=float), t_vals.shape)
@@ -402,8 +401,9 @@ def main(argv=None):
             code = _DISPATCH[args.command](args)
         sys.stdout.flush()
         return code
-    except CurvlabError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CurvlabError, MemoryError) as e:
+        # numpy's MemoryError names the size it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the flush

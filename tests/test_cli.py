@@ -21,7 +21,8 @@ from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
 from curvlab.polar import BaseGrid, PolarWarpField, polar_scalar_curvature
-from curvlab.serialize import WRITE_SLICE, atomic_write_text, csv_text
+from curvlab.serialize import (WRITE_SLICE, atomic_write_text, csv_chunks,
+                               csv_text)
 
 
 # child interpreters import this checkout's curvlab, as pytest itself does
@@ -281,14 +282,26 @@ def product_table(axes, values):
                             np.tile(nodes, (len(axes[0]), 1)), values.T])
 
 
+def assert_chunks_match_per_cell_writer(header, axes, values, table):
+    """csv_chunks joins to the per-cell text, one chunk per value of every
+    axis but the last two (a one-axis table is one chunk), the header line
+    first, and every chunk ends a line."""
+    chunks = list(csv_chunks(header, axes, values))
+    assert "".join(chunks) == per_cell_csv_text(header, table)
+    assert len(chunks) == int(np.prod([len(a) for a in axes[:-2]]))
+    assert chunks[0].startswith(",".join(header) + "\n")
+    assert all(chunk.endswith("\n") for chunk in chunks)
+
+
 @st.composite
 def keyed_tables(draw):
-    """1-3 key axes and a values array with one row per value column.  One
-    axis of 1-12 values with 0-11 value columns is every table of at most
-    12 x 12 cells; later axes of 1-6 values keep the grid at 144 rows or
-    fewer, and the value columns at 144 cells or fewer."""
+    """1-4 key axes (four is the n = 3 torus shape) and a values array with
+    one row per value column.  One axis of 1-12 values with 0-11 value
+    columns is every table of at most 12 x 12 cells; later axes of 1-6
+    values keep the grid at 144 rows or fewer, and the value columns at 144
+    cells or fewer."""
     axes = [draw(hnp.arrays(np.float64, st.integers(1, 12), elements=FLOATS))]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         rows = int(np.prod([len(a) for a in axes]))
         size = st.integers(1, max(1, min(6, 144 // rows)))
         axes.append(draw(hnp.arrays(np.float64, size, elements=FLOATS)))
@@ -305,6 +318,7 @@ def test_csv_text_matches_per_cell_writer_and_round_trips(keyed, tmp_path_factor
     header = [f"c{j}" for j in range(table.shape[1])]
     text = csv_text(header, axes, values)
     assert text == per_cell_csv_text(header, table)
+    assert_chunks_match_per_cell_writer(header, axes, values, table)
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_text(text)
     back_header, rows = read_csv(str(path))
@@ -315,17 +329,18 @@ def test_csv_text_matches_per_cell_writer_and_round_trips(keyed, tmp_path_factor
 
 @st.composite
 def repeating_grids(draw):
-    """2-3 key axes whose later axes hold 4-6 and 1-4 values, and 1-3 value
-    columns drawn from a pool of three doubles, 0.0 and -0.0 among them:
-    every first-axis slab has at least four cells, so it repeats a value."""
+    """2-4 key axes whose later axes hold 4-6, 1-4 and 1-3 values, and 0-3
+    value columns drawn from a pool of three doubles, 0.0 and -0.0 among
+    them: every first-axis slab has at least four cells per column, so it
+    repeats a value, and on four axes it spans several chunks."""
     axes = [draw(hnp.arrays(np.float64, st.integers(1, 4), elements=FLOATS)),
             draw(hnp.arrays(np.float64, st.integers(4, 6), elements=FLOATS))]
-    if draw(st.booleans()):
-        axes.append(draw(hnp.arrays(np.float64, st.integers(1, 4),
+    for most in (4, 3)[:draw(st.integers(0, 2))]:
+        axes.append(draw(hnp.arrays(np.float64, st.integers(1, most),
                                     elements=FLOATS)))
     pool = st.sampled_from([0.0, -0.0, draw(FLOATS)])
     rows = int(np.prod([len(a) for a in axes]))
-    columns = draw(st.integers(1, 3))
+    columns = draw(st.integers(0, 3))
     return axes, draw(hnp.arrays(np.float64, (columns, rows), elements=pool))
 
 
@@ -336,6 +351,14 @@ def test_csv_text_formats_repeated_grid_values_like_the_per_cell_writer(grid):
     table = product_table(axes, values)
     header = [f"c{j}" for j in range(table.shape[1])]
     assert csv_text(header, axes, values) == per_cell_csv_text(header, table)
+    assert_chunks_match_per_cell_writer(header, axes, values, table)
+
+
+@pytest.mark.parametrize("empty", range(4))
+def test_csv_text_of_a_grid_with_an_empty_axis_is_its_header(empty):
+    axes = [[1.0], [2.0, 3.0], [4.0], [5.0]]
+    axes[empty] = []
+    assert csv_text(["a", "b", "c", "d", "v"], axes, [[]]) == "a,b,c,d,v\n"
 
 
 def test_atomic_write_text_writes_every_slice(tmp_path):
@@ -399,20 +422,39 @@ class TestTorusTableInSlices:
             "", "error: curvature is not finite at t = 7.400828044922854\n")
 
     def test_peak_memory_stays_below_the_table(self, tmp_path):
-        # the whole table was once held as one string, beside its pieces
+        # a table is formatted and written one block of rows at a time, so
+        # only a block's text and a slab's formatted values are held;
+        # MIXED_WARP's values are nearly all distinct, which fills the slab
         out = tmp_path / "r.csv"
-        args = TORUS_TABLE + ["--profile", "t*(2+0.3*sin(x1)*cos(x3))",
-                              "--out", str(out)]
-        tracemalloc.start()
-        try:
-            assert main(args) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < out.stat().st_size
+        for profile in ("t*(2+0.3*sin(x1)*cos(x3))", MIXED_WARP):
+            args = TORUS_TABLE + ["--profile", profile, "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < out.stat().st_size / 2, profile
 
 
 class TestOutputErrors:
+    # sizes past any address space (over 128 PiB), so that the allocation
+    # fails before a page is touched, whatever the host's overcommit policy
+    @pytest.mark.parametrize("args", [
+        ["--t", "1:2:100000000000000000"],
+        ["--base", "torus", "--m", "300000", "--t", "3:4:2"],
+    ], ids=["t-samples", "torus-m"])
+    def test_out_of_memory_is_one_error_line(self, args, tmp_path, capsys):
+        out = str(tmp_path / "r.csv")
+        assert main(["curvature", "--profile", "t", "--n", "3", "--out", out]
+                    + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert " PiB for an array with shape (" in captured.err
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("where, reason", [
         ("missing/x.csv", "No such file or directory"),
         (".", "Is a directory"),
