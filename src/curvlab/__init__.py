@@ -32,10 +32,9 @@ from .warp import (Field, SubstitutedProfile, WarpProfile, cone_log_curvature,
 from .polar import (BaseGrid, PolarWarpField, conformal_base_curvature,
                     conformal_scalar_curvature, polar_laplacian,
                     polar_scalar_curvature)
-from .ode import (AveragedProfile, MonotoneSolution, OdeSpec, SubSuperPair,
-                  Trajectory, Verdict, average_over_base,
+from .ode import (MonotoneSolution, OdeSpec, SubSuperPair, Verdict,
                   barrier_certificate_33, comparison_certificate,
-                  monotone_solve, oscillation_certificate, shoot)
+                  monotone_solve, oscillation_certificate)
 from .oracle import (BaseChart, CurvatureTensorSample, MetricGrid,
                      assemble_metric, chart_for, fd_scalar_curvature)
 from .completeness import RayLengthReport, ray_length, yamabe_test_integral
@@ -52,10 +51,9 @@ __all__ = [
     "PolarWarpField", "conformal_base_curvature",
     "conformal_scalar_curvature", "polar_laplacian",
     "polar_scalar_curvature",
-    "AveragedProfile", "MonotoneSolution", "OdeSpec", "SubSuperPair",
-    "Trajectory", "Verdict", "average_over_base",
+    "MonotoneSolution", "OdeSpec", "SubSuperPair", "Verdict",
     "barrier_certificate_33", "comparison_certificate", "monotone_solve",
-    "oscillation_certificate", "shoot", "BaseChart", "CurvatureTensorSample",
+    "oscillation_certificate", "BaseChart", "CurvatureTensorSample",
     "MetricGrid", "assemble_metric", "chart_for", "fd_scalar_curvature",
     "RayLengthReport", "ray_length", "yamabe_test_integral",
 ]

@@ -15,9 +15,9 @@ import numpy as np
 from .completeness import ray_length
 from .errors import CurvlabError, DomainError
 from .geometry import BaseGeometry
-from .ode import (OdeSpec, SubSuperPair, barrier_certificate_33,
+from .ode import (CERTIFICATE_KINDS, OdeSpec, SubSuperPair,
                   comparison_certificate, comparison_parameters,
-                  monotone_solve, oscillation_certificate)
+                  monotone_solve)
 from .oracle import assemble_metric, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from .serialize import (atomic_write_text, chunks_of, csv_chunks, csv_text,
@@ -167,15 +167,10 @@ def _R_function(args):
     return lambda t: -C / np.asarray(t, dtype=float) ** alpha
 
 
-# certify's kind-specific flags; --t0 has a default and every kind takes it,
-# and --n defaults to 3 for every kind that reads it (all but oscillation).
-# The comparison kinds declare what they read in ode; these two have
-# positional signatures: (required, optional) flags.
+# certify's kind-specific flags; --t0 has a default and every kind takes it.
+# Each flag sets the parameter of its name, but thm38's warp f is --profile.
 _CERTIFY_FLAGS = ("n", "T", "c", "b", "C1", "C2", "C", "eps", "kappa_sq",
                   "delta", "profile", "base_R")
-_POSITIONAL_READS = {"oscillation": (("c",), ("T",)),
-                     "barrier33": (("kappa_sq",), ("n", "T", "profile",
-                                                   "base_R"))}
 
 
 def _flag(name):
@@ -184,36 +179,24 @@ def _flag(name):
 
 def cmd_certify(args):
     kind = args.kind
-    given = {name: getattr(args, name) for name in _CERTIFY_FLAGS
-             if getattr(args, name) is not None}
-    if kind in _POSITIONAL_READS:
-        required, optional = _POSITIONAL_READS[kind]
-    else:
-        required, optional = (tuple("profile" if k == "f" else k for k in names)
-                              for names in comparison_parameters(kind))
+    required, optional = comparison_parameters(kind)
+    flags = {name: "profile" if name == "f" else name
+             for name in required + optional}
+    params = {name: getattr(args, flag) for name, flag in flags.items()
+              if getattr(args, flag, None) is not None}
     for name in required:
-        if name not in given:
-            raise DomainError(f"{kind} requires {_flag(name)}")
-    for name in given:
-        if name not in required + optional:
-            raise DomainError(f"{kind} does not read {_flag(name)}")
+        if name not in params:
+            raise DomainError(f"{kind} requires {_flag(flags[name])}")
+    for flag in _CERTIFY_FLAGS:
+        if getattr(args, flag) is not None and flag not in flags.values():
+            raise DomainError(f"{kind} does not read {_flag(flag)}")
 
-    n = given.get("n", 3)
-    if kind == "oscillation":
-        verdict = oscillation_certificate(args.c, args.t0, args.T)
-    elif kind == "barrier33":
-        profile = (parse_profile(args.profile, domain_min=args.domain_min)
-                   if args.profile else None)
-        verdict = barrier_certificate_33(
-            args.kappa_sq, n,
-            (args.t0, 1.0e4 if args.T is None else args.T),
-            profile=profile, base_scalar=args.base_R)
-    else:
-        params = {"n": n, "t0": args.t0, **given}
-        if "profile" in params:
-            params["f"] = parse_profile(params.pop("profile"),
-                                        domain_min=args.domain_min)
-        verdict = comparison_certificate(kind, params)
+    if "n" in flags:     # --n defaults to 3 for every kind that reads it
+        params.setdefault("n", 3)
+    for name in ("f", "profile"):
+        if name in params:
+            params[name] = parse_profile(params[name], domain_min=args.domain_min)
+    verdict = comparison_certificate(kind, params)
     if args.format == "text":
         _emit(args, verdict.to_text(), {"command": "certify"})
     else:
@@ -256,8 +239,9 @@ def cmd_raylength(args):
 
 
 def cmd_sweep(args):
-    records = [oscillation_certificate(float(c), args.t0, args.T).to_json()
-               for c in parse_range(args.c)]
+    window = {"t0": args.t0} if args.T is None else {"t0": args.t0, "T": args.T}
+    records = [comparison_certificate("oscillation", {"c": float(c), **window})
+               .to_json() for c in parse_range(args.c)]
     _emit(args, jsonl_text(records), {"command": "sweep"})
     return 0
 
@@ -314,9 +298,7 @@ def build_parser():
 
     p = sub.add_parser("certify", help="nonexistence/incompleteness certificates")
     common(p)
-    p.add_argument("--kind", required=True,
-                   choices=["oscillation", "thm48", "thm413", "thm418",
-                            "thm112", "thm38", "barrier33"])
+    p.add_argument("--kind", required=True, choices=CERTIFICATE_KINDS)
     p.add_argument("--t0", type=finite_float, default=3.0)
     for name in _CERTIFY_FLAGS:
         p.add_argument(_flag(name), dest=name, default=None,

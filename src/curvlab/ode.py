@@ -1,5 +1,5 @@
-"""Shooting, monotone sub/supersolution iteration, and comparison-ODE
-certificates for the prescribed-curvature equation
+"""Monotone sub/supersolution iteration and comparison-ODE certificates for
+the prescribed-curvature equation
 
     (4n/(n+1)) u'' + R(t) u - R(g) u^((n-3)/(n+1)) = 0.
 
@@ -67,15 +67,6 @@ class OdeSpec:
 
 
 @dataclass
-class Trajectory:
-    t: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    crossings: list
-    terminated_at_crossing: bool = False
-
-
-@dataclass
 class Verdict:
     """Existence / nonexistence / incompleteness / inconclusive certificate
     with numeric witnesses."""
@@ -122,7 +113,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# shooting
+# integration
 
 
 def _signed_pow(u, p):
@@ -147,14 +138,6 @@ def _second_order(rhs, t_span, y0, crossing=None, terminal=False, **kw):
     return solve_ivp(sys, t_span, y0, rtol=RTOL, atol=ATOL, **kw)
 
 
-def _require_finite(kind, values):
-    """Each value not None must be finite; a DomainError names the one not."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError(
-                f"{kind} parameter {name} must be finite, got {value!r}")
-
-
 def _named(kind, p, names):
     """'kind with name = value, ...' for the parameters that set a window."""
     return f"{kind} with " + ", ".join(f"{k} = {p[k]!r}" for k in names)
@@ -163,95 +146,18 @@ def _named(kind, p, names):
 def _check_window(who, start, end, what="", squares_t=False):
     """A search window that overflow or rounding left empty or infinite is a
     DomainError naming `who`, before anything is integrated on it; so is one
-    on which t^2 overflows, for a right-hand side that squares t."""
+    on which t^2 overflows, or underflows below the normal floats (a quotient
+    by it is then inf or a ZeroDivisionError), for a right-hand side that
+    squares t."""
     if not start < end < math.inf:
         raise DomainError(f"{who}: the {what}search window [{start!r}, "
                           f"{end!r}] is empty or infinite in floating point")
     if squares_t and not end * end < math.inf:
         raise DomainError(f"{who}: t^2 overflows a float on the {what}search "
                           f"window [{start!r}, {end!r}]")
-
-
-def shoot(spec: OdeSpec, u0, du0, stop_at_crossing=False):
-    """Integrate the equation as a first-order system with adaptive RK45,
-    recording every sign change of u."""
-    if u0 <= 0:
-        raise DomainError("initial value u0 must be positive")
-    n = spec.n
-    p = DimensionConstants(n).nonlin_exp
-    coeff = (n + 1) / (4.0 * n)
-
-    def rhs(t, u, du):
-        return coeff * (spec.R_g * _signed_pow(u, p) - spec.R_at(t) * u)
-
-    sol = _second_order(rhs, (spec.t0, spec.T), [u0, du0], crossing=0,
-                        terminal=stop_at_crossing)
-    crossings = list(sol.t_events[0])
-    return Trajectory(t=sol.t, u=sol.y[0], du=sol.y[1], crossings=crossings,
-                      terminated_at_crossing=(sol.status == 1 and bool(crossings)))
-
-
-def oscillation_certificate(c, t0, T=None) -> Verdict:
-    """Classify the comparison equation t^2 u'' + (c/4) u = 0 on [t0, T].
-
-    c > 1: oscillatory; nonexistence with crossing witnesses whose
-    consecutive ratios are e^(2 pi / sqrt(c-1)).  c <= 1: inconclusive, with
-    the positive power-law witness u = t^alpha, alpha(1-alpha) = c/4.
-    """
-    given = {"c": c, "t0": t0, "T": T}
-    _require_finite("oscillation", given)
-    if c <= 0:
-        raise DomainError("need c > 0")
-    if t0 <= 2:
-        raise DomainError("need t0 > 2")
-    if T is not None and not t0 < T:
-        raise DomainError("need t0 < T")
-    params = {"c": c, "t0": t0}
-    if c <= 1:
-        horizon = T if T is not None else DEFAULT_T_MAX
-    else:
-        delta = math.sqrt(c - 1.0) / 2.0
-        # three crossings fit within a factor ratio^3 of t0 regardless of phase
-        try:
-            ratio = math.exp(math.pi / delta)
-            required_T = t0 * ratio ** 3
-        except OverflowError:
-            required_T = math.inf
-        if math.isinf(required_T):
-            raise DomainError(
-                f"c = {c!r} is too close to 1 for t0 = {t0!r}: the window for "
-                f"three crossings, t0 * e^(6 pi / sqrt(c - 1)), overflows a float")
-        if T is not None and T < required_T:
-            raise WindowTooSmall(
-                "window cannot contain two predicted crossings", required_T)
-        horizon = required_T
-    # log-time form: w'' + a1 w' + a0 w = 0 with a1 = -1, a0 = c/4
-    span = (math.log(t0), math.log(horizon))
-    _check_window(_named("oscillation", given, given), *span, "log-time ")
-    sol = _second_order(lambda s, w, dw: -(-1.0) * dw - c / 4.0 * w,
-                        span, [1.0, 0.5], crossing=0)
-    crossings = [math.exp(s) for s in sol.t_events[0]]
-    if c <= 1:
-        alpha = 0.5 * (1.0 - math.sqrt(1.0 - c))
-        return Verdict(
-            kind="inconclusive",
-            reason="c <= 1: comparison solution does not oscillate",
-            params=params,
-            witnesses={"positive_witness_exponent": alpha,
-                       "witness_check": alpha * (1 - alpha) - c / 4.0,
-                       "crossings": crossings})
-    if len(crossings) < 2:
-        raise WindowTooSmall("fewer than two crossings found", required_T)
-    ratios = [b / a for a, b in zip(crossings, crossings[1:])]
-    return Verdict(
-        kind="nonexistence",
-        reason="comparison solution of t^2 u'' + (c/4) u = 0 oscillates",
-        params=params,
-        witnesses={"crossings": crossings,
-                   "crossing_count": len(crossings),
-                   "crossing_ratios": ratios,
-                   "predicted_ratio": ratio,
-                   "delta": delta})
+    if squares_t and not start * start >= np.finfo(float).tiny:
+        raise DomainError(f"{who}: t^2 underflows a float on the {what}search "
+                          f"window [{start!r}, {end!r}]")
 
 
 # ---------------------------------------------------------------------------
@@ -412,50 +318,6 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
 
 
 # ---------------------------------------------------------------------------
-# base averaging
-
-
-@dataclass
-class AveragedProfile:
-    t_grid: np.ndarray
-    values: np.ndarray
-    tag: str  # 'U', 'F', or 'calF'
-
-
-_WEIGHT_TAG = {"1": "U", "f2": "F", "fn": "calF"}
-
-
-def average_over_base(u, f, base, t_grid, weight="1") -> AveragedProfile:
-    """Integrate the field u over the base with weight 1, f^2, or f^n.
-
-    Grid path (u sampled on a grid): u and f live on the BaseGrid `base`.
-    Analytic path (t-only u over a BaseGeometry): Vol * value.
-    """
-    if weight not in _WEIGHT_TAG:
-        raise DomainError(f"unknown weight '{weight}'")
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    if f is not None and f.grid is not u.grid:
-        raise DomainError("incompatible grids between u and f")
-    on_grid = u.grid is not None
-    if on_grid and u.grid is not base:
-        raise DomainError("incompatible grids between u and the base")
-    if weight != "1" and f is None:
-        raise DomainError(f"weight {weight} needs the warp field")
-    vals = []
-    for t in t_grid:
-        uval = u.sample(t) if on_grid else u.eval(t)
-        w = 1.0
-        if weight != "1":
-            fval = f.sample(t) if on_grid else f.eval(t)
-            w = fval ** 2 if weight == "f2" else fval ** base.n
-        vals.append(base.integrate(uval * w) if on_grid
-                    else base.volume * uval * w)
-    return AveragedProfile(t_grid=t_grid, values=np.array(vals),
-                           tag=_WEIGHT_TAG[weight])
-
-
-# ---------------------------------------------------------------------------
 # comparison certificates
 
 
@@ -493,6 +355,60 @@ def _growth_exponent(coeff_fn, t0, T, dy0, who):
 
 # Certificate bodies: each takes its checked, coerced parameters and returns
 # (verdict kind, reason, witnesses); comparison_certificate does the rest.
+
+
+def _oscillation(p):
+    """Classify the comparison equation t^2 u'' + (c/4) u = 0 on [t0, T].
+
+    c > 1: oscillatory; nonexistence with crossing witnesses whose
+    consecutive ratios are e^(2 pi / sqrt(c-1)).  c <= 1: inconclusive, with
+    the positive power-law witness u = t^alpha, alpha(1-alpha) = c/4.
+    T = None sizes the window: three crossings for c > 1, DEFAULT_T_MAX
+    otherwise.
+    """
+    c, t0, T = p["c"], p["t0"], p["T"]
+    if c <= 1:
+        horizon = T if T is not None else DEFAULT_T_MAX
+    else:
+        delta = math.sqrt(c - 1.0) / 2.0
+        # three crossings fit within a factor ratio^3 of t0 regardless of phase
+        try:
+            ratio = math.exp(math.pi / delta)
+            required_T = t0 * ratio ** 3
+        except OverflowError:
+            required_T = math.inf
+        if math.isinf(required_T):
+            raise DomainError(
+                f"c = {c!r} is too close to 1 for t0 = {t0!r}: the window for "
+                f"three crossings, t0 * e^(6 pi / sqrt(c - 1)), overflows a float")
+        if T is not None and T < required_T:
+            raise WindowTooSmall(
+                "window cannot contain two predicted crossings", required_T)
+        horizon = required_T
+    # log-time form: w'' + a1 w' + a0 w = 0 with a1 = -1, a0 = c/4
+    span = (math.log(t0), math.log(horizon))
+    _check_window(_named("oscillation", p, ("c", "t0", "T")), *span,
+                  "log-time ")
+    sol = _second_order(lambda s, w, dw: -(-1.0) * dw - c / 4.0 * w,
+                        span, [1.0, 0.5], crossing=0)
+    crossings = [math.exp(s) for s in sol.t_events[0]]
+    if c <= 1:
+        alpha = 0.5 * (1.0 - math.sqrt(1.0 - c))
+        return ("inconclusive",
+                "c <= 1: comparison solution does not oscillate",
+                {"positive_witness_exponent": alpha,
+                 "witness_check": alpha * (1 - alpha) - c / 4.0,
+                 "crossings": crossings})
+    if len(crossings) < 2:
+        raise WindowTooSmall("fewer than two crossings found", required_T)
+    ratios = [b / a for a, b in zip(crossings, crossings[1:])]
+    return ("nonexistence",
+            "comparison solution of t^2 u'' + (c/4) u = 0 oscillates",
+            {"crossings": crossings,
+             "crossing_count": len(crossings),
+             "crossing_ratios": ratios,
+             "predicted_ratio": ratio,
+             "delta": delta})
 
 
 def _thm48(p):
@@ -697,129 +613,39 @@ def _thm38(p):
             "radial rays have finite length in the deformed metric", witnesses)
 
 
-class _Comparison(NamedTuple):
-    body: object          # checked params -> (verdict kind, reason, witnesses)
-    required: tuple
-    defaults: dict        # beyond n = 3, t0 = 3.0
-    hypotheses: dict      # name -> holds(params), checked in order after n >= 3
-
-
-_COMPARISONS = {
-    "thm48": _Comparison(_thm48, ("b",), {"F0": 1.0, "dF0": 0.0},
-                         {"b > 0": lambda p: p["b"] > 0}),
-    "thm413": _Comparison(_thm413, ("c", "b"), {"F0": 1.0, "dF0": 0.0},
-                          {"c < 2n": lambda p: p["c"] < 2 * p["n"]}),
-    "thm418": _Comparison(_thm418, ("C1", "C2", "C", "b"), {}, {
-        "positive constants": lambda p: min(p["C1"], p["C2"], p["C"], p["b"]) > 0}),
-    "thm112": _Comparison(_thm112, (), {"eps": 1.0, "U0": 1.0, "dU0": 0.0},
-                          {"eps > 0": lambda p: p["eps"] > 0}),
-    "thm38": _Comparison(_thm38, ("kappa_sq", "delta", "f"), {"T": DEFAULT_T_MAX},
-                         {"0 < delta < kappa^2":
-                          lambda p: 0 < p["delta"] < p["kappa_sq"]}),
-}
-_COERCE = {"n": int, "f": lambda f: f}   # every other parameter is a float
-
-
-def comparison_parameters(kind):
-    """(required, optional) parameter names of a comparison certificate."""
-    if kind not in _COMPARISONS:
-        raise DomainError(f"unknown certificate kind '{kind}'")
-    cert = _COMPARISONS[kind]
-    return cert.required, ("n", "t0") + tuple(cert.defaults)
-
-
-def comparison_certificate(kind, params) -> Verdict:
-    """Run one of the averaged comparison-ODE certificates.
-
-    The params are checked against the kind's declaration and coerced; a
-    missing or unknown parameter is a DomainError naming it.  A failed
-    hypothesis (n >= 3 first, then the kind's own, in order) is an
-    inconclusive verdict naming it.  The verdict echoes the caller's params,
-    with the warp f given by its source.
-    """
-    required, optional = comparison_parameters(kind)
-    for name in required:
-        if name not in params:
-            raise DomainError(f"{kind} requires parameter '{name}'")
-    cert = _COMPARISONS[kind]
-    p = {"n": 3, "t0": 3.0, **cert.defaults}
-    for name, value in params.items():
-        if name not in required + optional:
-            raise DomainError(f"{kind} takes no parameter '{name}'")
-        try:
-            p[name] = _COERCE.get(name, float)(value)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"{kind} parameter '{name}' must be a number")
-        if isinstance(p[name], float) and not math.isfinite(p[name]):
-            raise DomainError(f"{kind} parameter '{name}' must be finite, "
-                              f"got {p[name]!r}")
-    if not p["t0"] > 0:
-        raise DomainError("need t0 > 0")
-    if "T" in p and not p["t0"] < p["T"]:
-        raise DomainError("need t0 < T")
-    echo = dict(params)
-    if "f" in echo:
-        echo["f"] = echo["f"].source
-
-    for name, holds in {"n >= 3": lambda p: p["n"] >= 3, **cert.hypotheses}.items():
-        if not holds(p):
-            return Verdict("inconclusive", reason=f"hypothesis {name} violated",
-                           params=echo)
-    verdict, reason, witnesses = cert.body(p)
-    return Verdict(verdict, reason=reason, witnesses=witnesses, params=echo)
-
-
-# ---------------------------------------------------------------------------
-# the -n(n-1)/t^2 barrier
-
-
-def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
-                           base_scalar=None) -> Verdict:
+def _barrier33(p):
     """No warped end can keep its curvature above -n(n-1)/t^2 when the base
     curvature dips to -kappa^2 < 0 somewhere.
 
     Follows the proof chain numerically: growth cap t^((n+1)/2) for the
     extremal of u''/u = (n+1)(n-1)/(4 t^2), the improved linear cap, and
     the forced sign change of u.  When a profile is supplied, its curvature
-    is first checked against the barrier hypothesis; a profile that stays
+    (over a constant base of scalar curvature base_R, -kappa^2 by default)
+    is first checked against the barrier hypothesis; a profile that dips
     below -n(n-1)/t^2 yields an inconclusive verdict (hypotheses unmet).
     """
-    kappa_sq = float(g_curvature_min)
-    t0, T = t_range
-    _require_finite("barrier certificate", {"kappa^2": kappa_sq, "t0": t0,
-                                            "T": T, "base_scalar": base_scalar})
-    if n < 3:
-        raise DomainError("barrier certificate requires n >= 3")
-    if kappa_sq <= 0:
-        raise DomainError("need kappa^2 > 0")
-    if not t0 > 0:
-        raise DomainError("need t0 > 0")
-    if not t0 < T:
-        raise DomainError("need t0 < T")
-    params = {"kappa_sq": kappa_sq, "n": n, "t0": t0, "T": T}
-
+    kappa_sq, n, t0, T = p["kappa_sq"], p["n"], p["t0"], p["T"]
+    profile, base_R = p["profile"], p["base_R"]
     if profile is not None:
         # hypothesis check: R(t) >= -n(n-1)/t^2 on the window
-        _check_window(_named("barrier33", params, ("t0", "T")), t0, T,
+        _check_window(_named("barrier33", p, ("t0", "T")), t0, T,
                       "hypothesis ", squares_t=True)
-        base = BaseGeometry.constant(n, base_scalar if base_scalar is not None
+        base = BaseGeometry.constant(n, base_R if base_R is not None
                                      else -kappa_sq)
         grid = np.geomspace(t0, T, 256)
         Rvals = np.asarray(warped_scalar_curvature(profile, base, grid), dtype=float)
         margin = Rvals * grid ** 2 + n * (n - 1)
-        params["profile"] = profile.source
         if float(margin.min()) < 0:
-            return Verdict("inconclusive",
-                           reason="profile curvature dips below -n(n-1)/t^2; "
-                                  "barrier hypothesis unmet",
-                           params=params,
-                           witnesses={"min_margin_t2R_plus_nn1": float(margin.min())})
+            return ("inconclusive",
+                    "profile curvature dips below -n(n-1)/t^2; "
+                    "barrier hypothesis unmet",
+                    {"min_margin_t2R_plus_nn1": float(margin.min())})
 
     C0 = (n + 1.0) * (n - 1.0) / 4.0
     eps_ind = (n + 1.0) / 2.0    # the indicial root: eps(eps - 1) = C0
     measured, sol = _growth_exponent(lambda t: C0 / t ** 2, t0, 100.0 * t0,
                                      eps_ind / t0,
-                                     _named("barrier33", params, ("t0",)))
+                                     _named("barrier33", p, ("t0",)))
     cap_c = float(np.max(sol.y[0] / sol.t ** eps_ind)) * 1.05
 
     # improved bound: kappa^2/u^(4/(n+1)) >= c'/t^2 with the measured cap
@@ -846,14 +672,144 @@ def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
     cross = _forced_crossing(lambda t, u, du: k(t) * u, t_neg,
                              [C_lin * t_neg, C_lin], grow(t_neg),
                              "in the barrier chain",
-                             _named("barrier33", params, ("kappa_sq", "t0")),
+                             _named("barrier33", p, ("kappa_sq", "t0")),
                              16, grow)
-    return Verdict("nonexistence",
-                   reason="substituted warp forced through zero under the barrier",
-                   params=params,
-                   witnesses={"crossings": [cross],
-                              "growth_exponent_cap": eps_ind,
-                              "measured_growth_exponent": measured,
-                              "improved_constant": c_prime,
-                              "linear_cap_constant": C_lin,
-                              "coefficient_negative_from": t_neg})
+    return ("nonexistence",
+            "substituted warp forced through zero under the barrier",
+            {"crossings": [cross],
+             "growth_exponent_cap": eps_ind,
+             "measured_growth_exponent": measured,
+             "improved_constant": c_prime,
+             "linear_cap_constant": C_lin,
+             "coefficient_negative_from": t_neg})
+
+
+class _Comparison(NamedTuple):
+    body: object            # checked params -> (verdict kind, reason, witnesses)
+    required: tuple
+    defaults: dict          # each optional parameter and its value if not given
+    domain: dict = {}       # name -> holds(params), in order: else "need <name>"
+    hypotheses: dict = {}   # name -> holds(params), in order: else inconclusive
+    echo: tuple = None      # the params echoed, given or defaulted; None: as given
+
+
+_N_T0 = {"n": 3, "t0": 3.0}
+_N_AT_LEAST_3 = {"n >= 3": lambda p: p["n"] >= 3}
+
+# in the order `certify --kind` lists them
+_COMPARISONS = {
+    "oscillation": _Comparison(
+        _oscillation, ("c",), {"t0": 3.0, "T": None},
+        domain={"c > 0": lambda p: p["c"] > 0, "t0 > 2": lambda p: p["t0"] > 2},
+        echo=("c", "t0")),
+    "thm48": _Comparison(_thm48, ("b",), {**_N_T0, "F0": 1.0, "dF0": 0.0},
+                         hypotheses={**_N_AT_LEAST_3,
+                                     "b > 0": lambda p: p["b"] > 0}),
+    "thm413": _Comparison(_thm413, ("c", "b"), {**_N_T0, "F0": 1.0, "dF0": 0.0},
+                          hypotheses={**_N_AT_LEAST_3,
+                                      "c < 2n": lambda p: p["c"] < 2 * p["n"]}),
+    "thm418": _Comparison(_thm418, ("C1", "C2", "C", "b"), _N_T0, hypotheses={
+        **_N_AT_LEAST_3, "positive constants":
+        lambda p: min(p["C1"], p["C2"], p["C"], p["b"]) > 0}),
+    "thm112": _Comparison(_thm112, (), {**_N_T0, "eps": 1.0, "U0": 1.0,
+                                        "dU0": 0.0},
+                          hypotheses={**_N_AT_LEAST_3,
+                                      "eps > 0": lambda p: p["eps"] > 0}),
+    "thm38": _Comparison(_thm38, ("kappa_sq", "delta", "f"),
+                         {**_N_T0, "T": DEFAULT_T_MAX},
+                         hypotheses={**_N_AT_LEAST_3, "0 < delta < kappa^2":
+                                     lambda p: 0 < p["delta"] < p["kappa_sq"]}),
+    "barrier33": _Comparison(
+        _barrier33, ("kappa_sq",),
+        {**_N_T0, "T": DEFAULT_T_MAX, "profile": None, "base_R": None},
+        domain={**_N_AT_LEAST_3, "kappa^2 > 0": lambda p: p["kappa_sq"] > 0},
+        echo=("kappa_sq", "n", "t0", "T", "profile")),
+}
+CERTIFICATE_KINDS = tuple(_COMPARISONS)
+_WARPS = ("f", "profile")       # taken as given, echoed by their source
+# the domain of every kind, checked after its own
+_WINDOW = {"t0 > 0": lambda p: p["t0"] > 0,
+           "t0 < T": lambda p: p.get("T") is None or p["t0"] < p["T"]}
+
+
+def _coerce(kind, name, value):
+    """A parameter as the bodies read it: a warp as given, n an int and every
+    other a finite float; anything else is a DomainError naming it."""
+    if name in _WARPS:
+        return value
+    try:
+        x = int(value) if name == "n" else float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{kind} parameter '{name}' must be a number") from None
+    if name == "n" and x != value:
+        raise DomainError(f"{kind} parameter 'n' must be an integer, "
+                          f"got {value!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"{kind} parameter '{name}' must be finite, got {x!r}")
+    return x
+
+
+def comparison_parameters(kind):
+    """(required, optional) parameter names of a certificate kind."""
+    if kind not in _COMPARISONS:
+        raise DomainError(f"unknown certificate kind '{kind}'")
+    cert = _COMPARISONS[kind]
+    return cert.required, tuple(cert.defaults)
+
+
+def comparison_certificate(kind, params) -> Verdict:
+    """Run one certificate: the oscillation threshold, the -n(n-1)/t^2
+    barrier, or one of the averaged comparison-ODE certificates.
+
+    The params are checked against the kind's declaration and coerced; a
+    missing or unknown parameter, or a value out of the kind's domain, is a
+    DomainError naming it.  A failed hypothesis is an inconclusive verdict
+    naming it.  The verdict echoes the caller's params (or the kind's
+    declared ones, defaults filled in), each warp given by its source.
+    """
+    required, optional = comparison_parameters(kind)
+    for name in required:
+        if name not in params:
+            raise DomainError(f"{kind} requires parameter '{name}'")
+    cert = _COMPARISONS[kind]
+    p = dict(cert.defaults)
+    for name, value in params.items():
+        if name not in required + optional:
+            raise DomainError(f"{kind} takes no parameter '{name}'")
+        p[name] = _coerce(kind, name, value)
+    for name, holds in {**cert.domain, **_WINDOW}.items():
+        if not holds(p):
+            raise DomainError(f"need {name}")
+    echo = (dict(params) if cert.echo is None else
+            {name: params.get(name, p[name]) for name in cert.echo
+             if p[name] is not None})
+    for name in _WARPS:
+        if name in echo:
+            echo[name] = echo[name].source
+
+    for name, holds in cert.hypotheses.items():
+        if not holds(p):
+            return Verdict("inconclusive", reason=f"hypothesis {name} violated",
+                           params=echo)
+    verdict, reason, witnesses = cert.body(p)
+    return Verdict(verdict, reason=reason, witnesses=witnesses, params=echo)
+
+
+def oscillation_certificate(c, t0, T=None) -> Verdict:
+    """comparison_certificate("oscillation", ...), with T = None for a
+    window sized from c."""
+    window = {"t0": t0} if T is None else {"t0": t0, "T": T}
+    return comparison_certificate("oscillation", {"c": c, **window})
+
+
+def barrier_certificate_33(g_curvature_min, n, t_range, profile=None,
+                           base_scalar=None) -> Verdict:
+    """comparison_certificate("barrier33", ...) for kappa^2 = g_curvature_min
+    and t_range = (t0, T)."""
+    t0, T = t_range
+    params = {"kappa_sq": g_curvature_min, "n": n, "t0": t0, "T": T}
+    if profile is not None:
+        params["profile"] = profile
+    if base_scalar is not None:
+        params["base_R"] = base_scalar
+    return comparison_certificate("barrier33", params)

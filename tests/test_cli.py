@@ -1,6 +1,8 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -591,9 +593,22 @@ class TestCertificateWindows:
          "t0 = 1e+200"),
         (["barrier33", "--kappa-sq", "6", "--T", "1e160", "--profile", "t",
           "--base-R", "-6"], "T = 1e+160"),
+        # t0^2 below the normal floats: a ZeroDivisionError traceback at
+        # 1e-300, and rk45's "right-hand side is not finite at t0", which
+        # names no kind, at 1e-160
+        (["thm413", "--c", "1.2", "--b", "1.2", "--t0", "1e-300"],
+         "t^2 underflows a float on the growth search window [1e-300, "),
+        (["thm413", "--c", "1.2", "--b", "1.2", "--t0", "1e-160"],
+         "t^2 underflows a float on the growth search window [1e-160, "),
+        (["thm112", "--t0", "1e-300"],
+         "t^2 underflows a float on the search window [1e-300, "),
+        (["barrier33", "--kappa-sq", "3", "--t0", "1e-300"],
+         "t^2 underflows a float on the growth search window [1e-300, "),
     ], ids=["thm418-C1", "thm418-b", "thm418-C2", "thm48-b", "thm48-t0",
             "oscillation-c", "oscillation-t0", "thm413-t0", "thm413-growth",
-            "thm112-t0", "barrier33-t0", "barrier33-hypothesis"])
+            "thm112-t0", "barrier33-t0", "barrier33-hypothesis",
+            "thm413-t0-underflow", "thm413-t0-subnormal", "thm112-t0-underflow",
+            "barrier33-t0-underflow"])
     def test_named_before_integrating(self, args, named, tmp_path, capsys,
                                       monkeypatch):
         def integrate(*a, **kw):
@@ -631,6 +646,82 @@ class TestCertificateWindows:
         record = json.loads(capsys.readouterr().out)
         assert record["kind"] == "nonexistence"
         assert record["witnesses"]["crossings"][0] > 1e15
+
+
+@st.composite
+def certify_argv(draw):
+    """certify arguments: a kind, and for each flag the kind reads, from its
+    declaration, a value or nothing, with edge values among them (a required
+    flag left out, a reversed window); now and then a flag it does not read."""
+    kind = draw(st.sampled_from(cli.CERTIFICATE_KINDS))
+    required, optional = ode.comparison_parameters(kind)
+    reads = ["profile" if name == "f" else name for name in required + optional]
+    flags = [name for name in reads if name in cli._CERTIFY_FLAGS + ("t0",)]
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(cli._CERTIFY_FLAGS)))
+    argv = ["certify", "--kind", kind]
+    for name in flags:
+        if draw(st.integers(0, 9)) < (1 if name in required else 3):
+            continue
+        if name == "n":
+            value = draw(st.sampled_from([2, 3, 4, 40, 0, -1]))
+        elif name == "profile":
+            value = draw(st.sampled_from(["t", "t*ln(t)", "t^2", "exp(t)",
+                                          "2 - t", "1/(t-4)+5"]))
+        elif draw(st.integers(0, 2)) == 0:
+            value = draw(st.sampled_from([0.0, -1.0, 1e-300, 1e300]))
+        else:
+            value = draw(st.floats(0.05, 60.0))
+        argv.append(f"{cli._flag(name)}={value}")
+    return argv
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestCertifyContract:
+    """The certify contract, on kinds and flags drawn from the certificate
+    declaration: exit 0 with one strict JSON record on stdout, or exit 1 with
+    exactly one error line on stderr, and never a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=certify_argv())
+    def test_exit_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue().count("\n") == 1
+            record = json.loads(out.getvalue())
+            if record["witnesses"].get("ray_verdict") != "finite":
+                # the one known exception to strict JSON; see the test below
+                record["witnesses"].pop("ray_total", None)
+            json.dumps(record, allow_nan=False)
+        else:
+            assert code == 1
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
+
+    # thm38 copies the total of a ray length it could not certify finite
+    # into its witnesses as inf or nan, which reach the JSON as Infinity or
+    # NaN; certify_golden's thm38-ray pins those bytes
+    @pytest.mark.xfail(strict=True, reason="thm38 writes ray_total as "
+                       "Infinity or NaN when its ray length is not finite")
+    @pytest.mark.parametrize("flags", [
+        ["--kappa-sq", "6", "--delta", "1", "--profile", "t^0.3*(1+(t/30)^8)",
+         "--T", "30"],
+        ["--kappa-sq", "1e300", "--delta", "1e-300", "--profile", "t*ln(t)",
+         "--T", "1e300"],
+    ], ids=["divergent", "undetermined"])
+    def test_thm38_ray_total_is_strict_json(self, flags, capsys):
+        assert main(["certify", "--kind", "thm38"] + flags) == 0
+        _strict_json(capsys.readouterr().out)
 
 
 def _takes_a_float(action):

@@ -65,6 +65,20 @@ def test_oracle_stays_independent_of_the_closed_forms():
     assert imported_modules(PACKAGE / "oracle.py") <= {"errors", "polar"}
 
 
+def test_cli_has_one_certificate_entry_point():
+    # every kind goes through comparison_certificate; oscillation_certificate
+    # and barrier_certificate_33 delegate to it for library callers, so a
+    # traced run that reached them would count one certificate twice
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"oscillation_certificate", "barrier_certificate_33"}
+
+
 def unused_imports(path):
     """Names a module imports (at any depth) but never reads."""
     tree = ast.parse(path.read_text())

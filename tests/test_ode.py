@@ -1,5 +1,5 @@
-"""Shooting, oscillation classification, monotone iteration, base averaging,
-and the comparison certificates."""
+"""Oscillation classification, monotone iteration, and the comparison
+certificates."""
 
 import math
 import re
@@ -13,13 +13,10 @@ from scipy.linalg import solve_banded
 from curvlab import ode
 from curvlab.errors import (BracketError, DomainError, StiffFailure,
                            WindowTooSmall)
-from curvlab.geometry import BaseGeometry
 from curvlab.ode import (OdeSpec, SubSuperPair, _solve_tridiagonal,
-                         average_over_base,
                          barrier_certificate_33, comparison_certificate,
-                         monotone_solve, oscillation_certificate, shoot)
-from curvlab.polar import BaseGrid, PolarWarpField
-from curvlab.warp import parse_field, parse_profile
+                         monotone_solve, oscillation_certificate)
+from curvlab.warp import parse_profile
 
 
 class TestOdeSpec:
@@ -30,32 +27,6 @@ class TestOdeSpec:
     def test_bad_window(self):
         with pytest.raises(DomainError):
             OdeSpec(n=3, R=0.0, R_g=0.0, t0=5.0, T=2.0)
-
-
-class TestShoot:
-    def test_constant_solution(self):
-        spec = OdeSpec(n=3, R=0.0, R_g=0.0, t0=1.0, T=50.0)
-        tr = shoot(spec, 1.0, 0.0)
-        assert np.max(np.abs(tr.u - 1.0)) < 1e-12
-        assert tr.crossings == []
-
-    def test_eq31_constant_six(self):
-        spec = OdeSpec(n=3, R=-1.0, R_g=-6.0, t0=3.0, T=100.0, form="eq31")
-        tr = shoot(spec, 6.0, 0.0)
-        assert np.max(np.abs(tr.u - 6.0)) < 1e-6
-
-    def test_crossing_detection(self):
-        # (4n/(n+1)) u'' + R u = 0 with R_g = 0 and R = 3 (n=3 gives u'' = -u):
-        # cosine from u(0+)=1 crosses at odd multiples of pi/2
-        spec = OdeSpec(n=3, R=3.0, R_g=0.0, t0=0.1, T=10.0)
-        tr = shoot(spec, math.cos(0.1), -math.sin(0.1))
-        assert tr.crossings[0] == pytest.approx(math.pi/2, rel=1e-8)
-
-    def test_stop_at_crossing(self):
-        spec = OdeSpec(n=3, R=3.0, R_g=0.0, t0=0.1, T=10.0)
-        tr = shoot(spec, math.cos(0.1), -math.sin(0.1), stop_at_crossing=True)
-        assert tr.terminated_at_crossing
-        assert tr.t[-1] == pytest.approx(math.pi/2, rel=1e-8)
 
 
 class TestOscillation:
@@ -275,61 +246,6 @@ def test_tridiagonal_solve_matches_solve_banded(N, seed, scale, zeros):
     assert got.tobytes() == expected.tobytes()
 
 
-class TestAveraging:
-    def test_torus_constant(self):
-        grid = BaseGrid(3, 16)
-        u = PolarWarpField("1 + 0*t", grid, domain_min=0.5)
-        ap = average_over_base(u, None, grid, weight="1",
-                               t_grid=np.array([2.0, 3.0]))
-        assert np.allclose(ap.values, (2*math.pi)**3, rtol=1e-14)
-        assert ap.tag == "U"
-
-    def test_separable(self):
-        grid = BaseGrid(2, 32)
-        u = PolarWarpField("(1/t)*(2 + sin(x1))", grid, domain_min=0.5)
-        t = np.array([2.0, 5.0])
-        ap = average_over_base(u, None, grid, weight="1", t_grid=t)
-        assert np.allclose(ap.values, (1.0/t)*2.0*(2*math.pi)**2, rtol=1e-12)
-
-    def test_fn_weight_closed_form(self):
-        grid = BaseGrid(3, 16)
-        u = PolarWarpField("1/t", grid, domain_min=0.5)
-        f = PolarWarpField("t", grid, domain_min=0.5)
-        t = np.geomspace(2.0, 10.0, 5)
-        ap = average_over_base(u, f, grid, weight="fn", t_grid=t)
-        assert np.allclose(ap.values, (2*math.pi)**3 * t**2, rtol=1e-12)
-        assert ap.tag == "calF"
-
-    def test_field_on_another_grid_rejected(self):
-        u = PolarWarpField("1/t", BaseGrid(3, 16), domain_min=0.5)
-        with pytest.raises(DomainError, match="incompatible grids"):
-            average_over_base(u, None, BaseGrid(3, 8), weight="1",
-                              t_grid=np.array([2.0]))
-
-    def test_grid_warp_with_profile_field_rejected(self):
-        grid = BaseGrid(3, 8)
-        f = PolarWarpField("t*(2 + sin(x1))", grid, domain_min=0.5)
-        with pytest.raises(DomainError, match="incompatible grids"):
-            average_over_base(parse_field("1/t"), f, grid, weight="f2",
-                              t_grid=np.array([3.0]))
-
-    def test_abstract_base(self):
-        base = BaseGeometry.constant(3, -6.0, volume=2.0)
-        ap = average_over_base(parse_field("1/t"), parse_profile("t"),
-                               base, weight="f2",
-                               t_grid=np.array([2.5, 4.0]))
-        assert np.allclose(ap.values, 2.0*np.array([2.5, 4.0]), rtol=1e-14)
-
-    @pytest.mark.parametrize("weight", ["f2", "fn"])
-    def test_warp_weight_without_warp_is_named(self, weight):
-        # the analytic path used to fail with an AttributeError on None.eval
-        base = BaseGeometry.constant(3, -6.0, volume=2.0)
-        with pytest.raises(DomainError,
-                           match=f"weight {weight} needs the warp field"):
-            average_over_base(parse_field("1/t"), None, base, weight=weight,
-                              t_grid=np.array([2.5, 4.0]))
-
-
 class TestCertificates:
     def test_thm48_crossing(self):
         v = comparison_certificate("thm48", {"b": 0.5, "t0": 3.0})
@@ -436,6 +352,17 @@ class TestCertificates:
         with pytest.raises(DomainError, match="thm48 parameter " + message):
             comparison_certificate("thm48", params)
 
+    @pytest.mark.parametrize("run, message", [
+        (lambda: comparison_certificate("thm48", {"b": 1, "n": 3.7}),
+         "thm48 parameter 'n' must be an integer, got 3.7"),
+        (lambda: barrier_certificate_33(6.0, 3.5, (3.0, 1e4)),
+         "barrier33 parameter 'n' must be an integer, got 3.5"),
+    ], ids=["thm48", "barrier33"])
+    def test_non_integral_n_is_named(self, run, message):
+        # n = 3.7 was truncated to 3, and the verdict echoed 3.7
+        with pytest.raises(DomainError, match=re.escape(message)):
+            run()
+
     def test_params_echoed_as_given(self):
         v = comparison_certificate("thm48", {"b": 1, "n": 3.0})
         assert v.params == {"b": 1, "n": 3.0}
@@ -443,10 +370,11 @@ class TestCertificates:
 
 
 @pytest.mark.parametrize("args, message", [
-    ((float("nan"), 3.0), "oscillation parameter c must be finite, got nan"),
-    ((float("inf"), 3.0), "oscillation parameter c must be finite, got inf"),
-    ((1.2, float("nan")), "oscillation parameter t0 must be finite, got nan"),
-    ((1.2, 3.0, float("inf")), "oscillation parameter T must be finite, got inf"),
+    ((float("nan"), 3.0), "oscillation parameter 'c' must be finite, got nan"),
+    ((float("inf"), 3.0), "oscillation parameter 'c' must be finite, got inf"),
+    ((1.2, float("nan")), "oscillation parameter 't0' must be finite, got nan"),
+    ((1.2, 3.0, float("inf")),
+     "oscillation parameter 'T' must be finite, got inf"),
 ], ids=["c-nan", "c-inf", "t0-nan", "T-inf"])
 def test_oscillation_non_finite_parameters_are_named(args, message):
     # each used to end in rk45's late "need t_span[0] < t_span[1]"
@@ -520,17 +448,20 @@ class TestBarrier:
         assert v.witnesses["min_margin_t2R_plus_nn1"] < 0
 
     @pytest.mark.parametrize("args, kwargs, name", [
-        ((float("inf"), 3, (3.0, 1e4)), {}, "kappa^2 must be finite, got inf"),
-        ((float("nan"), 3, (3.0, 1e4)), {}, "kappa^2 must be finite, got nan"),
-        ((6.0, 3, (3.0, float("inf"))), {}, "T must be finite, got inf"),
+        ((float("inf"), 3, (3.0, 1e4)), {}, "'kappa_sq' must be finite, got inf"),
+        ((float("nan"), 3, (3.0, 1e4)), {}, "'kappa_sq' must be finite, got nan"),
+        ((6.0, 3, (3.0, float("inf"))), {}, "'T' must be finite, got inf"),
         ((6.0, 3, (3.0, 1e4)), {"profile": parse_profile("t"),
                                 "base_scalar": float("-inf")},
-         "base_scalar must be finite, got -inf"),
-    ])
+         "'base_R' must be finite, got -inf"),
+    ], ids=["args0-kwargs0-kappa^2 must be finite, got inf",
+            "args1-kwargs1-kappa^2 must be finite, got nan",
+            "args2-kwargs2-T must be finite, got inf",
+            "args3-kwargs3-base_scalar must be finite, got -inf"])
     def test_non_finite_parameters_are_named(self, args, kwargs, name):
         # an infinite kappa^2 used to end in rk45's StiffFailure
         with pytest.raises(DomainError, match=re.escape(
-                "barrier certificate parameter " + name)):
+                "barrier33 parameter " + name)):
             barrier_certificate_33(*args, **kwargs)
 
     def test_n2_rejected(self):

@@ -217,17 +217,3 @@ def test_certificate_bytes_match_scipy(name, monkeypatch):
     ours = CERTIFICATES[name]().to_json()
     monkeypatch.setattr(ode, "solve_ivp", scipy_solve_ivp)
     assert CERTIFICATES[name]().to_json() == ours
-
-
-def test_shooting_matches_scipy(monkeypatch):
-    spec = ode.OdeSpec(n=3, R=lambda t: -7.0 / t ** 2, R_g=-6.0, t0=3.0,
-                       T=60.0)
-    runs = [lambda: ode.shoot(spec, 1.0, -0.4, stop_at_crossing=True),
-            lambda: ode.shoot(spec, 2.0, 0.1)]
-    ours = [run() for run in runs]
-    monkeypatch.setattr(ode, "solve_ivp", scipy_solve_ivp)
-    for run, tr in zip(runs, ours):
-        ref = run()
-        assert np.array_equal(tr.t, ref.t) and np.array_equal(tr.u, ref.u)
-        assert tr.crossings == ref.crossings
-        assert tr.terminated_at_crossing == ref.terminated_at_crossing
