@@ -9,7 +9,6 @@ class ExpressionError(CurvlabError):
     """Syntax or semantic error in a profile expression string."""
 
     def __init__(self, message, column=None):
-        self.column = column
         if column is not None:
             message = f"{message} at column {column}"
         super().__init__(message)

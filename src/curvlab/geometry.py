@@ -26,36 +26,36 @@ class DimensionConstants:
         object.__setattr__(self, "nonlin_exp", (n - 3) / (n + 1))
 
 
-def sphere_volume(n, radius):
-    """Surface volume of the round n-sphere of the given radius."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) * radius ** n
-
-
 @dataclass(frozen=True)
 class BaseGeometry:
-    """The compact base (N, g): dimension, constant scalar curvature, volume.
+    """The compact base (N, g): dimension and constant scalar curvature.
 
     The discretized torus itself is polar.BaseGrid.
     """
 
     n: int
     scalar_curvature: float
-    volume: float
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"base dimension must be >= 2, got {self.n}")
-        if self.volume <= 0:
-            raise DomainError("base volume must be positive")
 
     @staticmethod
-    def constant(n, scalar_curvature, volume=1.0):
-        return BaseGeometry(n=n, scalar_curvature=float(scalar_curvature),
-                            volume=float(volume))
+    def constant(n, scalar_curvature):
+        return BaseGeometry(n=n, scalar_curvature=float(scalar_curvature))
 
     @staticmethod
     def sphere(n, radius=1.0):
         if radius <= 0:
             raise DomainError("sphere radius must be positive")
-        return BaseGeometry(n=n, scalar_curvature=n * (n - 1) / radius ** 2,
-                            volume=sphere_volume(n, radius))
+        # n(n-1)/radius^2 as IEEE rounds it, where a Python float raises
+        try:
+            scalar = n * (n - 1) / radius ** 2
+        except OverflowError:       # radius^2 overflows: the quotient is 0
+            scalar = 0.0
+        except ZeroDivisionError:   # radius^2 underflows to 0
+            scalar = math.inf
+        if not scalar < math.inf:
+            raise DomainError(f"sphere radius {radius!r} is too small: "
+                              "n(n-1)/radius^2 overflows a float")
+        return BaseGeometry(n=n, scalar_curvature=scalar)

@@ -143,6 +143,15 @@ def _named(kind, p, names):
     return f"{kind} with " + ", ".join(f"{k} = {p[k]!r}" for k in names)
 
 
+def _positive_float(who, what, value):
+    """value, a constant the right-hand side reads; one that overflowed or
+    underflowed to 0 is a DomainError naming `who` before anything is
+    integrated."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{who}: {what} = {value!r} is not a positive float")
+    return value
+
+
 def _check_window(who, start, end, what="", squares_t=False):
     """A search window that overflow or rounding left empty or infinite is a
     DomainError naming `who`, before anything is integrated on it; so is one
@@ -427,7 +436,8 @@ def _thm48(p):
 def _thm413(p):
     """F'' <= -b^2/n + (c'/t^2) F with c' = c/n < 2: growth-capped profile
     is forced to vanish."""
-    n, b, t0 = p["n"], p["b"], p["t0"]
+    n, t0 = p["n"], p["t0"]
+    b2 = _positive_float(_named("thm413", p, ("b",)), "b^2", p["b"] * p["b"])
     cp = p["c"] / n
     witnesses = {}
     if cp > 0:
@@ -442,7 +452,7 @@ def _thm413(p):
     def grow(T):
         return max(2.0 * T, t0 + 10.0)
     witnesses["crossings"] = [_forced_crossing(
-        lambda t, F, dF: -b * b / n + (cp / t ** 2) * F, t0,
+        lambda t, F, dF: -b2 / n + (cp / t ** 2) * F, t0,
         [p["F0"], p["dF0"]], grow(t0), "for the thm413 comparison ODE",
         _named("thm413", p, ("t0",)), 12, grow)]
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
@@ -455,10 +465,8 @@ def _thm418(p):
     calF'' <= k(t) calF with k(t) -> -c^2 < 0; integrate past the point
     where k <= -c^2/2 and report the forced crossing."""
     n, b, C1 = p["n"], p["b"], p["C1"]
-    c2 = DimensionConstants(n).c_np1 * b * b
-    if not 0 < c2 < math.inf:
-        raise DomainError(f"{_named('thm418', p, ('b',))}: c^2 = c_(n+1) b^2 "
-                          f"= {c2!r} is not a positive float")
+    c2 = _positive_float(_named("thm418", p, ("b",)), "c^2 = c_(n+1) b^2",
+                         DimensionConstants(n).c_np1 * b * b)
     try:
         A = n * (n - 1) * C1 ** 2 + n * p["C2"]
     except OverflowError:
@@ -487,13 +495,15 @@ def _thm112(p):
 
         U'' + (n/(n+1)) U'/t - ((n-1)/(4(n+1))) U/t^2 = -eps^2 U^((n+3)/(n-1))
     """
-    n, eps, t0 = p["n"], p["eps"], p["t0"]
+    n, t0 = p["n"], p["t0"]
+    eps2 = _positive_float(_named("thm112", p, ("eps",)), "eps^2",
+                           p["eps"] * p["eps"])
     q = (n + 3.0) / (n - 1.0)
     a1 = n / (n + 1.0)
     a0 = (n - 1.0) / (4.0 * (n + 1.0))
 
     def rhs(t, U, dU):
-        return -a1 * dU / t + a0 * U / t ** 2 - eps * eps * _signed_pow(U, q)
+        return -a1 * dU / t + a0 * U / t ** 2 - eps2 * _signed_pow(U, q)
 
     def grow(T):
         return 2.0 * T + 10.0
@@ -603,7 +613,8 @@ def _thm38(p):
     report = ray_length(u_bound, None, n, t0, T)
     witnesses["ray_integral"] = report.integral
     witnesses["ray_tail_exponent"] = report.tail_exponent
-    witnesses["ray_total"] = report.total
+    # as RayLengthReport.to_json writes it: a total only once it is finite
+    witnesses["ray_total"] = report.total if report.verdict == "finite" else None
     witnesses["ray_verdict"] = report.verdict
     if report.verdict != "finite":
         return ("inconclusive",
@@ -707,7 +718,8 @@ _COMPARISONS = {
                                      "b > 0": lambda p: p["b"] > 0}),
     "thm413": _Comparison(_thm413, ("c", "b"), {**_N_T0, "F0": 1.0, "dF0": 0.0},
                           hypotheses={**_N_AT_LEAST_3,
-                                      "c < 2n": lambda p: p["c"] < 2 * p["n"]}),
+                                      "c < 2n": lambda p: p["c"] < 2 * p["n"],
+                                      "b > 0": lambda p: p["b"] > 0}),
     "thm418": _Comparison(_thm418, ("C1", "C2", "C", "b"), _N_T0, hypotheses={
         **_N_AT_LEAST_3, "positive constants":
         lambda p: min(p["C1"], p["C2"], p["C"], p["b"]) > 0}),

@@ -86,7 +86,6 @@ class MetricGrid:
 
     def __init__(self, n, component_fn, h=1.0e-3, domain_min=0.0,
                  stacked=False):
-        self.n = n
         self.dim = n + 1
         self._component_fn = component_fn
         self._stacked = stacked

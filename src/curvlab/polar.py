@@ -37,7 +37,6 @@ class BaseGrid:
         self.stencil = stencil
         self.spacing = 2.0 * math.pi / m
         self.axis_points = np.arange(m) * self.spacing
-        self.volume = (2.0 * math.pi) ** n
         self._k = np.fft.fftfreq(m, d=1.0 / m)  # integer wavenumbers
         # one broadcastable axis array per coordinate, shape (m, 1, ..) etc.
         self._axes = np.meshgrid(*([self.axis_points] * n), indexing="ij",

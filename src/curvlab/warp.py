@@ -154,13 +154,23 @@ def warped_scalar_curvature(f: WarpProfile, base: BaseGeometry, t):
     """Scalar curvature of dt^2 + f^2(t) g at radius t.
 
     R(t) = (1/f^2) [R(g) - 2 n f f'' - n (n-1) f'^2].
+
+    A square that overflows, or one that underflows to a zero divisor, gives
+    the IEEE inf or nan where a value is a Python float too (a float t, or
+    a derivative that is a constant), as it does in an array.
     """
     n = base.n
-    fval = f.eval(t)
-    fp = f.d1(t)
-    fpp = f.d2(t)
-    return (base.scalar_curvature - 2.0 * n * fval * fpp
-            - n * (n - 1) * fp ** 2) / fval ** 2
+
+    def curvature(fval, fp, fpp):
+        return (base.scalar_curvature - 2.0 * n * fval * fpp
+                - n * (n - 1) * fp ** 2) / fval ** 2
+
+    values = f.eval(t), f.d1(t), f.d2(t)
+    try:
+        return curvature(*values)
+    except (OverflowError, ZeroDivisionError):  # Python floats raise
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return curvature(*(np.asarray(v, dtype=float)[()] for v in values))
 
 
 def ode_residual(u: SubstitutedProfile, R, base: BaseGeometry, t):

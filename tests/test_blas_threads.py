@@ -1,6 +1,8 @@
 """Importing curvlab loads numpy with one OpenBLAS thread, unless the user
 set a thread count or numpy was already loaded, and leaves os.environ as it
-found it."""
+found it.  The children import curvlab.cli, as the command line does: a bare
+`import curvlab` loads no module that needs numpy, so where the user set a
+count it loads no numpy either."""
 
 import json
 import os
@@ -45,14 +47,14 @@ def numpy_threads():
 
 
 def test_one_thread_and_no_variable_left(numpy_threads):
-    assert threads_and_variables("import curvlab") == (1, UNSET)
+    assert threads_and_variables("import curvlab.cli") == (1, UNSET)
 
 
 def test_a_thread_count_the_user_set_is_kept(numpy_threads):
-    assert threads_and_variables("import curvlab", OMP_NUM_THREADS="2") == (
+    assert threads_and_variables("import curvlab.cli", OMP_NUM_THREADS="2") == (
         2, {**UNSET, "OMP_NUM_THREADS": "2"})
 
 
 def test_numpy_loaded_first_is_left_as_it_is(numpy_threads):
-    assert threads_and_variables("import numpy, curvlab") == (
+    assert threads_and_variables("import numpy, curvlab.cli") == (
         numpy_threads, UNSET)

@@ -589,6 +589,14 @@ class TestCertificateWindows:
         (["thm413", "--c", "1", "--b", "1", "--t0", "1e152"],
          "t^2 overflows a float on the growth search window [1e+152, 1e+156]"),
         (["thm112", "--t0", "1e200"], "t0 = 1e+200"),
+        # b^2 and eps^2 overflow: rk45's "right-hand side is not finite at
+        # t0 = 3.0", which names neither kind nor parameter
+        (["thm413", "--c", "1", "--b", "1e300"],
+         "b = 1e+300: b^2 = inf is not a positive float"),
+        (["thm112", "--eps", "1e300"],
+         "eps = 1e+300: eps^2 = inf is not a positive float"),
+        (["thm112", "--eps", "1e-300"],
+         "eps = 1e-300: eps^2 = 0.0 is not a positive float"),
         (["barrier33", "--kappa-sq", "6", "--t0", "1e200", "--T", "1e201"],
          "t0 = 1e+200"),
         (["barrier33", "--kappa-sq", "6", "--T", "1e160", "--profile", "t",
@@ -606,7 +614,8 @@ class TestCertificateWindows:
          "t^2 underflows a float on the growth search window [1e-300, "),
     ], ids=["thm418-C1", "thm418-b", "thm418-C2", "thm48-b", "thm48-t0",
             "oscillation-c", "oscillation-t0", "thm413-t0", "thm413-growth",
-            "thm112-t0", "barrier33-t0", "barrier33-hypothesis",
+            "thm112-t0", "thm413-b-squared", "thm112-eps-squared",
+            "thm112-eps-squared-underflow", "barrier33-t0", "barrier33-hypothesis",
             "thm413-t0-underflow", "thm413-t0-subnormal", "thm112-t0-underflow",
             "barrier33-t0-underflow"])
     def test_named_before_integrating(self, args, named, tmp_path, capsys,
@@ -696,11 +705,7 @@ class TestCertifyContract:
         if code == 0:
             assert err.getvalue() == ""
             assert out.getvalue().count("\n") == 1
-            record = json.loads(out.getvalue())
-            if record["witnesses"].get("ray_verdict") != "finite":
-                # the one known exception to strict JSON; see the test below
-                record["witnesses"].pop("ray_total", None)
-            json.dumps(record, allow_nan=False)
+            _strict_json(out.getvalue())
         else:
             assert code == 1
             assert out.getvalue() == ""
@@ -708,11 +713,9 @@ class TestCertifyContract:
             assert err.getvalue().count("\n") == 1
             assert err.getvalue().endswith("\n")
 
-    # thm38 copies the total of a ray length it could not certify finite
-    # into its witnesses as inf or nan, which reach the JSON as Infinity or
-    # NaN; certify_golden's thm38-ray pins those bytes
-    @pytest.mark.xfail(strict=True, reason="thm38 writes ray_total as "
-                       "Infinity or NaN when its ray length is not finite")
+    # thm38 used to copy the total of a ray length it could not certify
+    # finite into its witnesses as inf or nan, which reached the JSON as
+    # Infinity or NaN; it writes null now, as RayLengthReport.to_json does
     @pytest.mark.parametrize("flags", [
         ["--kappa-sq", "6", "--delta", "1", "--profile", "t^0.3*(1+(t/30)^8)",
          "--T", "30"],
@@ -721,7 +724,9 @@ class TestCertifyContract:
     ], ids=["divergent", "undetermined"])
     def test_thm38_ray_total_is_strict_json(self, flags, capsys):
         assert main(["certify", "--kind", "thm38"] + flags) == 0
-        _strict_json(capsys.readouterr().out)
+        witnesses = _strict_json(capsys.readouterr().out)["witnesses"]
+        assert witnesses["ray_verdict"] != "finite"
+        assert witnesses["ray_total"] is None
 
 
 def _takes_a_float(action):
@@ -793,7 +798,28 @@ class TestCleanErrors:
         (["solve", "--n", "3", "--points", "0"], "need at least 3 grid points"),
         (["solve", "--n", "3", "--points", "1"], "need at least 3 grid points"),
         (["solve", "--n", "3", "--points", "2"], "need at least 3 grid points"),
-    ], ids=["certify-c", "sweep-c", "points0", "points1", "points2"])
+        # radius^2 underflows: a ZeroDivisionError in BaseGeometry.sphere
+        (["curvature", "--profile", "t", "--n", "3", "--base", "sphere",
+          "--radius", "1e-300", "--t", "3:10:2"],
+         "sphere radius 1e-300 is too small: n(n-1)/radius^2 overflows"),
+        (["oracle", "--profile", "t", "--n", "3", "--base", "sphere",
+          "--radius", "1e-300", "--t", "3:10:2"],
+         "sphere radius 1e-300 is too small: n(n-1)/radius^2 overflows"),
+        # the closed form at a Python-float t: f'^2 overflowed, or f^2
+        # underflowed to a zero divisor, in warped_scalar_curvature
+        (["oracle", "--profile", "t^400", "--n", "2", "--t", "4:8:3"],
+         "metric is not finite at t = 4.0"),
+        (["oracle", "--profile", "t^400", "--n", "2", "--base", "sphere",
+          "--t", "4:8:3"], "metric is not finite at t = 4.0"),
+        (["oracle", "--profile", "1e-200*t", "--n", "3", "--t", "4:8:3"],
+         "metric not positive definite at t = 4.0"),
+        # on an array of t too, where f' is the Python-float constant 1e300
+        (["curvature", "--profile", "1e300*t", "--n", "3", "--t", "3:10:3"],
+         "curvature is not finite at t = 3.0"),
+    ], ids=["certify-c", "sweep-c", "points0", "points1", "points2",
+            "curvature-radius-underflow", "oracle-radius-underflow",
+            "oracle-square-overflow", "oracle-sphere-square-overflow",
+            "oracle-square-underflow", "curvature-constant-square-overflow"])
     def test_one_error_line_and_nothing_written(self, args, message, tmp_path,
                                                 capsys):
         out = tmp_path / "o"
@@ -803,6 +829,17 @@ class TestCleanErrors:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["curvature", "oracle"])
+    def test_a_sphere_too_large_to_square_is_flat(self, command, capsys):
+        # radius^2 overflowed with an OverflowError traceback; n(n-1)/inf is
+        # the flat base's curvature, 0
+        table = ["--profile", "t", "--n", "3", "--t", "3:10:2"]
+        assert main([command] + table + ["--base", "sphere",
+                                         "--radius", "1e200"]) == 0
+        sphere = capsys.readouterr().out
+        assert main([command] + table + ["--base-R", "0"]) == 0
+        assert sphere == capsys.readouterr().out
 
     @pytest.mark.parametrize("args, err", [
         (["oracle", "--profile", "exp(exp(t))", "--n", "3", "--t", "3:10:3"],

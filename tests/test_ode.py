@@ -279,6 +279,30 @@ class TestCertificates:
         assert v.kind == "inconclusive"
         assert "c < 2n" in v.reason
 
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_thm413_needs_positive_b(self, b):
+        # only b^2 enters the comparison ODE: b = -1 certified nonexistence,
+        # and b = 0 searched twelve windows for a crossing and failed
+        v = comparison_certificate("thm413", {"n": 3, "c": 1.0, "b": b})
+        assert (v.kind, v.reason) == ("inconclusive",
+                                      "hypothesis b > 0 violated")
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("thm413", {"c": 1.0, "b": 1e300},
+         "thm413 with b = 1e+300: b^2 = inf is not a positive float"),
+        ("thm413", {"c": 1.0, "b": 1e-300},
+         "thm413 with b = 1e-300: b^2 = 0.0 is not a positive float"),
+        ("thm112", {"eps": 1e300},
+         "thm112 with eps = 1e+300: eps^2 = inf is not a positive float"),
+    ], ids=["thm413-b-overflow", "thm413-b-underflow", "thm112-eps-overflow"])
+    def test_squared_parameter_is_named_before_integrating(
+            self, kind, params, message, monkeypatch):
+        # each ended in rk45's "right-hand side is not finite at t0 = 3.0"
+        # or, underflowed, in a search for a crossing that never comes
+        monkeypatch.setattr(ode, "solve_ivp", None)     # nothing is integrated
+        with pytest.raises(DomainError, match=re.escape(message)):
+            comparison_certificate(kind, params)
+
     def test_thm418(self):
         params = {"n": 3, "C1": 1.0, "C2": 1.0, "C": 1.0, "b": 1.0}
         v = comparison_certificate("thm418", params)
