@@ -18,7 +18,7 @@ from .geometry import BaseGeometry
 from .ode import (CERTIFICATE_KINDS, OdeSpec, SubSuperPair,
                   comparison_certificate, comparison_parameters,
                   monotone_solve)
-from .oracle import assemble_metric, fd_scalar_curvature
+from .oracle import assemble_metric, block_size, fd_scalar_curvature
 from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from .serialize import (atomic_write_text, chunks_of, csv_chunks, csv_text,
                         jsonl_text)
@@ -109,15 +109,15 @@ def _warp(args):
 # subcommands
 
 
-def _check_finite(t, R):
+def _check_finite(t, values, what="curvature"):
     """Overflow such as exp(exp(t)) must not reach the table as nan/inf.
-    t is one slice's t, or the t of each entry of R (the first bad one is
-    named)."""
-    finite = np.isfinite(R)
+    t is one row's t, or the t of each entry of values (the first bad one
+    is named)."""
+    finite = np.isfinite(values)
     if not finite.all():
         if np.ndim(t):
             t = t[np.argmin(finite)]
-        raise DomainError(f"curvature is not finite at t = {float(t)!r}")
+        raise DomainError(f"{what} is not finite at t = {float(t)!r}")
 
 
 def cmd_curvature(args):
@@ -153,6 +153,8 @@ def cmd_solve(args):
     sol = monotone_solve(spec, pair, bc=(args.bc_left, args.bc_right),
                          num_points=args.points)
     du = np.gradient(sol.u, sol.t)
+    _check_finite(sol.t, sol.u, "u")
+    _check_finite(sol.t, du, "du")
     text = csv_text(["t", "u", "du"], [sol.t], [sol.u, du])
     _emit(args, text, {"command": "solve",
                        "residual_norm": sol.residual_norm,
@@ -204,7 +206,14 @@ def cmd_certify(args):
     return 0
 
 
+# the largest --n the FD oracle is run at: three n = 40 points take ~1.2 s
+# and peak at ~175 MB, and the stencil's components grow like n^4
+ORACLE_MAX_N = 40
+
+
 def cmd_oracle(args):
+    if args.n > ORACLE_MAX_N:
+        raise DomainError(f"oracle needs n <= {ORACLE_MAX_N}, got n = {args.n}")
     t_vals = parse_range(args.t)
     base, f = _warp(args)
     if args.base == "torus":
@@ -214,17 +223,29 @@ def cmd_oracle(args):
     else:
         x0 = np.full(base.n, 0.3)
     metric = assemble_metric(f, base, h=args.h)
+    points = np.column_stack([t_vals, np.tile(x0, (len(t_vals), 1))])
+    size = block_size(metric.dim)
     rows = []
-    for t in t_vals:
-        point = np.concatenate([[t], x0])
-        closed = float(polar_scalar_curvature(f, float(t), node)
-                       if args.base == "torus"
-                       else warped_scalar_curvature(f, base, float(t)))
-        fd = fd_scalar_curvature(metric, point).scalar
-        _check_finite(t, [closed, fd])
-        abs_err = abs(fd - closed)
-        rel = abs_err / max(abs(closed), 1e-300)
-        rows.append([closed, fd, abs_err, rel])
+    for block in np.split(points, range(size, len(points), size)):
+        try:
+            fds = fd_scalar_curvature(metric, block).scalar
+        except CurvlabError:
+            # a table names its first bad t, each t checked in turn: closed
+            # form, FD, then the row; so a failing block goes point by point
+            fds = [None] * len(block)
+        for point, fd in zip(block, fds):
+            t = point[0]
+            closed = float(polar_scalar_curvature(f, float(t), node)
+                           if args.base == "torus"
+                           else warped_scalar_curvature(f, base, float(t)))
+            if fd is None:
+                fd = fd_scalar_curvature(metric, point).scalar
+            _check_finite(t, [closed, fd])
+            abs_err = abs(fd - closed)
+            rel = abs_err / max(abs(closed), 1e-300)
+            _check_finite(t, abs_err, "abs_err")
+            _check_finite(t, rel, "rel_err")
+            rows.append([closed, fd, abs_err, rel])
     _emit(args, csv_text(["point", "closed_form", "fd", "abs_err", "rel_err"],
                          [t_vals], np.transpose(rows)), {"command": "oracle"})
     return 0

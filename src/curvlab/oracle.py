@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CurvlabError, DomainError
 from .polar import BaseGrid
 
 
@@ -162,16 +162,16 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
 
 @lru_cache(maxsize=None)
 def _stencil(dim):
-    """The distinct points of the centred difference stencils in dim
-    coordinates, in the order the differences first read them: the centre,
-    +-h on each axis, then for each axis a: +-2h on a, and +-h+-h on a and
-    each later axis.
+    """The distinct points but the centre of the centred difference
+    stencils in dim coordinates, in the order the differences first read
+    them: +-h on each axis, then for each axis a: +-2h on a, and +-h+-h on
+    a and each later axis.
 
     A point is a move ((axis, steps), ...), the centre shifted by steps * h
     along each axis.  Returns the number of points, the (rows, axes, steps)
     of every shift, and the rows of each pattern of steps, by axis or by
     axis pair in increasing order."""
-    moves = [()] + [((a, s),) for a in range(dim) for s in (1.0, -1.0)]
+    moves = [((a, s),) for a in range(dim) for s in (1.0, -1.0)]
     for a in range(dim):
         moves += [((a, 2.0),), ((a, -2.0),)]
         moves += [((a, sa), (b, sb)) for b in range(a + 1, dim)
@@ -184,101 +184,160 @@ def _stencil(dim):
     return len(moves), rows, axes, steps, {k: np.array(v) for k, v in reads.items()}
 
 
-def _derivatives(metric, point, h):
-    """Components g at point, dg[c, a, b] = d_c g_ab and d2[i, j, a, b] =
-    d_i d_j g_ab: centred first differences, 5-point O(h^4) diagonal second
-    differences and 4-point mixed ones.
+# fd_scalar_curvature's callers evaluate a table's points in blocks whose
+# stencil stacks hold at most this many coordinates: a block shares numpy's
+# per-call cost among its points, while its arrays stay small enough that
+# a job's peak RSS is within ~0.4 MB of a point's (2^13 added 1-2 MB)
+BLOCK_DOUBLES = 2 ** 12
 
-    The point is checked first: its stencil must stay above domain_min, and
-    the metric at the centre, evaluated on its own so that a pole there is
-    named at its t, must be finite and positive definite.  The rest of the
-    stencil is then evaluated in one call."""
+
+def block_size(dim):
+    """Points per fd_scalar_curvature call in dim coordinates: as many as
+    fit BLOCK_DOUBLES stencil coordinates, and at least one."""
+    return max(1, BLOCK_DOUBLES // (_stencil(dim)[0] * dim))
+
+
+def _derivatives(metric, points, h):
+    """Components g at each row of a (k, dim) stack of points, dg[p, c, a, b]
+    = d_c g_ab and d2[p, i, j, a, b] = d_i d_j g_ab at row p: centred first
+    differences, 5-point O(h^4) diagonal second differences and 4-point
+    mixed ones.
+
+    The points are checked first: their stencils must stay above
+    domain_min, and the metric at the centres, evaluated on their own so
+    that a pole there is named at its t, must be finite and positive
+    definite.  The rest of the stencils is then evaluated in one call."""
     if not h > 0:
         raise DomainError(f"need h > 0, got h = {h!r}")
-    t = float(point[0])
-    if t - 2.0 * h <= metric.domain_min:
+    t = points[:, 0]
+    if np.any(t - 2.0 * h <= metric.domain_min):
         raise DomainError(
             f"t - 2h must exceed domain_min = {metric.domain_min}")
-    g = metric.components(point)
-    if not np.isfinite(g).all():
-        raise DomainError(f"metric is not finite at t = {t!r}")
-    if np.any(np.linalg.eigvalsh(g) <= 0):
-        raise DomainError(f"metric not positive definite at t = {t!r}")
-    k, rows, axes, steps, reads = _stencil(metric.dim)
-    stack = np.repeat(point[None], k, axis=0)
-    stack[rows, axes] += steps * h  # as point[axis] += delta, one at a time
-    G = np.concatenate([g[None], metric.components(stack[1:])])
+    g = metric.components(points)
+    _name_first(t, np.isfinite(g).all(axis=(1, 2)), "metric is not finite")
+    _name_first(t, np.all(np.linalg.eigvalsh(g) > 0, axis=1),
+                "metric not positive definite")
+    dim = metric.dim
+    k, rows, axes, steps, reads = _stencil(dim)
+    stack = np.repeat(points[:, None], k, axis=1)
+    stack[:, rows, axes] += steps * h  # as point[axis] += delta, one at a time
+    G = metric.components(stack.reshape(-1, dim)).reshape(len(points), k,
+                                                          dim, dim)
 
     def at(*steps):
-        return G[reads[steps]]
+        return G[:, reads[steps]]
 
-    dim = metric.dim
     dg = (at(1.0) - at(-1.0)) / (2.0 * h)
-    d2 = np.empty((dim, dim, dim, dim))
+    d2 = np.empty((len(points),) + (dim,) * 4)
     diag = np.arange(dim)
-    d2[diag, diag] = (-at(2.0) + 16.0 * at(1.0) - 30.0 * g
-                      + 16.0 * at(-1.0) - at(-2.0)) / (12.0 * h * h)
+    d2[:, diag, diag] = (-at(2.0) + 16.0 * at(1.0) - 30.0 * g[:, None]
+                         + 16.0 * at(-1.0) - at(-2.0)) / (12.0 * h * h)
     i, j = np.triu_indices(dim, 1)
     mixed = (at(1.0, 1.0) - at(1.0, -1.0) - at(-1.0, 1.0)
              + at(-1.0, -1.0)) / (4.0 * h * h)
-    d2[i, j] = mixed
-    d2[j, i] = mixed
+    d2[:, i, j] = mixed
+    d2[:, j, i] = mixed
     return g, dg, d2
 
 
-def _inverse(g, point):
+def _name_first(t, ok, message):
+    """Raise `message` at the t of the first row that is not ok."""
+    if not ok.all():
+        raise DomainError(f"{message} at t = {float(t[np.argmin(ok)])!r}")
+
+
+def _inverse(g, points):
+    """g^-1 at a point, or at each row of a stack; a singular g is named at
+    the t of the first point."""
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError:
-        raise DomainError(f"metric is singular at t = {float(point[0])!r}")
+        t = float(np.ravel(points)[0])
+        raise DomainError(f"metric is singular at t = {t!r}")
 
 
 def _christoffel(ginv, dg):
-    # dg[c, a, b] = d_c g_ab; bracket[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
+    # dg[..., c, a, b] = d_c g_ab;
+    # bracket[..., d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
+    bracket = (np.einsum("...bdc->...dbc", dg)
+               + np.einsum("...cdb->...dbc", dg) - dg)
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, bracket)
 
 
 def _riemann(g, gamma, d2):
-    """R_ijkl from g, gamma[a, b, c] = Gamma^a_bc and d2[i, j, a, b] =
-    d_i d_j g_ab."""
-    gg1 = np.einsum("ab,bil,ajk->ijkl", g, gamma, gamma)
-    gg2 = np.einsum("ab,bik,ajl->ijkl", g, gamma, gamma)
-    # d2[i, l, j, k] + d2[j, k, i, l] - d2[j, l, i, k] - d2[i, k, j, l]
-    second = (d2.transpose(0, 2, 3, 1) + d2.transpose(2, 0, 1, 3)
-              - d2.transpose(2, 0, 3, 1) - d2.transpose(0, 2, 1, 3))
-    return 0.5 * second + gg1 - gg2
+    """R_ijkl from g, gamma[..., a, b, c] = Gamma^a_bc and d2[..., i, j, a, b]
+    = d_i d_j g_ab, over any leading axes.
+
+    g_ab Gamma^b_il Gamma^a_jk is contracted in two O(dim^5) steps, first
+    over b and then over a; its g_ab Gamma^b_ik Gamma^a_jl twin is the same
+    array with k and l swapped.  For a diagonal g this gives the bits of
+    the one three-operand contraction over (a, b), which is O(dim^6)."""
+    low = np.einsum("...ab,...bil->...ail", g, gamma)
+    gg1 = np.einsum("...ail,...ajk->...ijkl", low, gamma)
+    # 0.5 (d2[i, l, j, k] + d2[j, k, i, l] - d2[j, l, i, k] - d2[i, k, j, l])
+    # + gg1[i, j, k, l] - gg1[i, j, l, k], summed left to right in place,
+    # in C order, which the contractions of R then follow
+    riemann = np.einsum("...iljk->...ijkl", d2).copy(order="C")
+    riemann += np.einsum("...jkil->...ijkl", d2)
+    riemann -= np.einsum("...jlik->...ijkl", d2)
+    riemann -= np.einsum("...ikjl->...ijkl", d2)
+    riemann *= 0.5
+    riemann += gg1
+    riemann -= gg1.swapaxes(-1, -2)
+    return riemann
 
 
 @dataclass
 class CurvatureTensorSample:
-    gamma: np.ndarray    # gamma[a, b, c] = Gamma^a_bc
+    """At one point, or at each row of a stack under a leading point axis."""
+    gamma: np.ndarray    # gamma[..., a, b, c] = Gamma^a_bc
     riemann: np.ndarray  # fully covariant R_ijkl
-    mixed: float         # sum_{1<=j,l} g^{jl} R_{0j0l}
-    tangential: float    # sum_{1<=i,j,k,l} g^{jl} g^{ik} R_{ijkl}
-    scalar: float        # full contraction g^{ik} g^{jl} R_{ijkl}
+    mixed: float | np.ndarray       # sum_{1<=j,l} g^{jl} R_{0j0l}
+    tangential: float | np.ndarray  # sum_{1<=i,j,k,l} g^{jl} g^{ik} R_{ijkl}
+    scalar: float | np.ndarray      # full contraction g^{ik} g^{jl} R_{ijkl}
 
 
-def fd_scalar_curvature(metric: MetricGrid, point, h=None) -> CurvatureTensorSample:
+def fd_scalar_curvature(metric: MetricGrid, points,
+                        h=None) -> CurvatureTensorSample:
     """Christoffel symbols and fully covariant curvature components at a
-    point, all derivatives by centred differences:
+    point (dim,), or at each row of a stack (k, dim), all derivatives by
+    centred differences:
 
         Gamma^a_bc = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
         R_ijkl = (1/2)(d_i d_l g_jk + d_j d_k g_il - d_j d_l g_ik - d_i d_k g_jl)
                  + g_ab (Gamma^b_il Gamma^a_jk - Gamma^b_ik Gamma^a_jl)
 
     with the contractions reported separately (mixed radial part,
-    tangential part, full scalar)."""
+    tangential part, full scalar): floats at a point, (k,) arrays on a
+    stack.  Each row of a stack gets the bits of a call on that row alone,
+    and a stack holding a point that fails raises the first such point's
+    own error."""
     h = metric.h if h is None else h
-    point = np.asarray(point, dtype=float)
-    g, dg, d2 = _derivatives(metric, point, h)
-    ginv = _inverse(g, point)
-    gamma = _christoffel(ginv, dg)
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        one = _stack_curvature(metric, points[None], h)
+        return CurvatureTensorSample(
+            gamma=one.gamma[0], riemann=one.riemann[0],
+            mixed=float(one.mixed[0]), tangential=float(one.tangential[0]),
+            scalar=float(one.scalar[0]))
+    try:
+        return _stack_curvature(metric, points, h)
+    except CurvlabError:
+        # the stack's checks name some failing point; find the first
+        for point in points:
+            _stack_curvature(metric, point[None], h)
+        raise
 
+
+def _stack_curvature(metric, points, h):
+    g, dg, d2 = _derivatives(metric, points, h)
+    ginv = _inverse(g, points)
+    gamma = _christoffel(ginv, dg)
     riemann = _riemann(g, gamma, d2)
-    mixed = float(np.einsum("jl,jl->", ginv[1:, 1:], riemann[0, 1:, 0, 1:]))
-    tangential = float(np.einsum(
-        "jl,ik,ijkl->", ginv[1:, 1:], ginv[1:, 1:], riemann[1:, 1:, 1:, 1:]))
-    scalar = float(np.einsum("ik,jl,ijkl->", ginv, ginv, riemann))
+    inner = ginv[:, 1:, 1:]
+    mixed = np.einsum("...jl,...jl->...", inner, riemann[:, 0, 1:, 0, 1:])
+    tangential = np.einsum("...jl,...ik,...ijkl->...", inner, inner,
+                           riemann[:, 1:, 1:, 1:, 1:])
+    scalar = np.einsum("...ik,...jl,...ijkl->...", ginv, ginv, riemann)
     return CurvatureTensorSample(gamma=gamma, riemann=riemann, mixed=mixed,
                                  tangential=tangential, scalar=scalar)

@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 from curvlab import cli, ode
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
+from curvlab.oracle import fd_scalar_curvature
 from curvlab.polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from curvlab.serialize import (WRITE_SLICE, atomic_write_text, csv_chunks,
                                csv_text)
@@ -816,10 +817,24 @@ class TestCleanErrors:
         # on an array of t too, where f' is the Python-float constant 1e300
         (["curvature", "--profile", "1e300*t", "--n", "3", "--t", "3:10:3"],
          "curvature is not finite at t = 3.0"),
+        # solve wrote nan rows with exit 0: the solution overflowed, or its
+        # barriers underflowed
+        (["solve", "--n", "3", "--points", "50", "--R-const", "2",
+          "--R-power", "0.5", "--T", "1e300"],
+         "u is not finite at t = 2.0408163265306123e+298"),
+        (["solve", "--n", "2", "--points", "50", "--bc-left", "1e-300",
+          "--u-minus-const", "1e-300"], "u is not finite at t = 4.979591836734694"),
+        # the closed form is 0 and the FD curvature ~ -1e9: rel_err was inf
+        (["oracle", "--profile", "t", "--n", "16", "--base", "sphere",
+          "--t", "3:5:3"], "rel_err is not finite at t = 3.0"),
+        (["oracle", "--profile", "t", "--n", "41", "--t", "3"],
+         "oracle needs n <= 40, got n = 41"),
     ], ids=["certify-c", "sweep-c", "points0", "points1", "points2",
             "curvature-radius-underflow", "oracle-radius-underflow",
             "oracle-square-overflow", "oracle-sphere-square-overflow",
-            "oracle-square-underflow", "curvature-constant-square-overflow"])
+            "oracle-square-underflow", "curvature-constant-square-overflow",
+            "solve-overflow", "solve-underflow", "oracle-rel-err-overflow",
+            "oracle-n-bound"])
     def test_one_error_line_and_nothing_written(self, args, message, tmp_path,
                                                 capsys):
         out = tmp_path / "o"
@@ -1058,6 +1073,32 @@ class TestSolveAndOracle:
         assert capsys.readouterr().err == \
             "error: ray length integral is not finite\n"
         assert not out.exists()
+
+    def test_oracle_runs_up_to_its_bound_on_n(self, capsys):
+        # the largest n oracle takes runs; n + 1 is refused (oracle-n-bound)
+        assert main(["oracle", "--profile", "t", "--n", str(cli.ORACLE_MAX_N),
+                     "--t", "3"]) == 0
+        (row,) = np.loadtxt(io.StringIO(capsys.readouterr().out),
+                            delimiter=",", skiprows=1, ndmin=2)
+        assert row[4] < 1e-6
+
+    def test_oracle_evaluates_points_in_blocks(self, monkeypatch, capsys):
+        # at n = 7 (dim 8) a block holds 3 points; the table is the one the
+        # point-by-point evaluation writes
+        argv = ["oracle", "--profile", "t^2+t", "--n", "7", "--t", "3:5:8"]
+        blocks = []
+
+        def fd(metric, points, h=None):
+            blocks.append(np.shape(points))
+            return fd_scalar_curvature(metric, points, h)
+
+        monkeypatch.setattr(cli, "fd_scalar_curvature", fd)
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert blocks == [(3, 8), (3, 8), (2, 8)]
+        monkeypatch.setattr(cli, "block_size", lambda dim: 1)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
 
     def test_oracle_report(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -1,14 +1,17 @@
-"""README's certify table against the declaration it describes,
-ode._COMPARISONS: the same kinds in the same order, and per kind the same
-required parameters, domain conditions and hypotheses, by name and in
-order, with every optional parameter given a default."""
+"""README against what it describes: its certify table against the
+declaration ode._COMPARISONS (the same kinds in the same order, and per
+kind the same required parameters, domain conditions and hypotheses, by
+name and in order, with every optional parameter given a default), and
+the --flags it names against the CLI's parser."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
 from curvlab import ode
+from curvlab.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEADER = ("| kind | required | defaults | domain (else `DomainError`) "
@@ -71,3 +74,41 @@ def test_row_matches_the_declaration(kind):
         name, _, value = item.partition(" = ")
         if re.fullmatch(r"-?[0-9.e+-]+", value):
             assert float(value) == declared.defaults[name], item
+
+
+# flags README names that are not curvlab's, each with why it is there
+NOT_PARSER_FLAGS = {
+    "--no-build-isolation": "pip's, in the install line",
+    "--base-vol": "named as a flag that does not exist",
+    "--conf": "named as an abbreviation that is refused",
+}
+
+
+def parser_flags(parser):
+    """Every --flag of parser and its subcommands, but argparse's --help."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags - {"--help"}
+
+
+def readme_flags(text):
+    return set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+
+
+def test_flag_reader():
+    assert readme_flags("`--n` and `--base-R`, e.g. `a --x0=-inf`, x--y, "
+                        "`--kappa-sq 6`") == {"--n", "--base-R", "--x0",
+                                              "--kappa-sq"}
+
+
+def test_readme_names_every_flag_and_no_other():
+    named = readme_flags(README.read_text())
+    flags = parser_flags(build_parser())
+    assert sorted(flags - named) == [], "parser flags README does not name"
+    assert sorted(named - flags - set(NOT_PARSER_FLAGS)) == [], \
+        "README flags the parser lacks"
+    assert set(NOT_PARSER_FLAGS) <= named - flags

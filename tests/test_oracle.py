@@ -328,8 +328,15 @@ class TestBatchedStencil:
         g = rng.normal(size=(dim, dim))
         gamma = rng.normal(size=(dim, dim, dim))
         d2 = rng.normal(size=(dim,) * 4) * 10.0 ** rng.integers(-3, 4)
-        gg1 = np.einsum("ab,bil,ajk->ijkl", g, gamma, gamma)
-        gg2 = np.einsum("ab,bik,ajl->ijkl", g, gamma, gamma)
+        # gg[i, j, k, l] = g_ab Gamma^b_il Gamma^a_jk, summed over b and then
+        # over a, each in increasing order, as _riemann contracts it; the
+        # g_ab Gamma^b_ik Gamma^a_jl term is gg[i, j, l, k]
+        low = np.zeros((dim,) * 3)
+        for b in range(dim):
+            low += g[:, b, None, None] * gamma[None, b]
+        gg = np.zeros((dim,) * 4)
+        for a in range(dim):
+            gg += low[a][:, None, None, :] * gamma[a][None, :, :, None]
         loop = np.empty((dim,) * 4)
         for i in range(dim):
             for j in range(dim):
@@ -337,9 +344,78 @@ class TestBatchedStencil:
                     for el in range(dim):
                         second = 0.5 * (d2[i, el, j, k] + d2[j, k, i, el]
                                         - d2[j, el, i, k] - d2[i, k, j, el])
-                        loop[i, j, k, el] = (second + gg1[i, j, k, el]
-                                             - gg2[i, j, k, el])
+                        loop[i, j, k, el] = (second + gg[i, j, k, el]
+                                             - gg[i, j, el, k])
         riemann = oracle._riemann(g, gamma, d2)
         # the contractions' einsum summation order follows the layout
         assert riemann.flags.c_contiguous
         assert same_bits(riemann, loop)
+
+    @settings(max_examples=50, deadline=None)
+    @given(dim=st.integers(2, 9), rows=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_diagonal_g_keeps_the_three_operand_bits(self, dim, rows, seed):
+        # assemble_metric's g is diagonal, and for it the two-step
+        # contraction, on a stack or not, gives the bits of the O(dim^6)
+        # three-operand einsum it replaced; the symbols of a warped metric
+        # hold exact zeros, so the drawn ones do too
+        rng = np.random.default_rng(seed)
+        g = np.zeros((rows, dim, dim))
+        g[:, range(dim), range(dim)] = (rng.uniform(0.1, 10.0, (rows, dim))
+                                        * 10.0 ** rng.integers(-3, 4, (rows, dim)))
+        gamma = rng.normal(size=(rows,) + (dim,) * 3)
+        gamma[rng.random(gamma.shape) < 0.4] = 0.0
+        zero = np.zeros((rows,) + (dim,) * 4)
+        stacked = oracle._riemann(g, gamma, zero)
+        for r in range(rows):
+            gg1 = np.einsum("ab,bil,ajk->ijkl", g[r], gamma[r], gamma[r])
+            gg2 = np.einsum("ab,bik,ajl->ijkl", g[r], gamma[r], gamma[r])
+            expected = 0.5 * zero[r] + gg1 - gg2
+            assert same_bits(oracle._riemann(g[r], gamma[r], zero[r]), expected)
+            assert same_bits(stacked[r], expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.sampled_from(["flat", "sphere", "hyperbolic", "torus"]),
+           n=st.integers(2, 6),
+           profile=st.sampled_from(["t^3+t", "1.3*t*ln(t)", "0.7*t^1.4",
+                                    "(t-4)*exp(exp(t))"]),
+           ts=st.lists(st.floats(2.5, 8.0), min_size=1, max_size=6),
+           x=st.floats(0.2, 1.2), conformal=st.booleans())
+    def test_a_stack_is_its_rows(self, base, n, profile, ts, x, conformal):
+        # each row of a stack gets the bits of a call on that row alone; a
+        # stack holding failing points (the last profile is nonpositive
+        # below t = 4 and overflows above t ~ 6.56) raises the first one's
+        # own error, whichever of the stack's checks fails first
+        if base == "torus":
+            geometry = BaseGrid(n, 8)
+            f = PolarWarpField(f"({profile})*(3+0.2*sin(x1)*cos(x{n}))",
+                               geometry, domain_min=0.1)
+        else:
+            R = {"flat": 0.0, "sphere": 1.5, "hyperbolic": -1.5}[base]
+            geometry = BaseGeometry.constant(n, R * n * (n - 1))
+            f = parse_profile(profile, domain_min=0.1)
+        coords = tuple(f"x{i + 1}" for i in range(n))
+        u = (parse_field("1 + 0.2*sin(x1)*cos(x2)/t", ("t",) + coords)
+             if conformal else None)
+        metric = assemble_metric(f, geometry, conformal=u)
+        points = np.column_stack([ts, np.tile(x + 0.1 * np.arange(n),
+                                              (len(ts), 1))])
+        # near t ~ 6.5 the curvature overflows, as the CLI allows it to
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check_stack(metric, points)
+
+    @staticmethod
+    def check_stack(metric, points):
+        alone = []
+        for point in points:
+            try:
+                alone.append(fd_scalar_curvature(metric, point))
+            except DomainError as e:
+                with pytest.raises(DomainError) as err:
+                    fd_scalar_curvature(metric, points)
+                assert str(err.value) == str(e)
+                return
+        stacked = fd_scalar_curvature(metric, points)
+        for r, one in enumerate(alone):
+            for part in ("scalar", "mixed", "tangential", "riemann", "gamma"):
+                assert same_bits(getattr(stacked, part)[r], getattr(one, part))
