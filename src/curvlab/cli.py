@@ -12,17 +12,9 @@ import time
 
 import numpy as np
 
-from .completeness import ray_length
+# each subcommand imports its own layers when it runs, so that --help, a
+# usage error or a table loads no solver and no other command's modules
 from .errors import CurvlabError, DomainError
-from .geometry import BaseGeometry
-from .ode import (CERTIFICATE_KINDS, OdeSpec, SubSuperPair,
-                  comparison_certificate, comparison_parameters,
-                  monotone_solve)
-from .oracle import assemble_metric, block_size, fd_scalar_curvature
-from .polar import BaseGrid, PolarWarpField, polar_scalar_curvature
-from .serialize import (atomic_write_text, chunks_of, csv_chunks, csv_text,
-                        jsonl_text)
-from .warp import parse_field, parse_profile, warped_scalar_curvature
 
 
 def finite_float(text):
@@ -75,6 +67,7 @@ def load_config(path):
 
 
 def _write(path, text):
+    from .serialize import atomic_write_text
     try:
         atomic_write_text(path, text)
     except OSError as e:
@@ -84,6 +77,7 @@ def _write(path, text):
 def _emit(args, text, meta):
     """Write `text`, a str or an iterable of str chunks, to --out (with its
     .meta.json sidecar) or to stdout, one chunk at a time."""
+    from .serialize import chunks_of
     if getattr(args, "out", None):
         _write(args.out, text)
         meta = {**meta, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
@@ -94,6 +88,9 @@ def _emit(args, text, meta):
 
 def _warp(args):
     """The base and the warp over it, as curvature and oracle read them."""
+    from .geometry import BaseGeometry
+    from .polar import BaseGrid, PolarWarpField
+    from .warp import parse_profile
     if args.base == "torus":
         base = BaseGrid(args.n, args.m, stencil=args.stencil)
         return base, PolarWarpField(args.profile, base,
@@ -121,6 +118,9 @@ def _check_finite(t, values, what="curvature"):
 
 
 def cmd_curvature(args):
+    from .polar import polar_scalar_curvature
+    from .serialize import csv_chunks, csv_text
+    from .warp import warped_scalar_curvature
     t_vals = parse_range(args.t)
     base, f = _warp(args)
     if args.base == "torus":
@@ -144,6 +144,8 @@ def cmd_curvature(args):
 
 
 def cmd_solve(args):
+    from .ode import OdeSpec, SubSuperPair, monotone_solve
+    from .serialize import csv_text
     n = args.n
     spec = OdeSpec(n=n, R=_R_function(args), R_g=-n * (n - 1),
                    t0=args.t0, T=args.T, form="eq31")
@@ -153,7 +155,6 @@ def cmd_solve(args):
     sol = monotone_solve(spec, pair, bc=(args.bc_left, args.bc_right),
                          num_points=args.points)
     du = np.gradient(sol.u, sol.t)
-    _check_finite(sol.t, sol.u, "u")
     _check_finite(sol.t, du, "du")
     text = csv_text(["t", "u", "du"], [sol.t], [sol.u, du])
     _emit(args, text, {"command": "solve",
@@ -180,6 +181,8 @@ def _flag(name):
 
 
 def cmd_certify(args):
+    from .ode import comparison_certificate, comparison_parameters
+    from .warp import parse_profile
     kind = args.kind
     required, optional = comparison_parameters(kind)
     flags = {name: "profile" if name == "f" else name
@@ -195,10 +198,18 @@ def cmd_certify(args):
 
     if "n" in flags:     # --n defaults to 3 for every kind that reads it
         params.setdefault("n", 3)
-    for name in ("f", "profile"):
-        if name in params:
-            params[name] = parse_profile(params[name], domain_min=args.domain_min)
-    verdict = comparison_certificate(kind, params)
+    try:
+        for name in ("f", "profile"):
+            if name in params:
+                params[name] = parse_profile(params[name],
+                                             domain_min=args.domain_min)
+        verdict = comparison_certificate(kind, params)
+    except CurvlabError as e:
+        # the error line names the kind once, first, as the certificates'
+        # own window, parameter and crossing errors do
+        if str(e).startswith(kind):
+            raise
+        raise CurvlabError(f"{kind}: {e}") from None
     if args.format == "text":
         _emit(args, verdict.to_text(), {"command": "certify"})
     else:
@@ -212,6 +223,10 @@ ORACLE_MAX_N = 40
 
 
 def cmd_oracle(args):
+    from .oracle import assemble_metric, block_size, fd_scalar_curvature
+    from .polar import polar_scalar_curvature
+    from .serialize import csv_text
+    from .warp import warped_scalar_curvature
     if args.n > ORACLE_MAX_N:
         raise DomainError(f"oracle needs n <= {ORACLE_MAX_N}, got n = {args.n}")
     t_vals = parse_range(args.t)
@@ -252,6 +267,8 @@ def cmd_oracle(args):
 
 
 def cmd_raylength(args):
+    from .completeness import ray_length
+    from .warp import parse_field
     u = parse_field(args.u)
     report = ray_length(lambda t: np.asarray(u.eval(t), dtype=float),
                         None, args.n, args.t0, args.T)
@@ -260,6 +277,8 @@ def cmd_raylength(args):
 
 
 def cmd_sweep(args):
+    from .ode import comparison_certificate
+    from .serialize import jsonl_text
     window = {"t0": args.t0} if args.T is None else {"t0": args.t0, "T": args.T}
     records = [comparison_certificate("oscillation", {"c": float(c), **window})
                .to_json() for c in parse_range(args.c)]
@@ -269,6 +288,15 @@ def cmd_sweep(args):
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+class _Kinds:
+    """certify's --kind choices: ode is imported only when argparse checks a
+    kind or prints them."""
+
+    def __iter__(self):
+        from .ode import CERTIFICATE_KINDS
+        return iter(CERTIFICATE_KINDS)
 
 
 def build_parser():
@@ -319,7 +347,8 @@ def build_parser():
 
     p = sub.add_parser("certify", help="nonexistence/incompleteness certificates")
     common(p)
-    p.add_argument("--kind", required=True, choices=CERTIFICATE_KINDS)
+    # set after add_argument, which formats the choices it is given
+    p.add_argument("--kind", required=True).choices = _Kinds()
     p.add_argument("--t0", type=finite_float, default=3.0)
     for name in _CERTIFY_FLAGS:
         p.add_argument(_flag(name), dest=name, default=None,

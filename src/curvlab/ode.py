@@ -307,6 +307,11 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
         rhs[0] -= a / h ** 2 * bc_l
         rhs[-1] -= a / h ** 2 * bc_r
         new_interior = _solve_tridiagonal(off, diag, off, rhs)
+        finite = np.isfinite(new_interior)
+        if not finite.all():
+            # later steps would only carry the nan on
+            raise DomainError(f"u is not finite at t = "
+                              f"{float(t[1 + np.argmin(finite)])!r}")
         step = new_interior - u[1:-1]
         size = float(np.abs(new_interior).max())
         if iterations > 1 and np.any(direction * step < -1e-9 * max(1.0, size)):
@@ -334,10 +339,10 @@ def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None,
                      squares_t=True):
     """First downward zero crossing of y'' = rhs(t, y, y') with y(t0) = y0,
     searched on [t0, T], then on [t0, grow(T)], ... over `tries` windows.
-    Finding none is a StiffFailure naming `what`, never a verdict; a window
-    that floats cannot hold, or on which t^2 overflows for an rhs that
-    squares t, is a DomainError naming `who`, and so is a crossing that
-    rounds to t0 (no sign change)."""
+    Finding none is a StiffFailure naming `who` and `what`, never a
+    verdict; a window that floats cannot hold, or on which t^2 overflows for
+    an rhs that squares t, is a DomainError naming `who`, and so is a
+    crossing that rounds to t0 (no sign change)."""
     for _ in range(tries):
         _check_window(who, t0, T, squares_t=squares_t)
         sol = _second_order(rhs, (t0, T), y0, crossing=-1, terminal=True)
@@ -349,7 +354,7 @@ def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None,
             return cross
         if grow is not None:
             T = grow(T)
-    raise StiffFailure(f"no crossing found {what}")
+    raise StiffFailure(f"{who}: no crossing found {what}")
 
 
 def _growth_exponent(coeff_fn, t0, T, dy0, who):
@@ -453,7 +458,7 @@ def _thm413(p):
         return max(2.0 * T, t0 + 10.0)
     witnesses["crossings"] = [_forced_crossing(
         lambda t, F, dF: -b2 / n + (cp / t ** 2) * F, t0,
-        [p["F0"], p["dF0"]], grow(t0), "for the thm413 comparison ODE",
+        [p["F0"], p["dF0"]], grow(t0), "for the comparison ODE",
         _named("thm413", p, ("t0",)), 12, grow)]
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
             witnesses)
@@ -479,7 +484,7 @@ def _thm418(p):
     cp = math.sqrt(c2 / 2.0)
     cross = _forced_crossing(lambda t, F, dF: (A / t ** 2 + B / t - c2) * F,
                              t_start, [1.0, 0.0], t_start + 4.0 * math.pi / cp,
-                             "for the thm418 comparison ODE",
+                             "for the comparison ODE",
                              _named("thm418", p, ("C1", "C2", "C", "b", "t0")))
     return ("nonexistence",
             "averaged f^n-weighted conformal factor is forced to vanish",
@@ -508,7 +513,7 @@ def _thm112(p):
     def grow(T):
         return 2.0 * T + 10.0
     cross = _forced_crossing(rhs, t0, [p["U0"], p["dU0"]], grow(t0),
-                             "for the thm112 comparison ODE",
+                             "for the comparison ODE",
                              _named("thm112", p, ("t0",)), 16, grow)
     return ("nonexistence", "base-averaged conformal factor is forced to vanish",
             {"crossings": [cross], "transform_alpha": -(n - 1.0) / 2.0})

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curvlab import cli, ode
+from curvlab import cli, ode, oracle
 from curvlab.cli import build_parser, main, parse_range
 from curvlab.errors import DomainError
 from curvlab.oracle import fd_scalar_curvature
@@ -533,7 +533,7 @@ class TestCertifyInputErrors:
     ], ids=lambda a: a[0])
     def test_reversed_window_fails_up_front(self, args, capsys):
         assert main(["certify", "--kind"] + args) == 1
-        assert capsys.readouterr().err == "error: need t0 < T\n"
+        assert capsys.readouterr().err == f"error: {args[0]}: need t0 < T\n"
 
     def test_sweep_reversed_window(self, capsys):
         assert main(["sweep", "--c", "0.5:2:3", "--T", "2.5"]) == 1
@@ -552,7 +552,7 @@ class TestCertifyInputErrors:
         # to fail late inside the integrator
         out = tmp_path / "c.jsonl"
         assert main(["certify", "--kind"] + args + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: need t0 > 0\n"
+        assert capsys.readouterr().err == f"error: {args[0]}: need t0 > 0\n"
         assert not out.exists()
 
     def test_thm38_overflow_is_a_domain_error(self, tmp_path, capsys):
@@ -563,7 +563,7 @@ class TestCertifyInputErrors:
                      "--delta", "1", "--profile", "exp(t)", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: f f'' is not finite at t = 365.77842061829665\n")
+            "error: thm38: f f'' is not finite at t = 365.77842061829665\n")
         assert not out.exists()
 
 
@@ -663,7 +663,7 @@ def certify_argv(draw):
     """certify arguments: a kind, and for each flag the kind reads, from its
     declaration, a value or nothing, with edge values among them (a required
     flag left out, a reversed window); now and then a flag it does not read."""
-    kind = draw(st.sampled_from(cli.CERTIFICATE_KINDS))
+    kind = draw(st.sampled_from(ode.CERTIFICATE_KINDS))
     required, optional = ode.comparison_parameters(kind)
     reads = ["profile" if name == "f" else name for name in required + optional]
     flags = [name for name in reads if name in cli._CERTIFY_FLAGS + ("t0",)]
@@ -695,7 +695,8 @@ def _strict_json(text):
 class TestCertifyContract:
     """The certify contract, on kinds and flags drawn from the certificate
     declaration: exit 0 with one strict JSON record on stdout, or exit 1 with
-    exactly one error line on stderr, and never a traceback."""
+    exactly one error line on stderr that names the kind once, first, and
+    never a traceback."""
 
     @settings(max_examples=400, deadline=None)
     @given(argv=certify_argv())
@@ -710,9 +711,29 @@ class TestCertifyContract:
         else:
             assert code == 1
             assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ")
+            kind = argv[2]
+            assert err.getvalue().startswith(f"error: {kind}")
+            assert err.getvalue().count(kind) == 1
             assert err.getvalue().count("\n") == 1
             assert err.getvalue().endswith("\n")
+
+    # certify errors whose line used to name no kind
+    @pytest.mark.parametrize("args, err", [
+        (["barrier33", "--kappa-sq", "1e300"],
+         "barrier33: integrator failed: Required step size is less than "
+         "spacing between numbers."),
+        (["thm48", "--b", "1e-300"],
+         "thm48 with b = 1e-300, t0 = 3.0: no crossing found for "
+         "F'' = -b^2 F"),
+        (["thm38", "--kappa-sq", "6", "--delta", "1", "--profile",
+          "exp(exp(t))"], "thm38: f f'' is not finite at t = 6.04026359601155"),
+        (["oscillation", "--c", "2", "--t0", "1e-300"],
+         "oscillation: need t0 > 2"),
+    ], ids=["barrier33-integrator", "thm48-no-crossing", "thm38-overflow",
+            "oscillation-domain"])
+    def test_error_names_the_kind(self, args, err, capsys):
+        assert main(["certify", "--kind"] + args) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     # thm38 used to copy the total of a ray length it could not certify
     # finite into its witnesses as inf or nan, which reached the JSON as
@@ -794,7 +815,7 @@ class TestCleanErrors:
 
     @pytest.mark.parametrize("args, message", [
         (["certify", "--kind", "oscillation", "--c", "1.0001"],
-         "c = 1.0001 is too close to 1"),
+         "oscillation: c = 1.0001 is too close to 1"),
         (["sweep", "--c", "1.00001:1.2:3"], "c = 1.00001 is too close to 1"),
         (["solve", "--n", "3", "--points", "0"], "need at least 3 grid points"),
         (["solve", "--n", "3", "--points", "1"], "need at least 3 grid points"),
@@ -861,7 +882,7 @@ class TestCleanErrors:
          "error: curvature is not finite at t = 5.477225575051662\n"),
         (["certify", "--kind", "thm38", "--kappa-sq", "6", "--delta", "1",
           "--profile", "exp(t)"],
-         "error: f f'' is not finite at t = 365.77842061829665\n"),
+         "error: thm38: f f'' is not finite at t = 365.77842061829665\n"),
         (["curvature", "--profile", "exp(exp(t))", "--n", "3",
           "--t", "3:10:5"],
          "error: curvature is not finite at t = 7.400828044922854\n"),
@@ -1092,11 +1113,11 @@ class TestSolveAndOracle:
             blocks.append(np.shape(points))
             return fd_scalar_curvature(metric, points, h)
 
-        monkeypatch.setattr(cli, "fd_scalar_curvature", fd)
+        monkeypatch.setattr(oracle, "fd_scalar_curvature", fd)
         assert main(argv) == 0
         table = capsys.readouterr().out
         assert blocks == [(3, 8), (3, 8), (2, 8)]
-        monkeypatch.setattr(cli, "block_size", lambda dim: 1)
+        monkeypatch.setattr(oracle, "block_size", lambda dim: 1)
         assert main(argv) == 0
         assert capsys.readouterr().out == table
 

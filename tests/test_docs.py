@@ -85,14 +85,15 @@ NOT_PARSER_FLAGS = {
 
 
 def parser_flags(parser):
-    """Every --flag of parser and its subcommands, but argparse's --help."""
+    """Every --flag of parser and its subcommands, argparse's --help
+    included."""
     flags = set()
     for action in parser._actions:
         flags.update(o for o in action.option_strings if o.startswith("--"))
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 flags |= parser_flags(sub)
-    return flags - {"--help"}
+    return flags
 
 
 def readme_flags(text):

@@ -1,5 +1,6 @@
 """Module layering: the lower layers never import the upper ones, either at
-module level or inside a function."""
+module level or inside a function, and each CLI command loads only its own
+layers."""
 
 import ast
 import os
@@ -13,12 +14,17 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "curvlab"
 LOWER = ("ode", "rk45", "completeness", "warp", "geometry")
 UPPER = {"polar", "oracle", "cli"}
+# child interpreters import this checkout's curvlab
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
-def imported_modules(path):
-    """curvlab module names imported anywhere in the file."""
+def imported_modules(path, top_level=False):
+    """curvlab module names imported anywhere in the file, or with top_level
+    only by its module-level statements."""
+    tree = ast.parse(path.read_text())
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
@@ -47,6 +53,7 @@ def test_parser_sees_every_import_form(tmp_path):
                    "    from curvlab.serialize import csv_text\n"
                    "import numpy\n")
     assert imported_modules(src) == {"polar", "oracle", "cli", "expr", "serialize"}
+    assert imported_modules(src, top_level=True) == {"polar", "oracle", "cli"}
 
 
 @pytest.mark.parametrize("module", LOWER)
@@ -149,12 +156,19 @@ def test_function_local_import_finder(tmp_path):
     assert function_local_package_imports(src) == [("f", 4), ("g", 8), ("g", 9)]
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in PACKAGE.glob("*.py") if p.stem != "cli"))
 def test_no_function_local_package_imports(module):
-    # package modules import each other at module level, where the layering
-    # checks above see them and an import cycle shows at once
+    # package modules import each other at module level, where an import
+    # cycle shows at once (the layering checks above see imports at any depth)
     found = function_local_package_imports(PACKAGE / f"{module}.py")
     assert not found, f"{module} imports inside {found}"
+
+
+def test_cli_imports_only_errors_at_module_level():
+    # each subcommand imports its own layers when it runs, so that --help,
+    # a usage error or a table loads no other command's modules
+    assert imported_modules(PACKAGE / "cli.py", top_level=True) == {"errors"}
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
@@ -234,13 +248,47 @@ def test_no_unreferenced_private_names():
 
 def test_the_package_imports_no_module():
     # the modules are the API, so `import curvlab` runs only its BLAS set-up
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", "import curvlab, sys; print(sorted(m for m in "
          "sys.modules if m.startswith('curvlab.')))"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+# the curvlab modules each command line loads: a subcommand's own layers,
+# and no others; certify's --kind choices come from ode
+SOLVERS = {"completeness", "expr", "geometry", "ode", "rk45", "serialize",
+           "warp"}
+TABLE = {"expr", "geometry", "polar", "serialize", "warp"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--help"], set()),
+    (["oracle", "--help"], set()),
+    (["curvature", "--profile", "t", "--n", "3", "--t", "3:5:2"], TABLE),
+    (["curvature", "--profile", "t*(2+cos(x1))", "--n", "2", "--t", "3",
+      "--base", "torus", "--m", "4"], TABLE),
+    (["oracle", "--profile", "t", "--n", "3", "--t", "3"], TABLE | {"oracle"}),
+    (["raylength", "--u", "t^-2", "--n", "3"], SOLVERS - {"ode", "rk45"}),
+    (["solve", "--n", "3", "--points", "20"], SOLVERS),
+    (["certify", "--kind", "thm48", "--b", "1"], SOLVERS),
+    (["sweep", "--c", "1.5:2:2"], SOLVERS),
+    (["certify", "--kind", "bogus"], SOLVERS - {"serialize"}),
+], ids=["help", "oracle-help", "curvature", "curvature-torus", "oracle",
+        "raylength", "solve", "certify", "sweep", "certify-bad-kind"])
+def test_each_command_loads_only_its_layers(argv, modules):
+    script = ("import contextlib, io, sys\n"
+              "from curvlab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()), "
+              "contextlib.suppress(SystemExit):\n"
+              "    main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.startswith('curvlab.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True, env=CHILD_ENV,
+                          timeout=60)
+    loaded = sorted(f"curvlab.{m}" for m in modules | {"cli", "errors"})
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{loaded}\n")
 
 
 def names_read_only_by_tests(package_paths, reader_paths):

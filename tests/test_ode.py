@@ -212,6 +212,30 @@ class TestMonotoneSolve:
                              bc=(6.0, 6.0))
         assert not sol.bracketed
 
+    @pytest.mark.parametrize("spec, pair, bc, bad_t, steps", [
+        # u overflows on a window out to 1e300
+        (OdeSpec(n=3, R=2.0, R_g=-6.0, t0=3.0, T=1e300, form="eq31"),
+         SubSuperPair(0.5, lambda t: 6.0 * np.asarray(t, dtype=float) ** 2),
+         (2.0, 2.0), 2.0408163265306123e+298, 49),
+        # the shift reads u^(p-1) = u^(-4/3), which overflows at u = 1e-300,
+        # so the first step is not finite
+        (OdeSpec(n=2, R=lambda t: -7.0 / np.asarray(t, dtype=float) ** 2,
+                 R_g=-2.0, t0=3.0, T=100.0, form="eq31"),
+         SubSuperPair(1e-300, lambda t: 6.0 * np.asarray(t, dtype=float) ** 2),
+         (1e-300, 2.0), 4.979591836734694, 1),
+    ], ids=["overflow", "underflow"])
+    def test_stops_at_the_first_non_finite_iterate(self, spec, pair, bc, bad_t,
+                                                   steps, monkeypatch):
+        # it used to run all MONOTONE_MAX_ITER steps on nan and return them
+        real, calls = ode._solve_tridiagonal, []
+        monkeypatch.setattr(ode, "_solve_tridiagonal",
+                            lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(DomainError) as exc, \
+                np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            monotone_solve(spec, pair, bc=bc, num_points=50)
+        assert str(exc.value) == f"u is not finite at t = {bad_t!r}"
+        assert len(calls) == steps
+
     def test_supersolution_residual_signs(self):
         # u+ = 7 t^2 is a strict supersolution (residual 6 - 7 = -1 < 0) and
         # u- = 1/2 a strict subsolution (6 - 3.5/t^2 > 0): the pair passes
