@@ -14,7 +14,7 @@ import numpy as np
 
 # each subcommand imports its own layers when it runs, so that --help, a
 # usage error or a table loads no solver and no other command's modules
-from .errors import CurvlabError, DomainError
+from .errors import CurvlabError, DomainError, name_first
 
 
 def finite_float(text):
@@ -106,17 +106,6 @@ def _warp(args):
 # subcommands
 
 
-def _check_finite(t, values, what="curvature"):
-    """Overflow such as exp(exp(t)) must not reach the table as nan/inf.
-    t is one row's t, or the t of each entry of values (the first bad one
-    is named)."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        if np.ndim(t):
-            t = t[np.argmin(finite)]
-        raise DomainError(f"{what} is not finite at t = {float(t)!r}")
-
-
 def cmd_curvature(args):
     from .polar import polar_scalar_curvature
     from .serialize import csv_chunks, csv_text
@@ -130,14 +119,14 @@ def cmd_curvature(args):
         R = np.empty((len(t_vals), base.m ** base.n))
         for i, t in enumerate(t_vals):
             R[i] = polar_scalar_curvature(f, float(t)).ravel()
-            _check_finite(t, R[i])
+            name_first(t, np.isfinite(R[i]), "curvature is not finite")
         header = ["t"] + [f"x{i + 1}" for i in range(base.n)] + ["value"]
         text = csv_chunks(header, [t_vals] + [base.axis_points] * base.n,
                           R.reshape(1, -1))
     else:
         R = np.broadcast_to(np.asarray(warped_scalar_curvature(f, base, t_vals),
                                        dtype=float), t_vals.shape)
-        _check_finite(t_vals, R)
+        name_first(t_vals, np.isfinite(R), "curvature is not finite")
         text = csv_text(["t", "R"], [t_vals], [R])
     _emit(args, text, {"command": "curvature"})
     return 0
@@ -154,8 +143,8 @@ def cmd_solve(args):
                          C * np.asarray(t, dtype=float) ** p))
     sol = monotone_solve(spec, pair, bc=(args.bc_left, args.bc_right),
                          num_points=args.points)
-    du = np.gradient(sol.u, sol.t)
-    _check_finite(sol.t, du, "du")
+    du = np.gradient(sol.u, sol.t, edge_order=2)
+    name_first(sol.t, np.isfinite(du), "du is not finite")
     text = csv_text(["t", "u", "du"], [sol.t], [sol.u, du])
     _emit(args, text, {"command": "solve",
                        "residual_norm": sol.residual_norm,
@@ -255,11 +244,11 @@ def cmd_oracle(args):
                            else warped_scalar_curvature(f, base, float(t)))
             if fd is None:
                 fd = fd_scalar_curvature(metric, point).scalar
-            _check_finite(t, [closed, fd])
+            name_first(t, np.isfinite([closed, fd]), "curvature is not finite")
             abs_err = abs(fd - closed)
             rel = abs_err / max(abs(closed), 1e-300)
-            _check_finite(t, abs_err, "abs_err")
-            _check_finite(t, rel, "rel_err")
+            name_first(t, np.isfinite(abs_err), "abs_err is not finite")
+            name_first(t, np.isfinite(rel), "rel_err is not finite")
             rows.append([closed, fd, abs_err, rel])
     _emit(args, csv_text(["point", "closed_form", "fd", "abs_err", "rel_err"],
                          [t_vals], np.transpose(rows)), {"command": "oracle"})

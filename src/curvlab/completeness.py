@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, name_first
 
 
 @dataclass
@@ -75,10 +75,7 @@ def ray_length(u, x0, n, t0, T) -> RayLengthReport:
     t = np.geomspace(t0, T, RAY_SAMPLES)
     # a u that does not read t, such as a constant, gives one value
     uval = np.broadcast_to(np.asarray(u(t), dtype=float), t.shape)
-    finite = np.isfinite(uval)
-    if not finite.all():
-        raise DomainError(
-            f"u is not finite at t = {float(t[np.argmin(finite)])!r}")
+    name_first(t, np.isfinite(uval), "u is not finite")
     if np.any(uval <= 0):
         raise DomainError("u must be positive along the ray")
     integrand = uval ** (2.0 / (n - 1))

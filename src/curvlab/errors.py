@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule for
+naming a bad value."""
+
+import numpy as np
 
 
 class CurvlabError(Exception):
@@ -19,18 +22,15 @@ class DomainError(CurvlabError):
     point outside the chart, dimension too small, ...)."""
 
 
-class BracketError(DomainError):
-    """Sub/supersolution ordering violated."""
-
-
 class StiffFailure(CurvlabError):
     """The adaptive integrator underflowed its step size or started from a
     non-finite derivative; not a verdict."""
 
 
-class WindowTooSmall(DomainError):
-    """The truncation window [t0, T] cannot contain the predicted witnesses."""
-
-    def __init__(self, message, required_T):
-        self.required_T = required_T
-        super().__init__(f"{message} (required T >= {required_T:.6g})")
+def name_first(t, ok, message):
+    """Raise DomainError(f"{message} at t = ...") at the t of the first
+    False entry of ok, in C order; t is one value or one per entry."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        t, ok = np.broadcast_arrays(t, ok)
+        raise DomainError(f"{message} at t = {float(t[~ok][0])!r}")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .completeness import fit_loglog_slope, ray_length
-from .errors import BracketError, DomainError, StiffFailure, WindowTooSmall
+from .errors import DomainError, StiffFailure, name_first
 from .geometry import BaseGeometry, DimensionConstants
 from .rk45 import solve_ivp  # every integration goes through this one name
 from .warp import warped_scalar_curvature
@@ -251,7 +251,7 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     if np.any(lo <= 0):
         raise DomainError("subsolution must be positive")
     if np.any(lo > hi):
-        raise BracketError("ordering violated: u_minus > u_plus somewhere")
+        raise DomainError("ordering violated: u_minus > u_plus somewhere")
 
     bc_l, bc_r = bc
     if not (lo[0] - 1e-12 <= bc_l <= hi[0] + 1e-12
@@ -307,11 +307,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
         rhs[0] -= a / h ** 2 * bc_l
         rhs[-1] -= a / h ** 2 * bc_r
         new_interior = _solve_tridiagonal(off, diag, off, rhs)
-        finite = np.isfinite(new_interior)
-        if not finite.all():
-            # later steps would only carry the nan on
-            raise DomainError(f"u is not finite at t = "
-                              f"{float(t[1 + np.argmin(finite)])!r}")
+        # later steps would only carry a nan on
+        name_first(t[1:-1], np.isfinite(new_interior), "u is not finite")
         step = new_interior - u[1:-1]
         size = float(np.abs(new_interior).max())
         if iterations > 1 and np.any(direction * step < -1e-9 * max(1.0, size)):
@@ -396,8 +393,8 @@ def _oscillation(p):
                 f"c = {c!r} is too close to 1 for t0 = {t0!r}: the window for "
                 f"three crossings, t0 * e^(6 pi / sqrt(c - 1)), overflows a float")
         if T is not None and T < required_T:
-            raise WindowTooSmall(
-                "window cannot contain two predicted crossings", required_T)
+            raise DomainError("window cannot contain two predicted crossings"
+                              f" (required T >= {required_T:.6g})")
         horizon = required_T
     # log-time form: w'' + a1 w' + a0 w = 0 with a1 = -1, a0 = c/4
     span = (math.log(t0), math.log(horizon))
@@ -414,7 +411,8 @@ def _oscillation(p):
                  "witness_check": alpha * (1 - alpha) - c / 4.0,
                  "crossings": crossings})
     if len(crossings) < 2:
-        raise WindowTooSmall("fewer than two crossings found", required_T)
+        raise DomainError("fewer than two crossings found"
+                          f" (required T >= {required_T:.6g})")
     ratios = [b / a for a, b in zip(crossings, crossings[1:])]
     return ("nonexistence",
             "comparison solution of t^2 u'' + (c/4) u = 0 oscillates",

@@ -13,8 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CurvlabError, DomainError
-from .polar import BaseGrid
+from .errors import CurvlabError, DomainError, name_first
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +61,6 @@ def _squared(fn, column):
 
 def chart_for(base) -> BaseChart:
     """Model chart realizing a BaseGeometry/BaseGrid as coordinate components."""
-    if isinstance(base, BaseGrid):
-        return BaseChart("flat", base.n)
     R = base.scalar_curvature
     n = base.n
     if R == 0.0:
@@ -214,9 +211,9 @@ def _derivatives(metric, points, h):
         raise DomainError(
             f"t - 2h must exceed domain_min = {metric.domain_min}")
     g = metric.components(points)
-    _name_first(t, np.isfinite(g).all(axis=(1, 2)), "metric is not finite")
-    _name_first(t, np.all(np.linalg.eigvalsh(g) > 0, axis=1),
-                "metric not positive definite")
+    name_first(t, np.isfinite(g).all(axis=(1, 2)), "metric is not finite")
+    name_first(t, np.all(np.linalg.eigvalsh(g) > 0, axis=1),
+               "metric not positive definite")
     dim = metric.dim
     k, rows, axes, steps, reads = _stencil(dim)
     stack = np.repeat(points[:, None], k, axis=1)
@@ -238,12 +235,6 @@ def _derivatives(metric, points, h):
     d2[:, i, j] = mixed
     d2[:, j, i] = mixed
     return g, dg, d2
-
-
-def _name_first(t, ok, message):
-    """Raise `message` at the t of the first row that is not ok."""
-    if not ok.all():
-        raise DomainError(f"{message} at t = {float(t[np.argmin(ok)])!r}")
 
 
 def _inverse(g, points):

@@ -25,6 +25,8 @@ class BaseGrid:
     constants and satisfy the discrete Green's identity exactly.
     """
 
+    scalar_curvature = 0.0  # the flat torus
+
     def __init__(self, n, m, stencil="fd2"):
         if n < 2:
             raise DomainError(f"need n >= 2, got {n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .errors import DomainError, ExpressionError
+from .errors import DomainError, ExpressionError, name_first
 from .geometry import BaseGeometry, DimensionConstants
 
 
@@ -55,12 +55,9 @@ class Field:
         if np.any(np.asarray(t) <= self.domain_min):
             raise DomainError(f"t must exceed domain_min = {self.domain_min}")
         val = evaluate()
-        bad = np.asarray(val) <= 0
-        if bad.any():
-            # t is one slice's t or the t of each value; name the first bad one
-            t_all, bad = np.broadcast_arrays(t, bad)
-            raise DomainError(f"field '{self.source}' is nonpositive at "
-                              f"t = {float(t_all[bad][0])!r}")
+        # not val > 0: a nan passes here and is named later as not finite
+        name_first(t, ~(np.asarray(val) <= 0),
+                   f"field '{self.source}' is nonpositive")
         return val
 
     def eval(self, t):

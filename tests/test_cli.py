@@ -245,7 +245,8 @@ def test_table_golden_bytes(case, capsys):
     """curvature tables on constant, hyperbolic and sphere bases (stdout)
     and on the torus (fd2 and spectral, n = 3 and 4), recorded while
     csv_text still formatted one cell at a time, and two solve tables
-    (sha256), recorded when monotone_solve took its shift per node.  The
+    (sha256), recorded when monotone_solve took its shift per node and
+    re-recorded when du became second order at both ends.  The
     constant-warp torus tables (every cell +0) were recorded while the torus
     closed form still took a base_scalar argument."""
     assert main(TABLE_GOLDEN[case]["args"]) == 0
@@ -993,6 +994,51 @@ class TestSolveAndOracle:
         assert capsys.readouterr().err.startswith(
             "error: u_plus is not a supersolution: residual ")
         assert not out.exists()
+
+    @staticmethod
+    def cone_errors(n, C, points, t0=3.0, T=100.0):
+        """solve with R = -C/t^2, whose exact solution is the cone
+        u = A t^q, q = (n+1)/2, A = (n(n-1)/(C - n(n-1)))^((n+1)/4): the
+        largest relative errors of u and du, and du's at t0 and at T."""
+        q = (n + 1) / 2
+        A = (n * (n - 1) / (C - n * (n - 1))) ** ((n + 1) / 4)
+        # a constant below u(t0) that is a subsolution down to t0
+        lo = 0.5 * (n * (n - 1) * t0 ** 2 / C) ** ((n + 1) / 4)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", "--n", str(n), "--R-coeff", repr(C),
+                         "--R-power", "2", "--t0", repr(t0), "--T", repr(T),
+                         "--points", str(points), "--u-minus-const", repr(lo),
+                         "--u-plus-coeff", repr(2 * A),
+                         "--u-plus-power", repr(q),
+                         "--bc-left", repr(A * t0 ** q),
+                         "--bc-right", repr(A * T ** q)]) == 0
+        t, u, du = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",",
+                              skiprows=1).T
+        e_u = np.abs(u / (A * t ** q) - 1)
+        e_du = np.abs(du / (A * q * t ** (q - 1)) - 1)
+        return np.array([e_u.max(), e_du.max(), e_du[0], e_du[-1]])
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([3, 4, 5]), k=st.floats(1.05, 10.0))
+    def test_solve_matches_the_exact_cone(self, n, k):
+        # R = -C/t^2 with C = k n(n-1).  At n = 3 the cone is A t^2, on
+        # which the 3-point stencil and du's second-order ends are exact.  At n = 4 both u and du are second order, and at n = 5
+        # (u = A t^3, u^p = A^(1/3) t) u is exact to round-off and du is
+        # second order; a first-order du end would halve per doubling.
+        C = k * n * (n - 1)
+        if n == 3:
+            assert self.cone_errors(n, C, 101).max() < 1e-12
+            return
+        errs = np.array([self.cone_errors(n, C, p) for p in (101, 201, 401)])
+        ratios = errs[:-1] / errs[1:]
+        checked = ratios if n == 4 else ratios[:, 1:]
+        assert np.all((3.5 <= checked) & (checked <= 4.5)), ratios
+        if n == 5:
+            assert errs[:, 0].max() < 1e-12
+        # du within 0.1 h^2 of the cone, relative, at every node
+        h = (100.0 - 3.0) / np.array([100, 200, 400])
+        assert np.all(errs[:, 1] <= 0.1 * h ** 2)
 
     @pytest.mark.parametrize("args", [
         ["oracle", "--profile", "1/(t-4)+5", "--n", "3", "--t", "4"],

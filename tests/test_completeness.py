@@ -1,12 +1,18 @@
 """Ray-length reports and the cutoff-profile sign test."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from curvlab.completeness import ray_length, yamabe_test_integral
+from curvlab.completeness import (RayLengthReport, ray_length,
+                                  yamabe_test_integral)
 from curvlab.errors import DomainError
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestRayLength:
@@ -46,10 +52,30 @@ class TestRayLength:
             ray_length(lambda t: np.cos(t), None, 3, 3.0, 100.0)
 
     def test_json(self):
-        import json
         r = ray_length(lambda t: t**-2.0, None, 3, 3.0, 1e4)
         rec = json.loads(r.to_json())
         assert rec["verdict"] == "finite"
+
+    @given(st.one_of(st.none(), FINITE, st.lists(FINITE, min_size=1,
+                                                  max_size=4)),
+           st.integers(3, 12), FINITE, FINITE, FINITE, FINITE, st.floats(),
+           st.floats(), st.sampled_from(["finite", "divergent",
+                                         "undetermined"]))
+    def test_json_reads_back(self, x0, n, t0, T, integral, tail_exponent,
+                             tail_estimate, total, verdict):
+        # x0 reads back as a list; a tail and a total, which may be inf or
+        # nan otherwise, only when the verdict is finite
+        finite = verdict == "finite"
+        assume(not finite or math.isfinite(tail_estimate)
+               and math.isfinite(total))
+        r = RayLengthReport(x0, n, t0, T, integral, tail_exponent,
+                            tail_estimate, total, verdict)
+        assert json.loads(r.to_json()) == {
+            "x0": None if x0 is None else list(np.atleast_1d(x0)),
+            "n": n, "t0": t0, "T": T, "integral": integral,
+            "tail_exponent": tail_exponent,
+            "tail_estimate": tail_estimate if finite else None,
+            "total": total if finite else None, "verdict": verdict}
 
 
 class TestYamabeTestIntegral:

@@ -1,10 +1,16 @@
 """README against what it describes: its certify table against the
 declaration ode._COMPARISONS (the same kinds in the same order, and per
 kind the same required parameters, domain conditions and hypotheses, by
-name and in order, with every optional parameter given a default), and
-the --flags it names against the CLI's parser."""
+name and in order, with every optional parameter given a default), the
+--flags it names against the CLI's parser, and the code names it cites
+against src/curvlab."""
 
 import argparse
+import ast
+import builtins
+import dataclasses
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -14,6 +20,7 @@ from curvlab import ode
 from curvlab.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "curvlab"
 HEADER = ("| kind | required | defaults | domain (else `DomainError`) "
           "| hypothesis (else inconclusive) |")
 
@@ -113,3 +120,91 @@ def test_readme_names_every_flag_and_no_other():
     assert sorted(named - flags - set(NOT_PARSER_FLAGS)) == [], \
         "README flags the parser lacks"
     assert set(NOT_PARSER_FLAGS) <= named - flags
+
+
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+# {class name: module} over src/curvlab
+CLASSES = {node.name: path.stem for path in PACKAGE.glob("*.py")
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.ClassDef)}
+
+
+def cited_names(text):
+    """The names README cites in backticks outside code blocks: (dotted,
+    capitalised).  Dotted are the a.b.c names in a span, and capitalised
+    the spans that are one name, or one call, starting with a capital and
+    holding a lowercase letter (so not `T` or `C1`), less Python's own
+    (`False`)."""
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text,
+                                           flags=re.S))
+    dotted = {name for span in spans for name in re.findall(
+        r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)}
+    capitalised = {m.group(1) for m in (
+        re.fullmatch(r"([A-Z]\w*)(?:\(.*\))?", span.strip(), flags=re.S)
+        for span in spans) if m and re.search("[a-z]", m.group(1))}
+    return dotted, capitalised - set(dir(builtins))
+
+
+def test_citation_reader():
+    text = ("`curvlab.ode` and `Field.coords`, `np.gradient(u, t)`, "
+            "`tests/test_x.py`, `from curvlab.cli import main`\n"
+            "```sh\ncurvlab `Fenced.name`\n```\n`SubSuperPair` "
+            "`DomainError(f\"{m}\")`, `T`, `C1`, `False`, `a Verdict`")
+    assert cited_names(text) == (
+        {"curvlab.ode", "Field.coords", "np.gradient", "curvlab.cli"},
+        {"SubSuperPair", "DomainError"})
+
+
+def instance_attribute(cls, name):
+    """A dataclass field, or self.<name> set in the body of the class or
+    of a base in src/curvlab."""
+    return (dataclasses.is_dataclass(cls)
+            and name in {f.name for f in dataclasses.fields(cls)}
+            or any(re.search(rf"\bself\.{name}\s*=", inspect.getsource(c))
+                   for c in cls.__mro__ if c.__name__ in CLASSES))
+
+
+def resolves(name):
+    """Whether a dotted name headed by curvlab, a curvlab module (`ode`,
+    `curvlab.ode`) or class (`BaseGrid`) names something that exists;
+    None for any other head."""
+    parts = name.split(".")
+    if parts[0] == "curvlab" and parts[1] in MODULES:
+        parts = parts[1:]
+    head, *rest = parts
+    if head == "curvlab":
+        obj = importlib.import_module("curvlab")
+    elif head in MODULES:
+        obj = importlib.import_module(f"curvlab.{head}")
+    elif head in CLASSES:
+        obj = getattr(importlib.import_module(f"curvlab.{CLASSES[head]}"),
+                      head)
+    else:
+        return None
+    for i, attr in enumerate(rest):
+        if not hasattr(obj, attr):
+            # an attribute each instance sets may end the name
+            return (inspect.isclass(obj) and i == len(rest) - 1
+                    and instance_attribute(obj, attr))
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_resolver():
+    assert resolves("curvlab.ode") and resolves("ode._COMPARISONS")
+    assert resolves("Field.coords") and resolves("BaseGrid.laplacian_at")
+    assert resolves("RayLengthReport.to_json")
+    assert resolves("np.gradient") is None
+    assert resolves("ode.no_such_name") is False
+    assert resolves("curvlab.__version__") and resolves("Field.source")
+    assert resolves("curvlab.nope") is False
+    assert resolves("Field.volume") is False
+    assert resolves("Field.coords.real") is False
+
+
+def test_readme_cites_only_code_that_exists():
+    dotted, capitalised = cited_names(README.read_text())
+    assert sorted(n for n in dotted if resolves(n) is False) == [], \
+        "README cites names that do not resolve"
+    assert sorted(capitalised - set(CLASSES)) == [], \
+        "README names classes that src/curvlab lacks"

