@@ -137,7 +137,7 @@ def cmd_solve(args):
     from .serialize import csv_text
     n = args.n
     spec = OdeSpec(n=n, R=_R_function(args), R_g=-n * (n - 1),
-                   t0=args.t0, T=args.T, form="eq31")
+                   t0=args.t0, T=args.T)
     pair = SubSuperPair(args.u_minus_const,
                         (lambda t, C=args.u_plus_coeff, p=args.u_plus_power:
                          C * np.asarray(t, dtype=float) ** p))
@@ -177,7 +177,7 @@ def cmd_certify(args):
     flags = {name: "profile" if name == "f" else name
              for name in required + optional}
     params = {name: getattr(args, flag) for name, flag in flags.items()
-              if getattr(args, flag, None) is not None}
+              if getattr(args, flag) is not None}
     for name in required:
         if name not in params:
             raise DomainError(f"{kind} requires {_flag(flags[name])}")
@@ -193,16 +193,15 @@ def cmd_certify(args):
                 params[name] = parse_profile(params[name],
                                              domain_min=args.domain_min)
         verdict = comparison_certificate(kind, params)
+        text = (verdict.to_text() if args.format == "text"
+                else verdict.to_json() + "\n")
     except CurvlabError as e:
         # the error line names the kind once, first, as the certificates'
         # own window, parameter and crossing errors do
         if str(e).startswith(kind):
             raise
         raise CurvlabError(f"{kind}: {e}") from None
-    if args.format == "text":
-        _emit(args, verdict.to_text(), {"command": "certify"})
-    else:
-        _emit(args, verdict.to_json() + "\n", {"command": "certify"})
+    _emit(args, text, {"command": "certify"})
     return 0
 
 
@@ -257,8 +256,8 @@ def cmd_oracle(args):
 
 def cmd_raylength(args):
     from .completeness import ray_length
-    from .warp import parse_field
-    u = parse_field(args.u)
+    from .warp import Field
+    u = Field(args.u)
     report = ray_length(lambda t: np.asarray(u.eval(t), dtype=float),
                         None, args.n, args.t0, args.T)
     _emit(args, report.to_json() + "\n", {"command": "raylength"})

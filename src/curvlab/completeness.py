@@ -66,7 +66,8 @@ def ray_length(u, x0, n, t0, T) -> RayLengthReport:
 
     The verdict follows the fitted tail exponent p of the integrand:
     p < -1 - margin -> finite (with analytic tail completion),
-    p > -1 + margin -> divergent, otherwise undetermined.
+    p > -1 + margin -> divergent, otherwise undetermined.  A window shorter
+    than a decade (T < 10 t0) is undetermined: its fit reads a local slope.
     """
     if n < 3:
         raise DomainError("need n >= 3")
@@ -84,13 +85,14 @@ def ray_length(u, x0, n, t0, T) -> RayLengthReport:
     # fitted exponent over the last decade in log-log
     last = t >= T / 10.0
     p = fit_loglog_slope(t[last], integrand[last])
+    decade = T >= 10.0 * t0
 
-    if p < -1.0 - TAIL_MARGIN:
+    if decade and p < -1.0 - TAIL_MARGIN:
         # integrand ~ c t^p beyond T: tail = c T^(p+1)/(-(p+1))
         tail = float(integrand[-1] * T / (-(p + 1.0)))
         verdict = "finite"
         total = integral + tail
-    elif p > -1.0 + TAIL_MARGIN:
+    elif decade and p > -1.0 + TAIL_MARGIN:
         tail = math.inf
         verdict = "divergent"
         total = math.inf

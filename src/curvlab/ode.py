@@ -38,10 +38,9 @@ MONOTONE_MAX_ITER = 20000
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """The second-order equation to integrate or solve.
-
-    form 'eq13' is the general prescribed-curvature equation; 'eq31' pins
-    the base curvature to -n(n-1) (class-C normalization).
+    """The second-order equation monotone_solve solves, in the one form
+    'eq31', which pins the base curvature to -n(n-1) (class-C
+    normalization).
     """
 
     n: int
@@ -49,18 +48,17 @@ class OdeSpec:
     R_g: float
     t0: float
     T: float
-    form: str = "eq13"
+    form: str = "eq31"
 
     def __post_init__(self):
         if self.t0 <= 0 or self.T <= self.t0:
             raise DomainError("need 0 < t0 < T")
-        if self.form not in ("eq13", "eq31"):
+        if self.form != "eq31":
             raise DomainError(f"unknown form '{self.form}'")
-        if self.form == "eq31":
-            expected = -self.n * (self.n - 1)
-            if abs(self.R_g - expected) > 1e-12 * abs(expected):
-                raise DomainError(
-                    f"form eq31 requires R(g) = {expected}, got {self.R_g}")
+        expected = -self.n * (self.n - 1)
+        if abs(self.R_g - expected) > 1e-12 * abs(expected):
+            raise DomainError(
+                f"form eq31 requires R(g) = {expected}, got {self.R_g}")
 
     def R_at(self, t):
         return self.R(t) if callable(self.R) else self.R
@@ -87,19 +85,26 @@ class Verdict:
                     "nonexistence verdict needs a crossing or sign-change witness")
 
     def to_json(self):
-        def clean(v):
+        """Strict JSON.  A witness or param that is or holds a non-finite
+        number is a DomainError naming the first, in key order."""
+        def clean(v, name):
             if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            if isinstance(v, np.ndarray):
-                return [float(x) for x in v]
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
+                v = float(v)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DomainError(f"{name} is not finite")
+            if isinstance(v, (list, tuple, np.ndarray)):
+                return [clean(x, name) for x in v]
             if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
+                return {k: clean(x, name) for k, x in v.items()}
             return v
+
+        witnesses = {k: clean(v, f"witness {k}")
+                     for k, v in sorted(self.witnesses.items())}
+        params = {k: clean(v, f"param {k}")
+                  for k, v in sorted(self.params.items())}
         return json.dumps({"kind": self.kind, "reason": self.reason,
-                           "witnesses": clean(self.witnesses),
-                           "params": clean(self.params)}, sort_keys=True)
+                           "witnesses": witnesses, "params": params},
+                          sort_keys=True, allow_nan=False)
 
     def to_text(self):
         lines = [f"kind: {self.kind}"]
@@ -224,20 +229,18 @@ def _solve_tridiagonal(dl, d, du, b):
     return np.array(x)
 
 
-def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
-                   start="lower") -> MonotoneSolution:
+def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
+                   num_points=801) -> MonotoneSolution:
     """Monotone iteration on the centered-difference discretization.
 
     The barriers are checked first: each must be a discrete sub- or
     supersolution up to the round-off of its residual.  At each
     node the nonlinearity is shifted by M_i exceeding its Lipschitz bound on
-    that node's bracket, so iterates march monotonically from one end of the
-    bracket to the true solution.  The iteration stops when the step falls
+    that node's bracket, so iterates march monotonically up from the
+    subsolution to the true solution.  The iteration stops when the step falls
     below MONOTONE_TOL or stops shrinking (round-off).  bc = (left, right)
     Dirichlet values.
     """
-    if spec.form != "eq31":
-        raise DomainError("monotone_solve expects the eq31 normalization")
     if num_points < 3:
         raise DomainError(
             f"need at least 3 grid points (one interior node), got {num_points}")
@@ -296,9 +299,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
     off = [a / h ** 2] * (num_points - 3)
     diag = (-2.0 * a / h ** 2 - M).tolist()
 
-    u = np.array(lo if start == "lower" else hi, dtype=float)
+    u = lo.copy()
     u[0], u[-1] = bc_l, bc_r
-    direction = 1.0 if start == "lower" else -1.0
     monotone = True
     delta = math.inf
     iterations = 0
@@ -311,7 +313,7 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc, num_points=801,
         name_first(t[1:-1], np.isfinite(new_interior), "u is not finite")
         step = new_interior - u[1:-1]
         size = float(np.abs(new_interior).max())
-        if iterations > 1 and np.any(direction * step < -1e-9 * max(1.0, size)):
+        if iterations > 1 and np.any(step < -1e-9 * max(1.0, size)):
             monotone = False
         u[1:-1] = new_interior
         prev_delta, delta = delta, float(np.abs(step).max())
@@ -425,15 +427,14 @@ def _oscillation(p):
 
 def _thm48(p):
     """F'' <= -b^2 F forces F to vanish: integrate the equality and report
-    the crossing (cosine solution: t0 + pi/(2b) from flat initial data)."""
-    b, t0, dF0 = p["b"], p["t0"], p["dF0"]
-    cross = _forced_crossing(lambda t, F, dF: -b * b * F, t0, [p["F0"], dF0],
+    the crossing (cosine solution: t0 + pi/(2b) from F = 1, F' = 0)."""
+    b, t0 = p["b"], p["t0"]
+    cross = _forced_crossing(lambda t, F, dF: -b * b * F, t0, [1.0, 0.0],
                              t0 + 4.0 * math.pi / b, "for F'' = -b^2 F",
                              _named("thm48", p, ("b", "t0")), squares_t=False)
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
             {"crossings": [cross],
-             "predicted_crossing": t0 + math.pi / (2.0 * b)
-             if dF0 == 0.0 else None})
+             "predicted_crossing": t0 + math.pi / (2.0 * b)})
 
 
 def _thm413(p):
@@ -456,7 +457,7 @@ def _thm413(p):
         return max(2.0 * T, t0 + 10.0)
     witnesses["crossings"] = [_forced_crossing(
         lambda t, F, dF: -b2 / n + (cp / t ** 2) * F, t0,
-        [p["F0"], p["dF0"]], grow(t0), "for the comparison ODE",
+        [1.0, 0.0], grow(t0), "for the comparison ODE",
         _named("thm413", p, ("t0",)), 12, grow)]
     return ("nonexistence", "averaged square-warp profile is forced to vanish",
             witnesses)
@@ -510,7 +511,7 @@ def _thm112(p):
 
     def grow(T):
         return 2.0 * T + 10.0
-    cross = _forced_crossing(rhs, t0, [p["U0"], p["dU0"]], grow(t0),
+    cross = _forced_crossing(rhs, t0, [1.0, 0.0], grow(t0),
                              "for the comparison ODE",
                              _named("thm112", p, ("t0",)), 16, grow)
     return ("nonexistence", "base-averaged conformal factor is forced to vanish",
@@ -716,18 +717,17 @@ _COMPARISONS = {
         _oscillation, ("c",), {"t0": 3.0, "T": None},
         domain={"c > 0": lambda p: p["c"] > 0, "t0 > 2": lambda p: p["t0"] > 2},
         echo=("c", "t0")),
-    "thm48": _Comparison(_thm48, ("b",), {**_N_T0, "F0": 1.0, "dF0": 0.0},
+    "thm48": _Comparison(_thm48, ("b",), _N_T0,
                          hypotheses={**_N_AT_LEAST_3,
                                      "b > 0": lambda p: p["b"] > 0}),
-    "thm413": _Comparison(_thm413, ("c", "b"), {**_N_T0, "F0": 1.0, "dF0": 0.0},
+    "thm413": _Comparison(_thm413, ("c", "b"), _N_T0,
                           hypotheses={**_N_AT_LEAST_3,
                                       "c < 2n": lambda p: p["c"] < 2 * p["n"],
                                       "b > 0": lambda p: p["b"] > 0}),
     "thm418": _Comparison(_thm418, ("C1", "C2", "C", "b"), _N_T0, hypotheses={
         **_N_AT_LEAST_3, "positive constants":
         lambda p: min(p["C1"], p["C2"], p["C"], p["b"]) > 0}),
-    "thm112": _Comparison(_thm112, (), {**_N_T0, "eps": 1.0, "U0": 1.0,
-                                        "dU0": 0.0},
+    "thm112": _Comparison(_thm112, (), {**_N_T0, "eps": 1.0},
                           hypotheses={**_N_AT_LEAST_3,
                                       "eps > 0": lambda p: p["eps"] > 0}),
     "thm38": _Comparison(_thm38, ("kappa_sq", "delta", "f"),

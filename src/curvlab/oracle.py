@@ -283,9 +283,7 @@ class CurvatureTensorSample:
     """At one point, or at each row of a stack under a leading point axis."""
     gamma: np.ndarray    # gamma[..., a, b, c] = Gamma^a_bc
     riemann: np.ndarray  # fully covariant R_ijkl
-    mixed: float | np.ndarray       # sum_{1<=j,l} g^{jl} R_{0j0l}
-    tangential: float | np.ndarray  # sum_{1<=i,j,k,l} g^{jl} g^{ik} R_{ijkl}
-    scalar: float | np.ndarray      # full contraction g^{ik} g^{jl} R_{ijkl}
+    scalar: float | np.ndarray  # full contraction g^{ik} g^{jl} R_{ijkl}
 
 
 def fd_scalar_curvature(metric: MetricGrid, points,
@@ -298,18 +296,16 @@ def fd_scalar_curvature(metric: MetricGrid, points,
         R_ijkl = (1/2)(d_i d_l g_jk + d_j d_k g_il - d_j d_l g_ik - d_i d_k g_jl)
                  + g_ab (Gamma^b_il Gamma^a_jk - Gamma^b_ik Gamma^a_jl)
 
-    with the contractions reported separately (mixed radial part,
-    tangential part, full scalar): floats at a point, (k,) arrays on a
-    stack.  Each row of a stack gets the bits of a call on that row alone,
-    and a stack holding a point that fails raises the first such point's
-    own error."""
+    and the scalar g^{ik} g^{jl} R_ijkl: a float at a point, a (k,) array
+    on a stack.  Each row of a stack gets the bits of a call on that row
+    alone, and a stack holding a point that fails raises the first such
+    point's own error."""
     h = metric.h if h is None else h
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         one = _stack_curvature(metric, points[None], h)
         return CurvatureTensorSample(
             gamma=one.gamma[0], riemann=one.riemann[0],
-            mixed=float(one.mixed[0]), tangential=float(one.tangential[0]),
             scalar=float(one.scalar[0]))
     try:
         return _stack_curvature(metric, points, h)
@@ -325,10 +321,5 @@ def _stack_curvature(metric, points, h):
     ginv = _inverse(g, points)
     gamma = _christoffel(ginv, dg)
     riemann = _riemann(g, gamma, d2)
-    inner = ginv[:, 1:, 1:]
-    mixed = np.einsum("...jl,...jl->...", inner, riemann[:, 0, 1:, 0, 1:])
-    tangential = np.einsum("...jl,...ik,...ijkl->...", inner, inner,
-                           riemann[:, 1:, 1:, 1:, 1:])
     scalar = np.einsum("...ik,...jl,...ijkl->...", ginv, ginv, riemann)
-    return CurvatureTensorSample(gamma=gamma, riemann=riemann, mixed=mixed,
-                                 tangential=tangential, scalar=scalar)
+    return CurvatureTensorSample(gamma=gamma, riemann=riemann, scalar=scalar)

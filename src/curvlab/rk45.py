@@ -66,22 +66,17 @@ P = np.array([
 STAGES = [(A[s, :s], float(C[s])) for s in range(1, len(C))]
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred."}
 
 
 @dataclass
 class OdeResult:
     """t: output times; y: states, shape (n, len(t)); t_events: [roots of
-    the event function] or None; nfev: right-hand-side evaluations;
-    status: 0 (reached the end) or 1 (terminal event)."""
+    the event function] or None; nfev: right-hand-side evaluations."""
 
     t: np.ndarray
     y: np.ndarray
     t_events: list | None
     nfev: int
-    status: int
-    message: str
 
 
 def _norm(x):
@@ -301,13 +296,12 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
         t_events = []
 
     t = t0
-    status = None
-    while status is None:
+    done = False
+    while not done:
         t_old, y_old = t, y
         t, y, f, h_abs = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K,
                                KT)
-        if t >= t_bound:
-            status = 0
+        done = t >= t_bound
         sol = None
         if events is not None:
             g_new = events(t, y)
@@ -316,7 +310,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
                 root = _brentq(lambda s: events(s, sol(s)), t_old, t)
                 t_events.append(root)
                 if terminal:
-                    status = 1
+                    done = True
                     t = np.float64(root)
                     y = sol(t)
             g = g_new
@@ -341,5 +335,4 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3,
         ts, ys = np.array([]), np.empty((y.size, 0))
     if t_events is not None:
         t_events = [np.asarray(t_events)]
-    return OdeResult(t=ts, y=ys, t_events=t_events, nfev=nfev,
-                     status=status, message=MESSAGES[status])
+    return OdeResult(t=ts, y=ys, t_events=t_events, nfev=nfev)

@@ -111,10 +111,6 @@ def parse_profile(source, domain_min=2.0):
     return WarpProfile(source, domain_min=domain_min)
 
 
-def parse_field(source, allowed_vars=("t",)):
-    return Field(source, allowed_vars=allowed_vars)
-
-
 class SubstitutedProfile:
     """u(t) = f(t)^((n+1)/2) with chain-rule derivatives."""
 

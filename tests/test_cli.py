@@ -536,6 +536,25 @@ class TestCertifyInputErrors:
         assert main(["certify", "--kind"] + args) == 1
         assert capsys.readouterr().err == f"error: {args[0]}: need t0 < T\n"
 
+    def test_every_declared_parameter_has_a_flag(self):
+        # a parameter with no flag is one no user can set: the comparison
+        # ODEs' initial data were such parameters.  f is read from
+        # --profile, and t0, which every kind takes, has its own flag
+        declared = {"profile" if name == "f" else name
+                    for kind in ode.CERTIFICATE_KINDS
+                    for names in ode.comparison_parameters(kind)
+                    for name in names}
+        assert declared - {"t0"} == set(cli._CERTIFY_FLAGS)
+
+    def test_non_finite_witness_is_named_with_the_kind(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(ode, "comparison_certificate", lambda kind, p:
+                            ode.Verdict("inconclusive",
+                                        witnesses={"x": float("inf")}))
+        assert main(["certify", "--kind", "thm48", "--b", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: thm48: witness x is not finite\n")
+
     def test_sweep_reversed_window(self, capsys):
         assert main(["sweep", "--c", "0.5:2:3", "--T", "2.5"]) == 1
         assert capsys.readouterr().err == "error: need t0 < T\n"
@@ -666,8 +685,7 @@ def certify_argv(draw):
     flag left out, a reversed window); now and then a flag it does not read."""
     kind = draw(st.sampled_from(ode.CERTIFICATE_KINDS))
     required, optional = ode.comparison_parameters(kind)
-    reads = ["profile" if name == "f" else name for name in required + optional]
-    flags = [name for name in reads if name in cli._CERTIFY_FLAGS + ("t0",)]
+    flags = ["profile" if name == "f" else name for name in required + optional]
     if draw(st.integers(0, 9)) == 0:
         flags.append(draw(st.sampled_from(cli._CERTIFY_FLAGS)))
     argv = ["certify", "--kind", kind]
@@ -1130,6 +1148,24 @@ class TestSolveAndOracle:
                          parse_constant=lambda name: pytest.fail(name))
         assert rec["verdict"] == "undetermined"
         assert rec["tail_estimate"] is None and rec["total"] is None
+
+    @pytest.mark.parametrize("kind, args", [
+        ("raylength", ["--u", "1/t+10*t^-3", "--n", "3", "--T", "4"]),
+        ("certify", ["--kind", "thm38", "--kappa-sq", "6", "--delta", "1",
+                     "--profile", "t^1.2", "--T", "5"]),
+    ], ids=["raylength", "certify-thm38"])
+    def test_a_window_shorter_than_a_decade_certifies_nothing(self, kind, args,
+                                                              capsys):
+        # on [3, 4] the fit read the local slope -1.91 of 10 t^-3, where the
+        # tail is 1/t, and called the ray finite; thm38 certified
+        # incompleteness from such a slope on [3, 5]
+        assert main([kind] + args) == 0
+        rec = _strict_json(capsys.readouterr().out)
+        if kind == "certify":
+            assert rec["kind"] == "inconclusive"
+            rec = {"verdict": rec["witnesses"]["ray_verdict"],
+                   "total": rec["witnesses"]["ray_total"]}
+        assert rec["verdict"] == "undetermined" and rec["total"] is None
 
     def test_raylength_overflowing_integral_is_named(self, tmp_path, capsys):
         # a constant u, which used to end in numpy's IndexError traceback

@@ -37,6 +37,17 @@ class TestRayLength:
         r = ray_length(lambda t: t**-2.0, None, 5, 3.0, 1e4)
         assert r.verdict == "undetermined"
 
+    @pytest.mark.parametrize("u, verdict", [
+        (lambda t: t**-2.0, "finite"), (lambda t: np.ones_like(t), "divergent")],
+        ids=["inverse-square", "constant"])
+    @pytest.mark.parametrize("T", [29.9, 30.0])
+    def test_a_window_shorter_than_a_decade_is_undetermined(self, u, verdict,
+                                                           T):
+        # on [t0, T] with T < 10 t0 the tail fit reads a local slope, even
+        # of an exact power law; T = 10 t0 is the shortest window fitted
+        r = ray_length(u, None, 3, 3.0, T)
+        assert r.verdict == (verdict if T >= 30.0 else "undetermined")
+
     def test_monotone_in_T(self):
         vals = [ray_length(lambda t: t**-2.0, None, 3, 3.0, T).integral
                 for T in (1e2, 1e3, 1e4)]

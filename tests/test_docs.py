@@ -1,9 +1,10 @@
 """README against what it describes: its certify table against the
 declaration ode._COMPARISONS (the same kinds in the same order, and per
 kind the same required parameters, domain conditions and hypotheses, by
-name and in order, with every optional parameter given a default), the
---flags it names against the CLI's parser, and the code names it cites
-against src/curvlab."""
+name and in order, with every optional parameter given a default), its
+echo sentences against each kind's declared echo, the --flags it names
+against the CLI's parser, and the code names it cites against
+src/curvlab."""
 
 import argparse
 import ast
@@ -81,6 +82,27 @@ def test_row_matches_the_declaration(kind):
         name, _, value = item.partition(" = ")
         if re.fullmatch(r"-?[0-9.e+-]+", value):
             assert float(value) == declared.defaults[name], item
+
+
+def echo_sentences(text):
+    """{kind: names} from each "`kind` echoes `a`, `b` (a note) and `c`" in
+    text, the backticked names in order, over line breaks."""
+    return {kind: re.findall(r"`(\w+)`", names) for kind, names in re.findall(
+        r"`(\w+)` echoes ((?:`\w+`(?: \([^)]*\))?(?:, and |, | and )?)+)",
+        " ".join(text.split()))}
+
+
+def test_echo_reader():
+    text = ("`k` echoes `a` and\n  `b` only, and `j` echoes `c`, `d` (its\n"
+            "default) and `e`. `m` echoes the caller's.")
+    assert echo_sentences(text) == {"k": ["a", "b"], "j": ["c", "d", "e"]}
+
+
+def test_echo_sentences_match_the_declaration():
+    # every kind that declares what it echoes has its sentence, in order
+    assert echo_sentences(README.read_text()) == {
+        kind: list(cert.echo) for kind, cert in ode._COMPARISONS.items()
+        if cert.echo is not None}
 
 
 # flags README names that are not curvlab's, each with why it is there

@@ -144,11 +144,11 @@ def function_local_package_imports(path):
 
 def test_function_local_import_finder(tmp_path):
     src = tmp_path / "m.py"
-    src.write_text("from .warp import parse_field\n"
+    src.write_text("from .warp import Field\n"
                    "def f():\n"
                    "    import numpy as np\n"
                    "    from .warp import parse_profile\n"
-                   "    return np, parse_field, parse_profile\n"
+                   "    return np, Field, parse_profile\n"
                    "class C:\n"
                    "    def g(self):\n"
                    "        import curvlab.expr\n"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry, DimensionConstants
 from curvlab.warp import (cone_log_curvature, default_probe_grid, ode_residual,
-                          parse_field, parse_profile, power_law_curvature,
+                          Field, parse_profile, power_law_curvature,
                           substitute_u, warped_scalar_curvature)
 
 
@@ -140,14 +140,14 @@ class TestCoordinateList:
            x=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10))
     def test_sparse_reads_of_ten_coordinates(self, t, x):
         # checked against the tree with all ten bound, never on an n = 10 grid
-        g = parse_field("t*x2 - x10^2 + sin(x2*x10)",
-                        allowed_vars=("t",) + self.NAMES)
+        g = Field("t*x2 - x10^2 + sin(x2*x10)",
+                  allowed_vars=("t",) + self.NAMES)
         assert dict(g.coords) == {"x2": 1, "x10": 9}
         assert g.eval_point(t, np.array(x)) == g.ast.eval(
             {"t": t, **dict(zip(self.NAMES, x))})
 
     def test_t_only_field_reads_no_coordinate(self):
-        g = parse_field("t^2", allowed_vars=("t",) + self.NAMES)
+        g = Field("t^2", allowed_vars=("t",) + self.NAMES)
         assert g.coords == []
         assert g.eval_point(3.0, np.full(10, np.nan)) == 9.0
 
