@@ -297,12 +297,16 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", help="output path (default stdout)")
+
+    def profile_domain(p):
+        # the commands that parse a warp --profile: positive for t > domain_min
         p.add_argument("--domain-min", dest="domain_min", type=finite_float,
                        default=2.0)
 
     def warp_table(p):
         # what _warp reads, plus the t samples: shared by curvature and oracle
         common(p)
+        profile_domain(p)
         p.add_argument("--profile", required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--base", default="constant",
@@ -335,6 +339,7 @@ def build_parser():
 
     p = sub.add_parser("certify", help="nonexistence/incompleteness certificates")
     common(p)
+    profile_domain(p)
     # set after add_argument, which formats the choices it is given
     p.add_argument("--kind", required=True).choices = _Kinds()
     p.add_argument("--t0", type=finite_float, default=3.0)
@@ -405,8 +410,9 @@ def main(argv=None):
         for key, val in sorted(cfg.items()):
             if key == "command":
                 continue
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv:
+            flag = _flag(key)
+            # a flag is given as --key value or as --key=value
+            if not any(a == flag or a.startswith(flag + "=") for a in argv):
                 injected.extend([flag, val])
         argv = argv[:1] + injected + argv[1:]
 

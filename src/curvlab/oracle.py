@@ -20,35 +20,29 @@ from .errors import CurvlabError, DomainError, name_first
 # base charts: coordinate components g_ij(x) of the model base metrics
 
 
-class BaseChart:
-    """Diagonal coordinate chart for a constant-curvature model base."""
-
-    def __init__(self, kind, n, radius=1.0):
-        if kind not in ("flat", "sphere", "hyperbolic"):
-            raise DomainError(f"unknown base chart '{kind}'")
-        self.kind = kind
-        self.n = n
-        self.radius = radius
-
-    def components(self, xs):
-        """(k, n, n) diagonal components g_ij at each row of a (k, n) stack."""
-        xs = np.asarray(xs, dtype=float)
-        k, n = xs.shape
-        diag = np.ones((k, n))
-        if self.kind != "flat":
-            rho2 = self.radius ** 2
-            diag = diag * rho2
-            first = 1
-            if self.kind == "hyperbolic" and n >= 2:
-                # rho^2 (dchi^2 + sinh^2 chi dOmega^2)
-                diag[:, 1] = rho2 * _squared(np.sinh, xs[:, 0])
-                first = 2
-            # hyperspherical: g_ii = g_(i-1)(i-1) sin^2 x_(i-1)
-            for i in range(first, n):
-                diag[:, i] = diag[:, i - 1] * _squared(np.sin, xs[:, i - 1])
-        g = np.zeros((k, n, n))
-        g[:, range(n), range(n)] = diag
-        return g
+def _chart(base, xs):
+    """(k, n, n) diagonal components g_ij at each row of a (k, n) stack, in
+    the model chart of a base read from its scalar_curvature R alone: flat
+    when R = 0, else a sphere (R > 0) or hyperbolic space (R < 0) of radius
+    rho, R = +-n(n-1)/rho^2."""
+    R = base.scalar_curvature
+    k, n = xs.shape
+    diag = np.ones((k, n))
+    if R != 0.0:
+        rho = np.sqrt(n * (n - 1) / abs(R))
+        rho2 = rho ** 2
+        diag = diag * rho2
+        first = 1
+        if R < 0:
+            # rho^2 (dchi^2 + sinh^2 chi dOmega^2)
+            diag[:, 1] = rho2 * _squared(np.sinh, xs[:, 0])
+            first = 2
+        # hyperspherical: g_ii = g_(i-1)(i-1) sin^2 x_(i-1)
+        for i in range(first, n):
+            diag[:, i] = diag[:, i - 1] * _squared(np.sin, xs[:, i - 1])
+    g = np.zeros((k, n, n))
+    g[:, range(n), range(n)] = diag
+    return g
 
 
 def _squared(fn, column):
@@ -57,16 +51,6 @@ def _squared(fn, column):
     multiplies, and the two differ in the last bit on a few values."""
     values, where = np.unique(column, return_inverse=True)
     return np.array([fn(v) ** 2 for v in values])[where]
-
-
-def chart_for(base) -> BaseChart:
-    """Model chart realizing a BaseGeometry/BaseGrid as coordinate components."""
-    R = base.scalar_curvature
-    n = base.n
-    if R == 0.0:
-        return BaseChart("flat", n)
-    radius = np.sqrt(n * (n - 1) / abs(R))
-    return BaseChart("sphere" if R > 0 else "hyperbolic", n, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +97,6 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
     components by u^(4/(n-1)).
     """
     n = base.n
-    chart = chart_for(base)
     conf_exp = 4.0 / (n - 1)
     # (field, name, map of its value, the point columns it reads)
     factors = [(f, "warp", lambda v: v)]
@@ -144,7 +127,7 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
                       for column, seen in zip(keys, known))
         g = np.zeros((len(points), n + 1, n + 1))
         g[:, 0, 0] = 1.0
-        g[:, 1:, 1:] = (fv * fv)[:, None, None] * chart.components(points[:, 1:])
+        g[:, 1:, 1:] = (fv * fv)[:, None, None] * _chart(base, points[:, 1:])
         for s in scale:
             g *= s[:, None, None]
         return g

@@ -110,10 +110,6 @@ class BaseGrid:
         gb = self.gradient(b)
         return sum(x * y for x, y in zip(ga, gb))
 
-    def integrate(self, arr):
-        """Trapezoid quadrature on the periodic grid (plain weighted sum)."""
-        return float(np.sum(arr) * self.spacing ** self.n)
-
 
 class PolarWarpField(Field):
     """Positive warp f(t, x) given by an expression in t and x1..xn,

@@ -946,6 +946,35 @@ class TestConfigFile:
                      "--out", str(out2)]) == 0
         assert json.loads(out2.read_text())["params"]["c"] == 1.2
 
+    @pytest.mark.parametrize("given", [["--n", "3"], ["--n=3"]],
+                             ids=["space", "equals"])
+    def test_either_flag_spelling_overrides_the_config(self, tmp_path,
+                                                       capsys, given):
+        # the config's n would be a usage error if it reached the parser
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = x\n")
+        argv = ["raylength", "--u", "t^-2"]
+        assert main(["--config", str(cfg)] + argv + given) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--n", "3"]) == 0
+        assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "3", "--points", "5"],
+        ["raylength", "--u", "t^-2", "--n", "3"],
+        ["sweep", "--c", "1.5"]], ids=["solve", "raylength", "sweep"])
+    def test_domain_min_is_only_for_a_profile(self, argv, tmp_path, capsys):
+        # --domain-min is the domain of a warp --profile, which only
+        # curvature, oracle and certify parse; from a config file too
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("domain_min = 7\n")
+        for args in (argv + ["--domain-min", "7"], ["--config", str(cfg)] + argv):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: unrecognized arguments: --domain-min 7\n")
+
     def test_config_supplies_the_required_n(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("command=raylength\nn=3\nu=t^-2\n")

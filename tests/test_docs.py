@@ -3,8 +3,8 @@ declaration ode._COMPARISONS (the same kinds in the same order, and per
 kind the same required parameters, domain conditions and hypotheses, by
 name and in order, with every optional parameter given a default), its
 echo sentences against each kind's declared echo, the --flags it names
-against the CLI's parser, and the code names it cites against
-src/curvlab."""
+against the CLI's parser, and the code names it cites, dotted, capitalised
+or snake_case, against src/curvlab."""
 
 import argparse
 import ast
@@ -230,3 +230,55 @@ def test_readme_cites_only_code_that_exists():
         "README cites names that do not resolve"
     assert sorted(capitalised - set(CLASSES)) == [], \
         "README names classes that src/curvlab lacks"
+
+
+# snake_case names README cites that src/curvlab does not hold, each with why
+NOT_CODE_NAMES = {
+    "max_step": "named as absent: rk45 caps no step",
+}
+FILE_PATH = re.compile(r"/|\.(py|json|md|toml)$")
+
+
+def snake_names(text):
+    """The snake_case identifiers in README's backticked spans outside code
+    blocks, less the spans that are file paths."""
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text,
+                                           flags=re.S))
+    return {name for span in spans if not FILE_PATH.search(span)
+            for name in re.findall(r"\b_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b",
+                                   span)}
+
+
+def code_names():
+    """Every name src/curvlab holds: each def, class, parameter (its own,
+    or a callee's it passes by keyword) and attribute, and each word of its
+    strings (its docstrings name the math, such as f_tt)."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                names.add(node.arg)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_snake_reader():
+    text = ("`ode.solve_ivp(t_eval=ts)`, `_second_order`, `g_ab Γ^b_il`, "
+            "`tests/test_docs.py`, `oracle_golden.json`, `--domain-min`, "
+            "`BLOCK_DOUBLES`, `x1`\n```sh\n`fenced_name`\n```\n`rel_err`")
+    assert snake_names(text) == {"solve_ivp", "t_eval", "_second_order",
+                                 "g_ab", "b_il", "rel_err"}
+
+
+def test_readme_snake_case_names_exist():
+    # a name README still cites after the code dropped it (chart_for) shows
+    # here, which the dotted and capitalised checks above cannot see
+    cited, held = snake_names(README.read_text()), code_names()
+    assert sorted(cited - held - set(NOT_CODE_NAMES)) == [], \
+        "README cites snake_case names src/curvlab lacks"
+    assert set(NOT_CODE_NAMES) <= cited - held

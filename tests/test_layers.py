@@ -292,17 +292,32 @@ def test_each_command_loads_only_its_layers(argv, modules):
 
 
 def names_read_only_by_tests(package_paths, reader_paths):
-    """Public top-level functions and classes of the package modules that no
-    reader file reads, as (module stem, name).  The package modules read each
-    other too, but a definition does not read itself."""
+    """Public top-level functions and classes of the package modules, and
+    public methods of their classes, that no reader file reads, as (module
+    stem, name).  The package modules read each other too, but a definition
+    does not read itself: neither does a method of the same name, so a
+    recursive unparse is not a reader of unparse."""
     defined, read = set(), set()
+
+    def define(stem, node):
+        """Count node as defined if public; return the names that a read
+        inside node does not count for."""
+        if node.name.startswith("_"):
+            return set()
+        defined.add((stem, node.name))
+        return {node.name}
+
     for path in package_paths:
         for node in ast.parse(path.read_text()).body:
-            public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                not node.name.startswith("_")
-            if public:
-                defined.add((path.stem, node.name))
-            read |= names_read(node) - ({node.name} if public else set())
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                read |= names_read(node)
+                continue
+            own = define(path.stem, node)
+            for sub in ast.iter_child_nodes(node):
+                method = isinstance(node, ast.ClassDef) and \
+                    isinstance(sub, ast.FunctionDef)
+                read |= names_read(sub) - own - (
+                    define(path.stem, sub) if method else set())
     for path in reader_paths:
         read |= names_read(ast.parse(path.read_text()))
     return {(stem, name) for stem, name in defined if name not in read}
@@ -312,23 +327,36 @@ def test_test_only_name_finder(tmp_path):
     (tmp_path / "a.py").write_text("def tested_only():\n"
                                    "    return tested_only()\n"
                                    "class Used:\n"
-                                   "    pass\n"
+                                   "    def read(self):\n"
+                                   "        return Used\n"
+                                   "    def recursive(self):\n"
+                                   "        return self.recursive()\n"
+                                   "    def _private(self):\n"
+                                   "        pass\n"
+                                   "class Other(Used):\n"
+                                   "    def recursive(self):\n"
+                                   "        return Used.recursive(self)\n"
+                                   "    def by_string(self):\n"
+                                   "        pass\n"
                                    "def _private():\n"
                                    "    pass\n"
                                    "def patched():\n"
                                    "    pass\n"
                                    "def caller():\n"
-                                   "    return Used()\n")
+                                   "    return Used().read(), Other()\n")
     (tmp_path / "b.py").write_text("from a import caller\n"
-                                   "setattr(a, 'patched', None)\n")
+                                   "setattr(a, 'patched', None)\n"
+                                   "getattr(a.Other, 'by_string')\n")
     assert names_read_only_by_tests([tmp_path / "a.py"], [tmp_path / "b.py"]) \
-        == {("a", "tested_only")}
+        == {("a", "tested_only"), ("a", "recursive")}
 
 
 # public names kept with no reader but their tests: closed forms that open
-# items are to reach (ROADMAP item 7 keeps the power-law profile; item 6
-# puts the conformal curvature on the CLI)
-KEPT = ("power_law_curvature", "conformal_scalar_curvature")
+# items are to reach (ROADMAP item 4's 50-digit check reads the power-law
+# profile; item 6 puts the conformal curvature on the CLI), and expr's
+# unparse, which the bit-for-bit round trip of tests/test_expr.py reads
+# (ROADMAP item 4)
+KEPT = ("power_law_curvature", "conformal_scalar_curvature", "unparse")
 
 
 def test_every_public_name_has_a_reader_besides_its_tests():

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from curvlab import oracle
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry
-from curvlab.oracle import (BaseChart, MetricGrid, assemble_metric, chart_for,
-                            fd_scalar_curvature)
+from curvlab.oracle import MetricGrid, assemble_metric, fd_scalar_curvature
 from curvlab.polar import BaseGrid, PolarWarpField, conformal_scalar_curvature
 from curvlab.warp import Field, parse_profile
 
@@ -21,16 +20,23 @@ def torus_point(n, t):
 
 class TestCharts:
     def test_chart_for_signs(self):
-        assert chart_for(BaseGeometry.constant(3, 0.0)).kind == "flat"
-        assert chart_for(BaseGeometry.sphere(3)).kind == "sphere"
-        assert chart_for(BaseGeometry.constant(3, -6.0)).kind == "hyperbolic"
-        assert chart_for(BaseGrid(3, 16)).kind == "flat"
+        # R = 0 (a constant base or the flat torus) gives the flat chart, and
+        # R > 0 and R < 0 the sphere and hyperbolic space, here of unit
+        # radius: dx1^2 + s(x1)^2 (dx2^2 + sin^2 x2 dx3^2), s = sin or sinh
+        xs = np.array([[0.4, 1.1, 0.7], [2.0, 0.3, 1.9]])
+        for base in (BaseGeometry.constant(3, 0.0), BaseGrid(3, 16)):
+            assert same_bits(oracle._chart(base, xs), np.stack([np.eye(3)] * 2))
+        for base, s in ((BaseGeometry.sphere(3), np.sin),
+                        (BaseGeometry.constant(3, -6.0), np.sinh)):
+            for x, g in zip(xs, oracle._chart(base, xs)):
+                s2 = s(x[0]) ** 2
+                assert g == pytest.approx(
+                    np.diag([1.0, s2, s2 * np.sin(x[1]) ** 2]), rel=1e-15)
 
     def test_sphere_chart_radius(self):
         # R(g) = n(n-1)/rho^2 must invert to the chart radius
-        base = BaseGeometry.constant(4, 3.0)
-        chart = chart_for(base)
-        assert chart.radius == pytest.approx(np.sqrt(4*3/3.0))
+        g = oracle._chart(BaseGeometry.constant(4, 3.0), np.zeros((1, 4)))
+        assert g[0, 0, 0] == pytest.approx(4*3/3.0)
 
 
 class TestChristoffel:
@@ -225,6 +231,17 @@ class TestConformalMetric:
         with pytest.raises(DomainError):
             fd_scalar_curvature(metric, torus_point(3, 2.001))
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 1, 4)],
+                             ids=["dim-1", "dim+1", "3-D"])
+    def test_point_shape_is_checked(self, shape):
+        metric = assemble_metric(parse_profile("t"), BaseGeometry.constant(3, 0.0))
+        points = np.full(shape, 3.0)
+        for evaluate in (metric.components,
+                         lambda p: fd_scalar_curvature(metric, p)):
+            with pytest.raises(DomainError) as err:
+                evaluate(points)
+            assert str(err.value) == "point must have 4 coordinates"
+
     @pytest.mark.parametrize("h", [0.0, -1.0e-3])
     def test_nonpositive_step_is_named(self, h):
         # h = 0 used to surface as a non-finite curvature, h < 0 passed
@@ -238,16 +255,17 @@ class TestConformalMetric:
 # the batched stencil against the point-by-point evaluation it replaced
 
 
-def per_point_chart(chart, x):
+def per_point_chart(base, x):
     """The chart components at one point, one scalar at a time."""
-    n = chart.n
+    n = base.n
+    R = base.scalar_curvature
     diag = np.ones(n)
-    if chart.kind == "flat":
+    if R == 0.0:
         return np.diag(diag)
-    rho2 = chart.radius ** 2
+    rho2 = np.sqrt(n * (n - 1) / abs(R)) ** 2
     diag = diag * rho2
     first = 1
-    if chart.kind == "hyperbolic":
+    if R < 0:
         diag[1] = rho2 * np.sinh(x[0]) ** 2
         first = 2
     for i in range(first, n):
@@ -259,13 +277,12 @@ def per_point_metric(f, base, conformal=None, h=1.0e-3):
     """assemble_metric's metric built as perfbench/checks.py builds one: a
     component function of one point, so a stack is evaluated row by row."""
     n = base.n
-    chart = chart_for(base)
 
     def components(point):
         g = np.zeros((n + 1, n + 1))
         g[0, 0] = 1.0
         fv = f.eval_point(point[0], point[1:])
-        g[1:, 1:] = fv * fv * per_point_chart(chart, point[1:])
+        g[1:, 1:] = fv * fv * per_point_chart(base, point[1:])
         if conformal is not None:
             g *= conformal.eval_point(point[0], point[1:]) ** (4.0 / (n - 1))
         return g
@@ -292,10 +309,11 @@ class TestBatchedStencil:
         steps = rng.choice([0.0, 1.0, -1.0, 2.0, -2.0], size=(40, n))
         xs = np.array(centre[:n]) + steps * h
         xs = np.vstack([xs, rng.uniform(-4.0, 4.0, size=(400, n))])
-        chart = BaseChart(kind, n, radius)
-        stacked = chart.components(xs)
+        sign = {"sphere": 1.0, "hyperbolic": -1.0}[kind]
+        base = BaseGeometry.constant(n, sign * n * (n - 1) / radius ** 2)
+        stacked = oracle._chart(base, xs)
         for x, g in zip(xs, stacked):
-            assert same_bits(g, per_point_chart(chart, x))
+            assert same_bits(g, per_point_chart(base, x))
 
     @settings(max_examples=30, deadline=None)
     @given(base=st.sampled_from(["flat", "sphere", "hyperbolic", "torus"]),
