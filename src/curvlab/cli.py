@@ -181,17 +181,21 @@ def cmd_certify(args):
     for name in required:
         if name not in params:
             raise DomainError(f"{kind} requires {_flag(flags[name])}")
-    for flag in _CERTIFY_FLAGS:
-        if getattr(args, flag) is not None and flag not in flags.values():
+    read = {flags[name] for name in params}
+    if "profile" in read:   # --domain-min is the domain of a warp --profile
+        read.add("domain_min")
+    for flag in _CERTIFY_FLAGS + ("domain_min",):
+        if getattr(args, flag) is not None and flag not in read:
             raise DomainError(f"{kind} does not read {_flag(flag)}")
 
     if "n" in flags:     # --n defaults to 3 for every kind that reads it
         params.setdefault("n", 3)
     try:
+        domain = ({} if args.domain_min is None
+                  else {"domain_min": args.domain_min})
         for name in ("f", "profile"):
             if name in params:
-                params[name] = parse_profile(params[name],
-                                             domain_min=args.domain_min)
+                params[name] = parse_profile(params[name], **domain)
         verdict = comparison_certificate(kind, params)
         text = (verdict.to_text() if args.format == "text"
                 else verdict.to_json() + "\n")
@@ -211,7 +215,7 @@ ORACLE_MAX_N = 40
 
 
 def cmd_oracle(args):
-    from .oracle import assemble_metric, block_size, fd_scalar_curvature
+    from .oracle import assemble_metric, fd_rows
     from .polar import polar_scalar_curvature
     from .serialize import csv_text
     from .warp import warped_scalar_curvature
@@ -227,28 +231,21 @@ def cmd_oracle(args):
         x0 = np.full(base.n, 0.3)
     metric = assemble_metric(f, base, h=args.h)
     points = np.column_stack([t_vals, np.tile(x0, (len(t_vals), 1))])
-    size = block_size(metric.dim)
+    # a table names its first bad t, each t checked in turn: closed form,
+    # FD, then the row
+    fds = fd_rows(metric, points)
     rows = []
-    for block in np.split(points, range(size, len(points), size)):
-        try:
-            fds = fd_scalar_curvature(metric, block).scalar
-        except CurvlabError:
-            # a table names its first bad t, each t checked in turn: closed
-            # form, FD, then the row; so a failing block goes point by point
-            fds = [None] * len(block)
-        for point, fd in zip(block, fds):
-            t = point[0]
-            closed = float(polar_scalar_curvature(f, float(t), node)
-                           if args.base == "torus"
-                           else warped_scalar_curvature(f, base, float(t)))
-            if fd is None:
-                fd = fd_scalar_curvature(metric, point).scalar
-            name_first(t, np.isfinite([closed, fd]), "curvature is not finite")
-            abs_err = abs(fd - closed)
-            rel = abs_err / max(abs(closed), 1e-300)
-            name_first(t, np.isfinite(abs_err), "abs_err is not finite")
-            name_first(t, np.isfinite(rel), "rel_err is not finite")
-            rows.append([closed, fd, abs_err, rel])
+    for t in t_vals:
+        closed = float(polar_scalar_curvature(f, float(t), node)
+                       if args.base == "torus"
+                       else warped_scalar_curvature(f, base, float(t)))
+        fd = next(fds)
+        name_first(t, np.isfinite([closed, fd]), "curvature is not finite")
+        abs_err = abs(fd - closed)
+        rel = abs_err / max(abs(closed), 1e-300)
+        name_first(t, np.isfinite(abs_err), "abs_err is not finite")
+        name_first(t, np.isfinite(rel), "rel_err is not finite")
+        rows.append([closed, fd, abs_err, rel])
     _emit(args, csv_text(["point", "closed_form", "fd", "abs_err", "rel_err"],
                          [t_vals], np.transpose(rows)), {"command": "oracle"})
     return 0
@@ -298,10 +295,10 @@ def build_parser():
     def common(p):
         p.add_argument("--out", help="output path (default stdout)")
 
-    def profile_domain(p):
+    def profile_domain(p, default=2.0):
         # the commands that parse a warp --profile: positive for t > domain_min
         p.add_argument("--domain-min", dest="domain_min", type=finite_float,
-                       default=2.0)
+                       default=default)
 
     def warp_table(p):
         # what _warp reads, plus the t samples: shared by curvature and oracle
@@ -339,7 +336,7 @@ def build_parser():
 
     p = sub.add_parser("certify", help="nonexistence/incompleteness certificates")
     common(p)
-    profile_domain(p)
+    profile_domain(p, default=None)  # only the kinds with a warp read it
     # set after add_argument, which formats the choices it is given
     p.add_argument("--kind", required=True).choices = _Kinds()
     p.add_argument("--t0", type=finite_float, default=3.0)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one rule for
-naming a bad value."""
+"""Exception hierarchy shared across the package, the one rule for naming
+a bad value, and the one IEEE fallback for Python-float arithmetic."""
 
 import numpy as np
 
@@ -34,3 +34,10 @@ def name_first(t, ok, message):
     if not ok.all():
         t, ok = np.broadcast_arrays(t, ok)
         raise DomainError(f"{message} at t = {float(t[~ok][0])!r}")
+
+
+def ieee(fn, *args):
+    """fn of the arguments as numpy floats (an array stays an array) with
+    IEEE flags ignored: +-inf or nan where Python-float arithmetic raises."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return fn(*(np.asarray(a, dtype=float)[()] for a in args))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import ExpressionError, ieee
 
 FUNCTIONS = {
     "ln": np.log,
@@ -118,13 +118,6 @@ class Neg(Node):
         self.a._collect_vars(out)
 
 
-def _ieee(op, a, b):
-    """The IEEE result of op(a, b) on Python floats that raised instead:
-    +-inf on division by zero or overflow, nan for 0/0."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(op(np.float64(a), b))
-
-
 @dataclass(frozen=True, slots=True)
 class BinOp(Node):
     a: Node
@@ -174,7 +167,7 @@ class Div(BinOp):
         try:
             return a / b
         except ZeroDivisionError:  # Python floats; IEEE gives +-inf or nan
-            return _ieee(np.divide, a, b)
+            return float(ieee(np.divide, a, b))
 
     def diff(self, var):
         da, db = self.a.diff(var), self.b.diff(var)
@@ -193,7 +186,7 @@ class Pow(BinOp):
             try:
                 return base ** int(self.b.value)
             except (ZeroDivisionError, OverflowError):  # Python floats
-                return _ieee(np.power, base, expo)
+                return float(ieee(np.power, base, expo))
         return np.power(base, expo)
 
     def diff(self, var):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, ieee
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,8 @@ class BaseGeometry:
     def sphere(n, radius=1.0):
         if radius <= 0:
             raise DomainError("sphere radius must be positive")
-        # n(n-1)/radius^2 as IEEE rounds it, where a Python float raises
-        try:
-            scalar = n * (n - 1) / radius ** 2
-        except OverflowError:       # radius^2 overflows: the quotient is 0
-            scalar = 0.0
-        except ZeroDivisionError:   # radius^2 underflows to 0
-            scalar = math.inf
+        # IEEE: 0 where radius^2 overflows, inf where it underflows to 0
+        scalar = float(ieee(lambda r: n * (n - 1) / r ** 2, radius))
         if not scalar < math.inf:
             raise DomainError(f"sphere radius {radius!r} is too small: "
                               "n(n-1)/radius^2 overflows a float")

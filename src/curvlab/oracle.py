@@ -164,19 +164,6 @@ def _stencil(dim):
     return len(moves), rows, axes, steps, {k: np.array(v) for k, v in reads.items()}
 
 
-# fd_scalar_curvature's callers evaluate a table's points in blocks whose
-# stencil stacks hold at most this many coordinates: a block shares numpy's
-# per-call cost among its points, while its arrays stay small enough that
-# a job's peak RSS is within ~0.4 MB of a point's (2^13 added 1-2 MB)
-BLOCK_DOUBLES = 2 ** 12
-
-
-def block_size(dim):
-    """Points per fd_scalar_curvature call in dim coordinates: as many as
-    fit BLOCK_DOUBLES stencil coordinates, and at least one."""
-    return max(1, BLOCK_DOUBLES // (_stencil(dim)[0] * dim))
-
-
 def _derivatives(metric, points, h):
     """Components g at each row of a (k, dim) stack of points, dg[p, c, a, b]
     = d_c g_ab and d2[p, i, j, a, b] = d_i d_j g_ab at row p: centred first
@@ -190,9 +177,8 @@ def _derivatives(metric, points, h):
     if not h > 0:
         raise DomainError(f"need h > 0, got h = {h!r}")
     t = points[:, 0]
-    if np.any(t - 2.0 * h <= metric.domain_min):
-        raise DomainError(
-            f"t - 2h must exceed domain_min = {metric.domain_min}")
+    name_first(t, t - 2.0 * h > metric.domain_min,
+               f"t - 2h must exceed domain_min = {metric.domain_min}")
     g = metric.components(points)
     name_first(t, np.isfinite(g).all(axis=(1, 2)), "metric is not finite")
     name_first(t, np.all(np.linalg.eigvalsh(g) > 0, axis=1),
@@ -281,8 +267,8 @@ def fd_scalar_curvature(metric: MetricGrid, points,
 
     and the scalar g^{ik} g^{jl} R_ijkl: a float at a point, a (k,) array
     on a stack.  Each row of a stack gets the bits of a call on that row
-    alone, and a stack holding a point that fails raises the first such
-    point's own error."""
+    alone, and a stack holding a point that fails raises the error of one
+    such point; fd_rows names the first."""
     h = metric.h if h is None else h
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -290,13 +276,30 @@ def fd_scalar_curvature(metric: MetricGrid, points,
         return CurvatureTensorSample(
             gamma=one.gamma[0], riemann=one.riemann[0],
             scalar=float(one.scalar[0]))
-    try:
-        return _stack_curvature(metric, points, h)
-    except CurvlabError:
-        # the stack's checks name some failing point; find the first
-        for point in points:
-            _stack_curvature(metric, point[None], h)
-        raise
+    return _stack_curvature(metric, points, h)
+
+
+# fd_rows evaluates a table's points in blocks whose stencil stacks hold at
+# most this many coordinates: a block shares numpy's per-call cost among its
+# points, while its arrays stay small enough that a job's peak RSS is within
+# ~0.4 MB of a point's (2^13 added 1-2 MB)
+BLOCK_DOUBLES = 2 ** 12
+
+
+def fd_rows(metric: MetricGrid, points):
+    """Yield the FD scalar curvature at each row of a (k, dim) stack, in
+    order, from one fd_scalar_curvature call per block of rows.  A block
+    that fails is evaluated again one row at a time, so a failing row
+    raises its own error, and only once the caller has reached it."""
+    size = max(1, BLOCK_DOUBLES // (_stencil(metric.dim)[0] * metric.dim))
+    for start in range(0, len(points), size):
+        block = points[start:start + size]
+        try:
+            scalars = fd_scalar_curvature(metric, block).scalar
+        except CurvlabError:
+            scalars = (fd_scalar_curvature(metric, point).scalar
+                       for point in block)
+        yield from scalars
 
 
 def _stack_curvature(metric, points, h):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, name_first
 from .geometry import DimensionConstants
 from .warp import Field
 
@@ -22,7 +22,9 @@ class BaseGrid:
 
     stencil: 'fd2' (centered periodic second differences) or 'spectral'
     (FFT; spectrally accurate for smooth fields).  Both annihilate
-    constants and satisfy the discrete Green's identity exactly.
+    constants.  sum a Lap b = -sum <grad a, grad b> holds to round-off for
+    spectral; fd2's Laplacian meets it with forward differences, and with
+    gradient's centred ones only to O(h^2).
     """
 
     scalar_curvature = 0.0  # the flat torus
@@ -129,8 +131,6 @@ def conformal_base_curvature(mu, grid: BaseGrid):
         R = -c_n^{-1} mu^{-(n+2)/(n-2)} Lap mu
     """
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise DomainError("mu must be positive")
     return _flat_conformal(grid.n, mu, grid.laplacian(mu))
 
 
@@ -160,11 +160,17 @@ def polar_scalar_curvature(f: PolarWarpField, t, node=None):
     fval = f.sample(t)
     ft = f.sample_dt(t, node)
     ftt = f.sample_dtt(t, node)
+    # a mu that underflows to 0 where it is read is named at t; != 0 lets a
+    # nan through, to be named as not finite
+    underflow = "f^((n-2)/2) underflows to 0"
     if node is None:
-        r_base = conformal_base_curvature(fval ** ((n - 2) / 2.0), grid)
+        mu = fval ** ((n - 2) / 2.0)
+        name_first(t, mu != 0, underflow)
+        r_base = conformal_base_curvature(mu, grid)
     else:
         mu_lines = [fval[node[:ax] + (slice(None),) + node[ax + 1:]]
                     ** ((n - 2) / 2.0) for ax in range(n)]
+        name_first(t, np.all([line != 0 for line in mu_lines]), underflow)
         fval = fval[node].reshape(1)
         r_base = _flat_conformal(n, mu_lines[0][node[0]:node[0] + 1],
                                  grid.laplacian_at(mu_lines, node))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StiffFailure
+from .errors import DomainError, StiffFailure, ieee
 
 EPS = np.finfo(float).eps
 
@@ -178,10 +178,7 @@ def _signbit(x):
 
 def _div(a, b):
     """a / b with C semantics: inf or nan, not an exception, for b == 0."""
-    if b:
-        return a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(a) / b)
+    return a / b if b else float(ieee(np.divide, a, b))
 
 
 def _brentq(f, xa, xb):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .errors import DomainError, ExpressionError, name_first
+from .errors import DomainError, ExpressionError, ieee, name_first
 from .geometry import BaseGeometry, DimensionConstants
 
 
@@ -162,8 +162,7 @@ def warped_scalar_curvature(f: WarpProfile, base: BaseGeometry, t):
     try:
         return curvature(*values)
     except (OverflowError, ZeroDivisionError):  # Python floats raise
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return curvature(*(np.asarray(v, dtype=float)[()] for v in values))
+        return ieee(curvature, *values)
 
 
 def ode_residual(u: SubstitutedProfile, R, base: BaseGeometry, t):

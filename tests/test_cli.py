@@ -525,6 +525,44 @@ class TestCertifyInputErrors:
         assert main(["certify", "--kind", kind] + args) == 1
         assert capsys.readouterr().err == f"error: {kind} does not read {flag}\n"
 
+    @pytest.mark.parametrize("kind, args", [
+        ("oscillation", ["--c", "1.2"]),
+        ("thm48", ["--b", "1"]),
+        ("thm413", ["--c", "1", "--b", "1"]),
+        ("thm418", ["--C1", "1", "--C2", "1", "--C", "1", "--b", "1"]),
+        ("thm112", []),
+        ("barrier33", ["--kappa-sq", "6"]),
+    ])
+    def test_domain_min_is_unread_without_a_warp(self, kind, args, tmp_path,
+                                                 capsys):
+        # --domain-min is the domain of a warp --profile, which only thm38
+        # and barrier33 read, and barrier33 only when given; --domain-min is
+        # refused on the command line and from a config
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("domain_min = 7\n")
+        argv = ["certify", "--kind", kind] + args
+        for extra in (["--domain-min", "7"], ["--config", str(cfg)]):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr() == (
+                "", f"error: {kind} does not read --domain-min\n")
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["thm38", "--kappa-sq", "6", "--delta", "1", "--profile", "t*ln(t)"],
+        ["barrier33", "--kappa-sq", "6", "--profile", "t^2"],
+    ], ids=lambda a: a[0])
+    def test_domain_min_sets_the_warp_domain(self, argv, capsys):
+        # not given, the warp keeps parse_profile's domain t > 2; given as
+        # 2, the verdict is the same
+        verdicts = []
+        for extra in ([], ["--domain-min", "2"]):
+            assert main(["certify", "--kind"] + argv + extra) == 0
+            verdicts.append(capsys.readouterr().out)
+        assert verdicts[0] == verdicts[1]
+        assert main(["certify", "--kind"] + argv + ["--domain-min", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {argv[0]}: t must exceed domain_min = 5.0\n")
+
     @pytest.mark.parametrize("args", [
         ["oscillation", "--c", "0.8", "--T", "2.5"],
         ["oscillation", "--c", "1.2", "--t0", "5", "--T", "5"],
@@ -1117,6 +1155,17 @@ class TestSolveAndOracle:
         assert main(["oracle", "--n", "3"] + args) == 1
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("command", ["curvature", "oracle"])
+    def test_torus_mu_underflow_names_t(self, command, capsys):
+        # f^((n-2)/2) = f^1.5 ~ 1e-375 underflows to 0: curvature said "mu
+        # must be positive" with no t, and the oracle's node path skipped
+        # the check; a positive mu on the lines through the node passes
+        argv = [command, "--profile", "t*1e-250*(2+cos(x1))", "--n", "5",
+                "--base", "torus", "--m", "8", "--t", "3:4:3"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: f^((n-2)/2) underflows to 0 at t = 3.0\n")
+
     def test_nonpositive_field_names_the_first_bad_t(self, capsys):
         code = main(["curvature", "--profile", "5-t", "--n", "3",
                      "--t", "2.5:10:400"])
@@ -1228,9 +1277,30 @@ class TestSolveAndOracle:
         assert main(argv) == 0
         table = capsys.readouterr().out
         assert blocks == [(3, 8), (3, 8), (2, 8)]
-        monkeypatch.setattr(oracle, "block_size", lambda dim: 1)
+        blocks.clear()
+        monkeypatch.setattr(oracle, "BLOCK_DOUBLES", 1)
         assert main(argv) == 0
         assert capsys.readouterr().out == table
+        assert blocks == [(1, 8)] * 8
+
+    def test_a_failing_block_is_evaluated_once_then_row_by_row(
+            self, monkeypatch, capsys):
+        # the stencil of the first row reaches below --domain-min: the block
+        # is evaluated once as a stack and then once at its first row, which
+        # names its t; no row is evaluated a third time
+        calls = []
+        stack_curvature = oracle._stack_curvature
+
+        def counted(metric, points, h):
+            calls.append(np.shape(points))
+            return stack_curvature(metric, points, h)
+
+        monkeypatch.setattr(oracle, "_stack_curvature", counted)
+        assert main(["oracle", "--profile", "t", "--n", "3",
+                     "--t", "2.5:4:10", "--domain-min", "2.499"]) == 1
+        assert capsys.readouterr().err == (
+            "error: t - 2h must exceed domain_min = 2.499 at t = 2.5\n")
+        assert calls == [(10, 4), (1, 4)]
 
     def test_oracle_report(self, tmp_path):
         out = tmp_path / "o.csv"

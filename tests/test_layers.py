@@ -171,6 +171,55 @@ def test_cli_imports_only_errors_at_module_level():
     assert imported_modules(PACKAGE / "cli.py", top_level=True) == {"errors"}
 
 
+def errstate_entries(path):
+    """Names of the functions that enter np.errstate in the file: a
+    decorator counts for the function whose body applies it, and a call at
+    module level for None."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for child in node.decorator_list:
+                visit(child, scope)
+            for child in node.body:
+                visit(child, node.name)
+            return
+        if isinstance(node, ast.Attribute) and node.attr == "errstate":
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_errstate_entry_finder(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import numpy as np\n"
+                   "def outer():\n"
+                   "    @np.errstate(over='ignore')\n"
+                   "    def inner():\n"
+                   "        return 1\n"
+                   "class C:\n"
+                   "    def g(self):\n"
+                   "        with np.errstate(all='ignore'):\n"
+                   "            pass\n"
+                   "def h():\n"
+                   "    return np.seterr\n")
+    assert errstate_entries(src) == {"outer", "g"}
+
+
+def test_one_owner_per_errstate():
+    # Python-float arithmetic that raises falls back to IEEE through
+    # errors.ieee alone; cli.main runs every command under ignored flags,
+    # and assemble_metric's component function lets a factor overflow into
+    # the components the oracle names as not finite
+    found = {(p.stem, name) for p in PACKAGE.glob("*.py")
+             for name in errstate_entries(p)}
+    assert found == {("errors", "ieee"), ("cli", "main"),
+                     ("oracle", "assemble_metric")}
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_no_scipy(module):
     # numpy is the one runtime dependency; scipy is a test reference only

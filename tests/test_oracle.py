@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from curvlab import oracle
 from curvlab.errors import DomainError
 from curvlab.geometry import BaseGeometry
-from curvlab.oracle import MetricGrid, assemble_metric, fd_scalar_curvature
+from curvlab.oracle import (MetricGrid, assemble_metric, fd_rows,
+                            fd_scalar_curvature)
 from curvlab.polar import BaseGrid, PolarWarpField, conformal_scalar_curvature
 from curvlab.warp import Field, parse_profile
 
@@ -199,6 +200,10 @@ class TestConformalMetric:
         with pytest.raises(DomainError,
                            match="t - 2h must exceed domain_min = 2.0"):
             fd_scalar_curvature(metric, point, h=0.5)
+        # on a stack the first row whose stencil reaches below is named
+        stack = np.array([[3.5, 0.3, 0.3, 0.3], point, [2.005, 0.3, 0.3, 0.3]])
+        with pytest.raises(DomainError, match=r"= 2\.0 at t = 2\.01$"):
+            fd_scalar_curvature(metric, stack, h=0.5)
 
     def test_each_stencil_point_is_evaluated_once(self):
         # the centre is checked on its own and then reused; it used to be
@@ -406,8 +411,9 @@ class TestBatchedStencil:
     def test_a_stack_is_its_rows(self, base, n, profile, ts, x, conformal):
         # each row of a stack gets the bits of a call on that row alone; a
         # stack holding failing points (the last profile is nonpositive
-        # below t = 4 and overflows above t ~ 6.56) raises the first one's
-        # own error, whichever of the stack's checks fails first
+        # below t = 4 and overflows above t ~ 6.56) raises one of their
+        # errors, and fd_rows yields the rows before the first one, which
+        # then raises its own error
         if base == "torus":
             geometry = BaseGrid(n, 8)
             f = PolarWarpField(f"({profile})*(3+0.2*sin(x1)*cos(x{n}))",
@@ -426,17 +432,41 @@ class TestBatchedStencil:
         with np.errstate(over="ignore", invalid="ignore"):
             self.check_stack(metric, points)
 
+    def test_fd_rows_reaches_a_failing_row_in_order(self):
+        # the profile is nonpositive below t = 4 and overflows above t ~ 6.56:
+        # the rows before the first failing one are yielded with a stack's
+        # bits, and that row raises its own error only when it is reached
+        metric = assemble_metric(parse_profile("(t-4)*exp(exp(t))",
+                                               domain_min=0.1),
+                                 BaseGeometry.constant(3, 0.0))
+        points = np.column_stack([[4.5, 5.0, 3.0, 7.0], np.full((4, 3), 0.3)])
+        rows = fd_rows(metric, points)
+        stacked = fd_scalar_curvature(metric, points[:2]).scalar
+        assert same_bits([next(rows), next(rows)], stacked)
+        with pytest.raises(DomainError,
+                           match=r"^warp is nonpositive at t = 3\.0$"):
+            next(rows)
+
     @staticmethod
     def check_stack(metric, points):
-        alone = []
+        alone = []  # each row's sample, or the message of its error
         for point in points:
             try:
                 alone.append(fd_scalar_curvature(metric, point))
             except DomainError as e:
-                with pytest.raises(DomainError) as err:
-                    fd_scalar_curvature(metric, points)
-                assert str(err.value) == str(e)
-                return
+                alone.append(str(e))
+        errors = [one for one in alone if isinstance(one, str)]
+        if errors:
+            with pytest.raises(DomainError) as err:
+                fd_scalar_curvature(metric, points)
+            assert str(err.value) in errors
+            rows = fd_rows(metric, points)
+            for one in alone[:alone.index(errors[0])]:
+                assert same_bits(next(rows), one.scalar)
+            with pytest.raises(DomainError) as err:
+                next(rows)
+            assert str(err.value) == errors[0]
+            return
         stacked = fd_scalar_curvature(metric, points)
         for r, one in enumerate(alone):
             for part in ("scalar", "riemann", "gamma"):

@@ -21,6 +21,18 @@ def grid(request):
     return BaseGrid(3, 24, stencil=request.param)
 
 
+def green_pair(grid):
+    """Two fields on a 3-torus grid whose Dirichlet pairing is not 0."""
+    x = np.meshgrid(*([grid.axis_points] * grid.n), indexing="ij")
+    a = np.sin(x[0]) + np.cos(2*x[1])*np.sin(x[2]) + np.cos(x[0])*np.sin(x[1])
+    b = np.cos(x[0])*np.cos(x[1]) + np.sin(x[0])
+    return a, b
+
+
+def forward_difference(grid, arr, ax):
+    return (np.roll(arr, -1, axis=ax) - arr) / grid.spacing
+
+
 def lines_through(arr, node):
     """The n grid lines of arr through node, one per axis."""
     return [arr[node[:ax] + (slice(None),) + node[ax + 1:]]
@@ -41,13 +53,35 @@ class TestBaseGrid:
         assert np.max(np.abs(lap - expect)) < tol
 
     def test_greens_identity(self, grid):
-        x = np.meshgrid(*([grid.axis_points] * grid.n), indexing="ij")
-        a = np.sin(x[0]) + np.cos(2*x[1])*np.sin(x[2])
-        b = np.cos(x[0])*np.cos(x[1])
-        # the quadrature weight spacing**n is common to both sides
+        # sum a Lap b = -sum <grad a, grad b>, the quadrature weight
+        # spacing**n common to both sides, for fields that are not
+        # orthogonal on the torus: spectral meets it with its own gradient,
+        # fd2 with forward differences (summation by parts)
+        a, b = green_pair(grid)
         lhs = np.sum(a * grid.laplacian(b))
-        rhs = -np.sum(grid.grad_inner(a, b))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+        if grid.stencil == "spectral":
+            # -(1/2) m^3, the exact integral -(2 pi)^3/2 times (m/2pi)^3
+            assert lhs == pytest.approx(-0.5 * grid.m ** 3, rel=1e-13)
+            rhs = -np.sum(grid.grad_inner(a, b))
+        else:
+            assert lhs == pytest.approx(-6872.611665693689, rel=1e-13)
+            rhs = -sum(np.sum(forward_difference(grid, a, ax)
+                              * forward_difference(grid, b, ax))
+                       for ax in range(grid.n))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_fd2_meets_greens_identity_with_gradient_at_second_order(self):
+        # fd2's Laplacian with the centred gradient: the gap is O(h^2), so it
+        # shrinks about fourfold when m doubles (6.7%, 1.7%, 0.43%)
+        gaps = []
+        for m in (12, 24, 48):
+            grid = BaseGrid(3, m, stencil="fd2")
+            a, b = green_pair(grid)
+            lhs = np.sum(a * grid.laplacian(b))
+            gaps.append(abs(lhs + np.sum(grid.grad_inner(a, b))) / abs(lhs))
+        assert 0.06 < gaps[0] < 0.07
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.8 < coarse / fine < 4.2
 
     @pytest.mark.parametrize("n, m, seed", [(2, 8, 0), (3, 24, 1), (4, 10, 2),
                                             (5, 8, 3)])
