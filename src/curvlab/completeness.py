@@ -77,8 +77,7 @@ def ray_length(u, x0, n, t0, T) -> RayLengthReport:
     # a u that does not read t, such as a constant, gives one value
     uval = np.broadcast_to(np.asarray(u(t), dtype=float), t.shape)
     name_first(t, np.isfinite(uval), "u is not finite")
-    if np.any(uval <= 0):
-        raise DomainError("u must be positive along the ray")
+    name_first(t, ~(uval <= 0), "u must be positive along the ray")
     integrand = uval ** (2.0 / (n - 1))
     integral = float(np.trapezoid(integrand, t))
 

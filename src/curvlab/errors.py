@@ -23,8 +23,10 @@ class DomainError(CurvlabError):
 
 
 class StiffFailure(CurvlabError):
-    """The adaptive integrator underflowed its step size or started from a
-    non-finite derivative; not a verdict."""
+    """A solver gave up before its stop rule: an integrator step that
+    underflowed or a non-finite start, an event root, crossing or barrier
+    search that found nothing, or monotone_solve at MONOTONE_MAX_ITER
+    iterations; not a verdict."""
 
 
 def name_first(t, ok, message):

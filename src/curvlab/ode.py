@@ -238,8 +238,9 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
     node the nonlinearity is shifted by M_i exceeding its Lipschitz bound on
     that node's bracket, so iterates march monotonically up from the
     subsolution to the true solution.  The iteration stops when the step falls
-    below MONOTONE_TOL or stops shrinking (round-off).  bc = (left, right)
-    Dirichlet values.
+    below MONOTONE_TOL or stops shrinking (round-off); reaching
+    MONOTONE_MAX_ITER first is a StiffFailure.  bc = (left, right) Dirichlet
+    values.
     """
     if num_points < 3:
         raise DomainError(
@@ -251,10 +252,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
     h = t[1] - t[0]
     lo = np.asarray(pair.u_minus(t), dtype=float)
     hi = np.asarray(pair.u_plus(t), dtype=float)
-    if np.any(lo <= 0):
-        raise DomainError("subsolution must be positive")
-    if np.any(lo > hi):
-        raise DomainError("ordering violated: u_minus > u_plus somewhere")
+    name_first(t, ~(lo <= 0), "subsolution must be positive")
+    name_first(t, ~(lo > hi), "ordering violated: u_minus > u_plus")
 
     bc_l, bc_r = bc
     if not (lo[0] - 1e-12 <= bc_l <= hi[0] + 1e-12
@@ -321,6 +320,9 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
         # is round-off once it is that small (early steps can grow)
         if delta < MONOTONE_TOL or (delta >= prev_delta and delta < math.sqrt(eps) * size):
             break
+    else:
+        raise StiffFailure(f"monotone iteration did not converge in "
+                           f"{MONOTONE_MAX_ITER} iterations: last step {delta!r}")
 
     margin = 1e-8 * max(1.0, float(hi.max()))
     bracketed = bool(np.all(u >= lo - margin) and np.all(u <= hi + margin))

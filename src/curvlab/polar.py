@@ -49,18 +49,6 @@ class BaseGrid:
             self._ksq = sum(k ** 2 for k in np.meshgrid(
                 *([self._k] * n), indexing="ij", sparse=True))
 
-    # -- sampling -----------------------------------------------------------
-
-    def env(self, t, node=None):
-        """Evaluation environment at a t-slice: t plus x1..xn axis arrays,
-        which broadcast against each other to the mesh, or at one node (a
-        tuple of n grid indices) 1-element arrays of its coordinates."""
-        axes = (self._axes if node is None
-                else [self.axis_points[j:j + 1] for j in node])
-        env = {f"x{i + 1}": x for i, x in enumerate(axes)}
-        env["t"] = t
-        return env
-
     # -- operators ----------------------------------------------------------
 
     def laplacian(self, arr):
@@ -123,19 +111,35 @@ class PolarWarpField(Field):
                          domain_min=domain_min)
         self.grid = grid
 
+    def _sample(self, tree, t, node=None):
+        """tree on the t-slice, where the x1..xn axis arrays broadcast
+        against each other to the mesh, or at one node (a tuple of n grid
+        indices) from 1-element arrays of its coordinates."""
+        grid = self.grid
+        axes = (grid._axes if node is None
+                else [grid.axis_points[j:j + 1] for j in node])
+        val = tree.eval(dict({f"x{i + 1}": x for i, x in enumerate(axes)}, t=t))
+        shape = (grid.m,) * grid.n if node is None else (1,)
+        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
 
-def conformal_base_curvature(mu, grid: BaseGrid):
+    def sample(self, t):
+        return self._checked(t, lambda: self._sample(self.ast, t))
+
+    def sample_dt(self, t, node=None):
+        """f_t on the t-slice, or at one grid node as a 1-element array."""
+        return self._sample(self._d1, t, node)
+
+    def sample_dtt(self, t, node=None):
+        return self._sample(self._d2, t, node)
+
+
+def conformal_base_curvature(n, mu, lap):
     """Scalar curvature of the flat torus metric conformally scaled by f^2,
-    from mu = f^((n-2)/2) on the grid (R(g) = 0):
+    from mu = f^((n-2)/2) and its Laplacian lap, on a slice or at a node
+    (R(g) = 0):
 
         R = -c_n^{-1} mu^{-(n+2)/(n-2)} Lap mu
     """
-    mu = np.asarray(mu, dtype=float)
-    return _flat_conformal(grid.n, mu, grid.laplacian(mu))
-
-
-def _flat_conformal(n, mu, lap):
-    """conformal_base_curvature on the flat torus from mu and Lap mu."""
     if n < 3:
         raise DomainError("formula degenerates for n < 3")
     cn = DimensionConstants(n).c_n
@@ -166,14 +170,14 @@ def polar_scalar_curvature(f: PolarWarpField, t, node=None):
     if node is None:
         mu = fval ** ((n - 2) / 2.0)
         name_first(t, mu != 0, underflow)
-        r_base = conformal_base_curvature(mu, grid)
+        r_base = conformal_base_curvature(n, mu, grid.laplacian(mu))
     else:
         mu_lines = [fval[node[:ax] + (slice(None),) + node[ax + 1:]]
                     ** ((n - 2) / 2.0) for ax in range(n)]
         name_first(t, np.all([line != 0 for line in mu_lines]), underflow)
         fval = fval[node].reshape(1)
-        r_base = _flat_conformal(n, mu_lines[0][node[0]:node[0] + 1],
-                                 grid.laplacian_at(mu_lines, node))
+        r_base = conformal_base_curvature(n, mu_lines[0][node[0]:node[0] + 1],
+                                          grid.laplacian_at(mu_lines, node))
     R = r_base - (2.0 * n * fval * ftt + n * (n - 1) * ft ** 2) / fval ** 2
     return R if node is None else float(R[0])
 

@@ -23,13 +23,10 @@ class Field:
     """A scalar field given by an expression in t and declared coordinates
     x1..xn, with exact first and second t-derivatives.
 
-    A plain Field carries no positivity contract (domain_min is None) and no
-    grid.  WarpProfile and PolarWarpField fix the contract: the field must
-    be positive wherever it is evaluated or sampled, at t > domain_min, and a
-    PolarWarpField is sampled on whole t-slices of its BaseGrid.
+    A plain Field carries no positivity contract (domain_min is None).
+    WarpProfile and polar.PolarWarpField fix the contract: the field must be
+    positive wherever it is evaluated or sampled, at t > domain_min.
     """
-
-    grid = None
 
     def __init__(self, source, allowed_vars=("t",), domain_min=None):
         if domain_min is not None and domain_min <= 0:
@@ -52,8 +49,8 @@ class Field:
         """The positivity contract: t > domain_min, then a positive value."""
         if self.domain_min is None:
             return evaluate()
-        if np.any(np.asarray(t) <= self.domain_min):
-            raise DomainError(f"t must exceed domain_min = {self.domain_min}")
+        name_first(t, ~(np.asarray(t) <= self.domain_min),
+                   f"t must exceed domain_min = {self.domain_min}")
         val = evaluate()
         # not val > 0: a nan passes here and is named later as not finite
         name_first(t, ~(np.asarray(val) <= 0),
@@ -77,24 +74,6 @@ class Field:
             env[v] = x[i]
         return self.ast.eval(env)
 
-    # -- grid sampling (fields built on a BaseGrid) ---------------------------
-
-    def _sample(self, tree, t, node=None):
-        grid = self.grid
-        val = tree.eval(grid.env(t, node))
-        shape = (grid.m,) * grid.n if node is None else (1,)
-        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
-
-    def sample(self, t):
-        return self._checked(t, lambda: self._sample(self.ast, t))
-
-    def sample_dt(self, t, node=None):
-        """f_t on the t-slice, or at one grid node as a 1-element array."""
-        return self._sample(self._d1, t, node)
-
-    def sample_dtt(self, t, node=None):
-        return self._sample(self._d2, t, node)
-
 
 class WarpProfile(Field):
     """Warp function f(t) > 0 with exact first/second derivative oracle.
@@ -111,36 +90,14 @@ def parse_profile(source, domain_min=2.0):
     return WarpProfile(source, domain_min=domain_min)
 
 
-class SubstitutedProfile:
-    """u(t) = f(t)^((n+1)/2) with chain-rule derivatives."""
-
-    def __init__(self, f: WarpProfile, n: int):
-        if n < 2:
-            raise DomainError(f"need n >= 2, got {n}")
-        self.f = f
-        self.n = n
-        self.m = (n + 1) / 2.0
-
-    def _powf(self, t, k):
-        # f^k via exp/ln; f must be positive
-        fval = self.f.eval(t)
-        return np.exp(k * np.log(fval))
-
-    def eval(self, t):
-        return self._powf(t, self.m)
-
-    def d1(self, t):
-        return self.m * self._powf(t, self.m - 1.0) * self.f.d1(t)
-
-    def d2(self, t):
-        fp = self.f.d1(t)
-        fpp = self.f.d2(t)
-        return (self.m * (self.m - 1.0) * self._powf(t, self.m - 2.0) * fp ** 2
-                + self.m * self._powf(t, self.m - 1.0) * fpp)
-
-
-def substitute_u(f: WarpProfile, n: int) -> SubstitutedProfile:
-    return SubstitutedProfile(f, n)
+def substitute_u(f: WarpProfile, n: int) -> Field:
+    """u = f^((n+1)/2) as the Field exp(m ln f): its derivatives are the
+    tree's own, and any f <= 0 gives u = 0 or nan, where an integer power m
+    would turn a negative f positive."""
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    m = (n + 1) / 2.0
+    return Field(f"exp({m!r}*ln({f.source}))", domain_min=f.domain_min)
 
 
 def warped_scalar_curvature(f: WarpProfile, base: BaseGeometry, t):
@@ -165,15 +122,16 @@ def warped_scalar_curvature(f: WarpProfile, base: BaseGeometry, t):
         return ieee(curvature, *values)
 
 
-def ode_residual(u: SubstitutedProfile, R, base: BaseGeometry, t):
+def ode_residual(u: Field, R, base: BaseGeometry, t):
     """Left-hand side of (4n/(n+1)) u'' + R u - R(g) u^((n-3)/(n+1)).
 
-    Zero iff (u, R) solve the substituted curvature equation at t.
+    Zero iff (u, R) solve the substituted curvature equation at t.  A u
+    from substitute_u is named at t where it is nonpositive (by its own
+    check) or not finite (a negative f).
     """
-    n = u.n
+    n = base.n
     uval = u.eval(t)
-    if np.any(np.asarray(uval) <= 0):
-        raise DomainError("u must be positive")
+    name_first(t, np.isfinite(uval), "u is not finite")
     p = DimensionConstants(n).nonlin_exp
     u_pow = np.exp(p * np.log(uval))
     Rval = R(t) if callable(R) else R

@@ -560,8 +560,9 @@ class TestCertifyInputErrors:
             verdicts.append(capsys.readouterr().out)
         assert verdicts[0] == verdicts[1]
         assert main(["certify", "--kind"] + argv + ["--domain-min", "5"]) == 1
+        # the first t below the domain is t0 = 3
         assert capsys.readouterr().err == (
-            f"error: {argv[0]}: t must exceed domain_min = 5.0\n")
+            f"error: {argv[0]}: t must exceed domain_min = 5.0 at t = 3.0\n")
 
     @pytest.mark.parametrize("args", [
         ["oscillation", "--c", "0.8", "--T", "2.5"],
@@ -923,6 +924,24 @@ class TestCleanErrors:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["curvature", "--profile", "t", "--n", "3", "--t", "1:3:3"],
+         "t must exceed domain_min = 2.0 at t = 1.0"),
+        (["solve", "--n", "3", "--u-minus-const", "0"],
+         "subsolution must be positive at t = 3.0"),
+        (["solve", "--n", "3", "--t0", "1e-300", "--T", "1"],
+         "ordering violated: u_minus > u_plus at t = 1e-300"),
+        (["raylength", "--u", "0-t", "--n", "3"],
+         "u must be positive along the ray at t = 3.0"),
+    ], ids=["domain-min", "subsolution", "ordering", "ray"])
+    def test_a_bad_value_is_named_at_its_first_t(self, args, message,
+                                                 tmp_path, capsys):
+        # each of these errors used to name no t
+        out = tmp_path / "o"
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["curvature", "oracle"])
     def test_a_sphere_too_large_to_square_is_flat(self, command, capsys):
         # radius^2 overflowed with an OverflowError traceback; n(n-1)/inf is
@@ -1068,6 +1087,22 @@ class TestSolveAndOracle:
         header, rows = read_csv(str(out))
         assert header == ["t", "u", "du"]
         assert all(abs(row[1] - 6.0) < 1e-8 for row in rows)
+
+    def test_solve_that_reaches_the_iteration_cap_fails(self, monkeypatch,
+                                                         tmp_path, capsys):
+        # --T 1e4 converges in 71 iterations; stopped at the cap, solve used
+        # to write the unconverged iterate and exit 0
+        monkeypatch.setattr(ode, "MONOTONE_MAX_ITER", 3)
+        out = tmp_path / "u.csv"
+        assert main(["solve", "--n", "3", "--T", "1e4", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        prefix = "error: monotone iteration did not converge in 3 iterations: last step "
+        assert stdout == "" and err.startswith(prefix) and err.endswith("\n")
+        assert float(err[len(prefix):]) > 0
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(["solve", "--n", "3", "--T", "1e4", "--out", str(out)]) == 0
+        assert json.loads(Path(f"{out}.meta.json").read_text())["iterations"] == 71
 
     @pytest.mark.parametrize("args", [["--n", "4"],
                                       ["--n", "3", "--R-coeff", "3"]])

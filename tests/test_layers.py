@@ -295,6 +295,46 @@ def test_no_unreferenced_private_names():
     assert not left, f"never read: {sorted(left)}"
 
 
+def methods_defined(path, names):
+    """(class, method) of each method named in names that a class of the
+    file defines, at any depth."""
+    return {(cls.name, sub.name) for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef) for sub in cls.body
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and sub.name in names}
+
+
+def test_method_finder(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("class A:\n"
+                   "    def d1(self):\n"
+                   "        def d2():\n"
+                   "            pass\n"
+                   "    class B:\n"
+                   "        def d2(self):\n"
+                   "            pass\n"
+                   "def d1():\n"
+                   "    pass\n")
+    assert methods_defined(src, {"d1", "d2"}) == {("A", "d1"), ("B", "d2")}
+
+
+def test_only_field_defines_t_derivatives():
+    # every field's t-derivatives are Node.diff of its tree, taken in one
+    # place, so no field differentiates by hand
+    found = {(p.stem,) + m for p in PACKAGE.glob("*.py")
+             for m in methods_defined(p, {"d1", "d2"})}
+    assert found == {("warp", "Field", "d1"), ("warp", "Field", "d2")}
+
+
+def test_warp_reads_no_grid_attribute():
+    # sampling on a BaseGrid belongs to polar.PolarWarpField, so the lower
+    # module knows nothing of the grid's interface (a local named env is
+    # not the grid's)
+    attrs = {node.attr for node in ast.walk(ast.parse(
+        (PACKAGE / "warp.py").read_text())) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"grid", "env", "axis_points", "_axes"}
+
+
 def test_the_package_imports_no_module():
     # the modules are the API, so `import curvlab` runs only its BLAS set-up
     proc = subprocess.run(

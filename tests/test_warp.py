@@ -66,6 +66,17 @@ class TestSubstitution:
         t = np.linspace(2.5, 20.0, 11)
         assert np.allclose(u.eval(t), (t*np.log(t))**2, rtol=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_u_is_exp_m_ln_f_to_the_bit(self, n):
+        f = parse_profile("t*ln(t) + 1/t")
+        u = substitute_u(f, n)
+        m = (n + 1) / 2.0
+        t = np.linspace(2.5, 40.0, 17)
+        assert u.eval(t).tobytes() == np.exp(m * np.log(f.eval(t))).tobytes()
+        for s in t.tolist():
+            assert np.float64(u.eval(s)).tobytes() == \
+                np.exp(m * np.log(f.eval(s))).tobytes()
+
     def test_chain_rule_derivatives(self):
         f = parse_profile("t^2 + 1", domain_min=0.1)
         u = substitute_u(f, 5)  # m = 3
@@ -75,6 +86,43 @@ class TestSubstitution:
         d2_fd = (u.eval(t + h) - 2*u.eval(t) + u.eval(t - h)) / h**2
         assert u.d1(t) == pytest.approx(d1_fd, rel=1e-8)
         assert u.d2(t) == pytest.approx(d2_fd, rel=1e-5)
+
+
+class TestGuards:
+    """Each guard warp keeps, and the nonpositive f that ode_residual names."""
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_power_law_needs_n_at_least_2(self, n):
+        with pytest.raises(DomainError, match=f"need n >= 2, got {n}"):
+            power_law_curvature(0.5, n, 3.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, [3.0, 0.0]])
+    def test_power_law_needs_a_positive_t(self, t):
+        with pytest.raises(DomainError, match="t must be positive"):
+            power_law_curvature(0.5, 3, t)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, [3.0, 1.0]])
+    def test_cone_log_needs_t_above_1(self, t):
+        with pytest.raises(DomainError, match="t must exceed 1 so that ln t > 0"):
+            cone_log_curvature(3, t)
+
+    def test_substitute_u_needs_n_at_least_2(self):
+        with pytest.raises(DomainError, match="need n >= 2, got 1"):
+            substitute_u(parse_profile("t"), 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_residual_names_a_nonpositive_f(self, n):
+        # f = t - 3 is negative at 2.5, so u = exp(m ln f) is nan there,
+        # and 0 at t = 3; an integer m = 2 (n = 3) must not make u positive
+        u = substitute_u(parse_profile("t-3"), n)
+        base = BaseGeometry.constant(n, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(DomainError) as exc:
+                ode_residual(u, 0.0, base, 2.5)
+            assert str(exc.value) == "u is not finite at t = 2.5"
+            with pytest.raises(DomainError) as exc:
+                ode_residual(u, 0.0, base, np.array([3.5, 3.0]))
+            assert str(exc.value) == f"field '{u.source}' is nonpositive at t = 3.0"
 
 
 RANDOM_ATOMS = ["ln(t)", "sin(t/50)", "cos(t/90)", "sqrt(t)/40", "1/t"]
