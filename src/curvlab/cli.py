@@ -10,11 +10,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
-# each subcommand imports its own layers when it runs, so that --help, a
-# usage error or a table loads no solver and no other command's modules
-from .errors import CurvlabError, DomainError, name_first
+# main imports errors, and with it numpy, once argparse has chosen a command,
+# and each subcommand its own layers: --help and usage errors load no numpy
 
 
 def finite_float(text):
@@ -30,6 +27,8 @@ def finite_float(text):
 
 def parse_range(text):
     """'a:b:k' -> k log-spaced samples on [a, b]; a bare number -> [a]."""
+    from .errors import DomainError
+    import numpy as np
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise DomainError(f"bad range '{text}': expected a:b:k")
@@ -53,6 +52,7 @@ def parse_range(text):
 
 def load_config(path):
     """Plain key=value lines; '#' starts a comment."""
+    from .errors import DomainError
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -66,22 +66,15 @@ def load_config(path):
     return out
 
 
-def _write(path, text):
-    from .serialize import atomic_write_text
-    try:
-        atomic_write_text(path, text)
-    except OSError as e:
-        raise CurvlabError(f"cannot write '{path}': {e.strerror or e}") from None
-
-
 def _emit(args, text, meta):
     """Write `text`, a str or an iterable of str chunks, to --out (with its
     .meta.json sidecar) or to stdout, one chunk at a time."""
-    from .serialize import chunks_of
+    from .serialize import atomic_write_text, chunks_of
     if getattr(args, "out", None):
-        _write(args.out, text)
+        atomic_write_text(args.out, text)
         meta = {**meta, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-        _write(args.out + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
+        atomic_write_text(args.out + ".meta.json",
+                          json.dumps(meta, sort_keys=True) + "\n")
     else:
         sys.stdout.writelines(chunks_of(text))
 
@@ -107,9 +100,11 @@ def _warp(args):
 
 
 def cmd_curvature(args):
+    from .errors import name_first
     from .polar import polar_scalar_curvature
     from .serialize import csv_chunks, csv_text
     from .warp import warped_scalar_curvature
+    import numpy as np
     t_vals = parse_range(args.t)
     base, f = _warp(args)
     if args.base == "torus":
@@ -133,11 +128,15 @@ def cmd_curvature(args):
 
 
 def cmd_solve(args):
+    from .errors import name_first
     from .ode import OdeSpec, SubSuperPair, monotone_solve
     from .serialize import csv_text
-    n = args.n
-    spec = OdeSpec(n=n, R=_R_function(args), R_g=-n * (n - 1),
-                   t0=args.t0, T=args.T)
+    import numpy as np
+    n, R = args.n, args.R_const
+    if R is None:
+        R = (lambda t, C=args.R_coeff, p=args.R_power:
+             -C / np.asarray(t, dtype=float) ** p)
+    spec = OdeSpec(n=n, R=R, R_g=-n * (n - 1), t0=args.t0, T=args.T)
     pair = SubSuperPair(args.u_minus_const,
                         (lambda t, C=args.u_plus_coeff, p=args.u_plus_power:
                          C * np.asarray(t, dtype=float) ** p))
@@ -152,13 +151,6 @@ def cmd_solve(args):
     return 0
 
 
-def _R_function(args):
-    if args.R_const is not None:
-        return float(args.R_const)
-    C, alpha = args.R_coeff, args.R_power
-    return lambda t: -C / np.asarray(t, dtype=float) ** alpha
-
-
 # certify's kind-specific flags; --t0 has a default and every kind takes it.
 # Each flag sets the parameter of its name, but thm38's warp f is --profile.
 _CERTIFY_FLAGS = ("n", "T", "c", "b", "C1", "C2", "C", "eps", "kappa_sq",
@@ -170,6 +162,7 @@ def _flag(name):
 
 
 def cmd_certify(args):
+    from .errors import CurvlabError, DomainError
     from .ode import comparison_certificate, comparison_parameters
     from .warp import parse_profile
     kind = args.kind
@@ -215,10 +208,12 @@ ORACLE_MAX_N = 40
 
 
 def cmd_oracle(args):
+    from .errors import DomainError, name_first
     from .oracle import assemble_metric, fd_rows
     from .polar import polar_scalar_curvature
     from .serialize import csv_text
     from .warp import warped_scalar_curvature
+    import numpy as np
     if args.n > ORACLE_MAX_N:
         raise DomainError(f"oracle needs n <= {ORACLE_MAX_N}, got n = {args.n}")
     t_vals = parse_range(args.t)
@@ -254,6 +249,7 @@ def cmd_oracle(args):
 def cmd_raylength(args):
     from .completeness import ray_length
     from .warp import Field
+    import numpy as np
     u = Field(args.u)
     report = ray_length(lambda t: np.asarray(u.eval(t), dtype=float),
                         None, args.n, args.t0, args.T)
@@ -275,13 +271,9 @@ def cmd_sweep(args):
 # argument parsing
 
 
-class _Kinds:
-    """certify's --kind choices: ode is imported only when argparse checks a
-    kind or prints them."""
-
-    def __iter__(self):
-        from .ode import CERTIFICATE_KINDS
-        return iter(CERTIFICATE_KINDS)
+# ode.CERTIFICATE_KINDS, written out so that parsing loads no numpy
+_KINDS = ("oscillation", "thm48", "thm413", "thm418", "thm112", "thm38",
+          "barrier33")
 
 
 def build_parser():
@@ -337,8 +329,7 @@ def build_parser():
     p = sub.add_parser("certify", help="nonexistence/incompleteness certificates")
     common(p)
     profile_domain(p, default=None)  # only the kinds with a warp read it
-    # set after add_argument, which formats the choices it is given
-    p.add_argument("--kind", required=True).choices = _Kinds()
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--t0", type=finite_float, default=3.0)
     for name in _CERTIFY_FLAGS:
         p.add_argument(_flag(name), dest=name, default=None,
@@ -393,6 +384,7 @@ def main(argv=None):
         if not joined and i + 1 == len(argv):
             print("config error: --config needs a path", file=sys.stderr)
             return 2
+        from .errors import CurvlabError
         try:
             cfg = load_config(path if joined else argv[i + 1])
         except (OSError, CurvlabError) as e:
@@ -417,6 +409,8 @@ def main(argv=None):
     if not args.command:
         parser.print_usage(sys.stderr)
         return 2
+    from .errors import CurvlabError
+    import numpy as np
     try:
         # overflow and 0/0 reach the checks of each command as inf or nan,
         # which then raise a CurvlabError naming the first bad value

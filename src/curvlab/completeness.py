@@ -8,9 +8,8 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, name_first
+import numpy as np
 
 
 @dataclass

@@ -1,5 +1,25 @@
 """Exception hierarchy shared across the package, the one rule for naming
-a bad value, and the one IEEE fallback for Python-float arithmetic."""
+a bad value, and the one IEEE fallback for Python-float arithmetic.  Every
+module that imports numpy imports this one first, for the BLAS set-up."""
+
+import os
+import sys
+
+# numpy's bundled OpenBLAS starts a helper thread per core as it loads, and
+# no curvlab array is large enough for it to help (the largest BLAS call is
+# a 4096 x 2 least-squares fit).  So, unless the user chose a thread count
+# in a variable OpenBLAS reads, numpy is loaded here, ahead of every module
+# that imports it, with one thread.  OpenBLAS reads the variable only while
+# it loads, so it is removed at once: os.environ and child processes keep
+# the user's environment.
+if "numpy" not in sys.modules and not any(
+        name in os.environ for name in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 

@@ -19,9 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ExpressionError, ieee
+import numpy as np
 
 FUNCTIONS = {
     "ln": np.log,

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .errors import DomainError, StiffFailure, name_first
 import numpy as np
 
 from .completeness import fit_loglog_slope, ray_length
-from .errors import DomainError, StiffFailure, name_first
 from .geometry import BaseGeometry, DimensionConstants
 from .rk45 import solve_ivp  # every integration goes through this one name
 from .warp import warped_scalar_curvature

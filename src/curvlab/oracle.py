@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import CurvlabError, DomainError, name_first
+import numpy as np
 
 
 # ---------------------------------------------------------------------------

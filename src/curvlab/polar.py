@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError, name_first
 import numpy as np
 
-from .errors import DomainError, name_first
 from .geometry import DimensionConstants
 from .warp import Field
 

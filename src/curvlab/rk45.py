@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, StiffFailure, ieee
+import numpy as np
 
 EPS = np.finfo(float).eps
 

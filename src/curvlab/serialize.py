@@ -8,8 +8,8 @@ import math
 import os
 import tempfile
 
+from .errors import CurvlabError
 import numpy as np
-
 
 WRITE_SLICE = 1 << 20   # characters encoded and written per write call
 
@@ -21,20 +21,24 @@ def chunks_of(text):
 
 def atomic_write_text(path, text):
     """Write `text`, a str or an iterable of str chunks, as UTF-8 in slices,
-    so that only one slice at a time is held encoded beside its chunk."""
-    path = os.path.abspath(path)
-    d = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    so that only one slice at a time is held encoded beside its chunk.  An
+    OSError is raised as a CurvlabError naming `path`."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for chunk in chunks_of(text):
-                for start in range(0, len(chunk), WRITE_SLICE):
-                    fh.write(chunk[start:start + WRITE_SLICE])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        target = os.path.abspath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-",
+                                   suffix="~")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                for chunk in chunks_of(text):
+                    for start in range(0, len(chunk), WRITE_SLICE):
+                        fh.write(chunk[start:start + WRITE_SLICE])
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise CurvlabError(f"cannot write '{path}': {e.strerror or e}") from None
 
 
 def csv_chunks(header, axes, values):

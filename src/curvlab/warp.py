@@ -7,10 +7,10 @@ the independent cross-check).
 
 from __future__ import annotations
 
+from .errors import DomainError, ExpressionError, ieee, name_first
 import numpy as np
 
 from . import expr
-from .errors import DomainError, ExpressionError, ieee, name_first
 from .geometry import BaseGeometry, DimensionConstants
 
 
@@ -126,12 +126,13 @@ def ode_residual(u: Field, R, base: BaseGeometry, t):
     """Left-hand side of (4n/(n+1)) u'' + R u - R(g) u^((n-3)/(n+1)).
 
     Zero iff (u, R) solve the substituted curvature equation at t.  A u
-    from substitute_u is named at t where it is nonpositive (by its own
-    check) or not finite (a negative f).
+    from substitute_u is named at t where it is not finite (a negative f)
+    or nonpositive (a zero of f, which a field with a domain_min names).
     """
     n = base.n
     uval = u.eval(t)
     name_first(t, np.isfinite(uval), "u is not finite")
+    name_first(t, uval > 0, "u is nonpositive")
     p = DimensionConstants(n).nonlin_exp
     u_pow = np.exp(p * np.log(uval))
     Rval = R(t) if callable(R) else R

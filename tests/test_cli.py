@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from curvlab import cli, ode, oracle
 from curvlab.cli import build_parser, main, parse_range
-from curvlab.errors import DomainError
+from curvlab.errors import CurvlabError, DomainError
 from curvlab.oracle import fd_scalar_curvature
 from curvlab.polar import BaseGrid, PolarWarpField, polar_scalar_curvature
 from curvlab.serialize import (WRITE_SLICE, atomic_write_text, csv_chunks,
@@ -383,6 +383,20 @@ def test_atomic_write_text_writes_chunks_in_order(tmp_path):
     atomic_write_text(str(path), (chunk for chunk in chunks))
     assert path.read_bytes() == "".join(chunks).encode()
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_atomic_write_text_names_a_path_it_cannot_write(tmp_path, monkeypatch):
+    # the path as given, not made absolute, and no temp file left behind
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(CurvlabError) as exc:
+        atomic_write_text("missing/t.csv", "a\n")
+    assert str(exc.value) == ("cannot write 'missing/t.csv': "
+                              "No such file or directory")
+    (tmp_path / "d").mkdir()
+    with pytest.raises(CurvlabError) as exc:
+        atomic_write_text("d", "a\n")
+    assert str(exc.value) == "cannot write 'd': Is a directory"
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 # the warp of a torus table whose cells are nearly all distinct (91,866

@@ -2,6 +2,7 @@
 module level or inside a function, and each CLI command loads only its own
 layers."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -113,11 +114,9 @@ def test_unused_import_finder(tmp_path):
     assert unused_imports(src) == {"read_csv", "ray_length"}
 
 
-@pytest.mark.parametrize("module", sorted(
-    p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
-    # __init__ imports numpy for its BLAS set-up alone; every other module
-    # reads what it imports
+    # every module reads what it imports
     unused = unused_imports(PACKAGE / f"{module}.py")
     assert not unused, f"{module} never uses {sorted(unused)}"
 
@@ -165,10 +164,27 @@ def test_no_function_local_package_imports(module):
     assert not found, f"{module} imports inside {found}"
 
 
-def test_cli_imports_only_errors_at_module_level():
-    # each subcommand imports its own layers when it runs, so that --help,
-    # a usage error or a table loads no other command's modules
-    assert imported_modules(PACKAGE / "cli.py", top_level=True) == {"errors"}
+def test_cli_imports_only_the_standard_library_at_module_level():
+    # main imports errors, and with it numpy, once argparse has chosen a
+    # command, and each subcommand imports its own layers when it runs, so
+    # that --help, a usage error or a table loads no other command's modules
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = {alias.name for node in tree.body if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module if node.level == 0 else "." for node in tree.body
+              if isinstance(node, ast.ImportFrom)}
+    assert {name.split(".")[0] for name in names} <= sys.stdlib_module_names
+
+
+def test_certify_kinds_are_the_certificate_kinds():
+    # cli writes the --kind choices out, so that parsing loads no numpy
+    from curvlab.cli import build_parser
+    from curvlab.ode import CERTIFICATE_KINDS
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    kind = next(action for action in subcommands["certify"]._actions
+                if action.dest == "kind")
+    assert kind.choices == CERTIFICATE_KINDS
 
 
 def errstate_entries(path):
@@ -336,16 +352,18 @@ def test_warp_reads_no_grid_attribute():
 
 
 def test_the_package_imports_no_module():
-    # the modules are the API, so `import curvlab` runs only its BLAS set-up
+    # the modules are the API, so `import curvlab` loads none of them, and
+    # no numpy
     proc = subprocess.run(
         [sys.executable, "-c", "import curvlab, sys; print(sorted(m for m in "
-         "sys.modules if m.startswith('curvlab.')))"],
+         "sys.modules if m.startswith('curvlab.') or m == 'numpy'))"],
         capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
-# the curvlab modules each command line loads: a subcommand's own layers,
-# and no others; certify's --kind choices come from ode
+# the curvlab modules each command line loads besides cli: a computing
+# command loads errors, and with it numpy, and its own layers, and no
+# others; the parse path (help, a usage error) loads none, and no numpy
 SOLVERS = {"completeness", "expr", "geometry", "ode", "rk45", "serialize",
            "warp"}
 TABLE = {"expr", "geometry", "polar", "serialize", "warp"}
@@ -354,6 +372,10 @@ TABLE = {"expr", "geometry", "polar", "serialize", "warp"}
 @pytest.mark.parametrize("argv, modules", [
     (["--help"], set()),
     (["oracle", "--help"], set()),
+    (["certify", "--help"], set()),
+    (["certify", "--kind", "bogus"], set()),
+    (["solve", "--n", "x"], set()),
+    (["sweep"], set()),
     (["curvature", "--profile", "t", "--n", "3", "--t", "3:5:2"], TABLE),
     (["curvature", "--profile", "t*(2+cos(x1))", "--n", "2", "--t", "3",
       "--base", "torus", "--m", "4"], TABLE),
@@ -362,9 +384,9 @@ TABLE = {"expr", "geometry", "polar", "serialize", "warp"}
     (["solve", "--n", "3", "--points", "20"], SOLVERS),
     (["certify", "--kind", "thm48", "--b", "1"], SOLVERS),
     (["sweep", "--c", "1.5:2:2"], SOLVERS),
-    (["certify", "--kind", "bogus"], SOLVERS - {"serialize"}),
-], ids=["help", "oracle-help", "curvature", "curvature-torus", "oracle",
-        "raylength", "solve", "certify", "sweep", "certify-bad-kind"])
+], ids=["help", "oracle-help", "certify-help", "certify-bad-kind",
+        "usage-error", "sweep-no-c", "curvature", "curvature-torus", "oracle",
+        "raylength", "solve", "certify", "sweep"])
 def test_each_command_loads_only_its_layers(argv, modules):
     script = ("import contextlib, io, sys\n"
               "from curvlab.cli import main\n"
@@ -372,12 +394,15 @@ def test_each_command_loads_only_its_layers(argv, modules):
               "contextlib.redirect_stderr(io.StringIO()), "
               "contextlib.suppress(SystemExit):\n"
               "    main(sys.argv[1:])\n"
-              "print(sorted(m for m in sys.modules if m.startswith('curvlab.')))\n")
+              "print(sorted(m for m in sys.modules if m.startswith('curvlab.')),\n"
+              "      'numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script] + argv,
                           capture_output=True, text=True, env=CHILD_ENV,
                           timeout=60)
-    loaded = sorted(f"curvlab.{m}" for m in modules | {"cli", "errors"})
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{loaded}\n")
+    loaded = sorted(f"curvlab.{m}" for m in
+                    {"cli"} | (modules | {"errors"} if modules else set()))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        0, "", f"{loaded} {bool(modules)}\n")
 
 
 def names_read_only_by_tests(package_paths, reader_paths):

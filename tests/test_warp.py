@@ -124,6 +124,21 @@ class TestGuards:
                 ode_residual(u, 0.0, base, np.array([3.5, 3.0]))
             assert str(exc.value) == f"field '{u.source}' is nonpositive at t = 3.0"
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_residual_names_a_zero_of_f_with_no_domain(self, n):
+        # with no domain_min the field checks no sign, so u = 0 at t = 3
+        # reaches the residual, which names it rather than return nan
+        u = substitute_u(parse_profile("t-3", domain_min=None), n)
+        base = BaseGeometry.constant(n, -n * (n - 1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for t in (3.0, np.array([3.5, 3.0])):
+                with pytest.raises(DomainError) as exc:
+                    ode_residual(u, 0.0, base, t)
+                assert str(exc.value) == "u is nonpositive at t = 3.0"
+            with pytest.raises(DomainError) as exc:
+                ode_residual(u, 0.0, base, 2.5)
+            assert str(exc.value) == "u is not finite at t = 2.5"
+
 
 RANDOM_ATOMS = ["ln(t)", "sin(t/50)", "cos(t/90)", "sqrt(t)/40", "1/t"]
 
