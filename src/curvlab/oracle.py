@@ -9,7 +9,6 @@ they are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CurvlabError, DomainError, name_first
 import numpy as np
@@ -139,40 +138,18 @@ def assemble_metric(f, base, conformal=None, h=1.0e-3):
 # finite-difference derivatives of the components
 
 
-@lru_cache(maxsize=None)
-def _stencil(dim):
-    """The distinct points but the centre of the centred difference
-    stencils in dim coordinates, in the order the differences first read
-    them: +-h on each axis, then for each axis a: +-2h on a, and +-h+-h on
-    a and each later axis.
-
-    A point is a move ((axis, steps), ...), the centre shifted by steps * h
-    along each axis.  Returns the number of points, the (rows, axes, steps)
-    of every shift, and the rows of each pattern of steps, by axis or by
-    axis pair in increasing order."""
-    moves = [((a, s),) for a in range(dim) for s in (1.0, -1.0)]
-    for a in range(dim):
-        moves += [((a, 2.0),), ((a, -2.0),)]
-        moves += [((a, sa), (b, sb)) for b in range(a + 1, dim)
-                  for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
-    rows, axes, steps = map(np.array, zip(*[
-        (r, a, s) for r, move in enumerate(moves) for a, s in move]))
-    reads = {}
-    for r, move in enumerate(moves):
-        reads.setdefault(tuple(s for _, s in move), []).append(r)
-    return len(moves), rows, axes, steps, {k: np.array(v) for k, v in reads.items()}
-
-
 def _derivatives(metric, points, h):
     """Components g at each row of a (k, dim) stack of points, dg[p, c, a, b]
     = d_c g_ab and d2[p, i, j, a, b] = d_i d_j g_ab at row p: centred first
-    differences, 5-point O(h^4) diagonal second differences and 4-point
-    mixed ones.
+    differences and 5-point O(h^4) second differences along each axis.  The
+    mixed d_i d_j g_ab, i != j, are left 0: the scalar of a diagonal metric
+    reads them only as d_i d_j g_ij, and g_ij = 0 at every point.
 
     The points are checked first: their stencils must stay above
     domain_min, and the metric at the centres, evaluated on their own so
-    that a pole there is named at its t, must be finite and positive
-    definite.  The rest of the stencils is then evaluated in one call."""
+    that a pole there is named at its t, must be finite, diagonal and
+    positive definite.  The rest of the stencils, +-h and then +-2h on each
+    axis, is then evaluated in one call."""
     if not h > 0:
         raise DomainError(f"need h > 0, got h = {h!r}")
     t = points[:, 0]
@@ -180,28 +157,26 @@ def _derivatives(metric, points, h):
                f"t - 2h must exceed domain_min = {metric.domain_min}")
     g = metric.components(points)
     name_first(t, np.isfinite(g).all(axis=(1, 2)), "metric is not finite")
-    name_first(t, np.all(np.linalg.eigvalsh(g) > 0, axis=1),
-               "metric not positive definite")
     dim = metric.dim
-    k, rows, axes, steps, reads = _stencil(dim)
-    stack = np.repeat(points[:, None], k, axis=1)
-    stack[:, rows, axes] += steps * h  # as point[axis] += delta, one at a time
-    G = metric.components(stack.reshape(-1, dim)).reshape(len(points), k,
-                                                          dim, dim)
-
-    def at(*steps):
-        return G[:, reads[steps]]
-
-    dg = (at(1.0) - at(-1.0)) / (2.0 * h)
-    d2 = np.empty((len(points),) + (dim,) * 4)
+    name_first(t, ~g[:, ~np.eye(dim, dtype=bool)].any(axis=1),
+               "metric is not diagonal")
     diag = np.arange(dim)
-    d2[:, diag, diag] = (-at(2.0) + 16.0 * at(1.0) - 30.0 * g[:, None]
-                         + 16.0 * at(-1.0) - at(-2.0)) / (12.0 * h * h)
-    i, j = np.triu_indices(dim, 1)
-    mixed = (at(1.0, 1.0) - at(1.0, -1.0) - at(-1.0, 1.0)
-             + at(-1.0, -1.0)) / (4.0 * h * h)
-    d2[:, i, j] = mixed
-    d2[:, j, i] = mixed
+    name_first(t, np.all(g[:, diag, diag] > 0, axis=1),
+               "metric not positive definite")
+    # the stencil's rows, in (size, axis, sign) order: the centre with
+    # point[axis] += steps * h, steps = +-1 on each axis, then +-2
+    axes = np.tile(np.repeat(diag, 2), 2)
+    steps = np.tile([[1.0, -1.0], [2.0, -2.0]], dim).ravel()
+    stack = np.repeat(points[:, None], 4 * dim, axis=1)
+    stack[:, np.arange(4 * dim), axes] += steps * h
+    G = metric.components(stack.reshape(-1, dim)).reshape(
+        len(points), 2, dim, 2, dim, dim)
+    plus, minus, plus2, minus2 = (G[:, size, :, sign]
+                                  for size in (0, 1) for sign in (0, 1))
+    dg = (plus - minus) / (2.0 * h)
+    d2 = np.zeros((len(points),) + (dim,) * 4)
+    d2[:, diag, diag] = (-plus2 + 16.0 * plus - 30.0 * g[:, None]
+                         + 16.0 * minus - minus2) / (12.0 * h * h)
     return g, dg, d2
 
 
@@ -250,13 +225,12 @@ def _riemann(g, gamma, d2):
 class CurvatureTensorSample:
     """At one point, or at each row of a stack under a leading point axis."""
     gamma: np.ndarray    # gamma[..., a, b, c] = Gamma^a_bc
-    riemann: np.ndarray  # fully covariant R_ijkl
     scalar: float | np.ndarray  # full contraction g^{ik} g^{jl} R_{ijkl}
 
 
 def fd_scalar_curvature(metric: MetricGrid, points,
                         h=None) -> CurvatureTensorSample:
-    """Christoffel symbols and fully covariant curvature components at a
+    """Christoffel symbols and scalar curvature of a diagonal metric at a
     point (dim,), or at each row of a stack (k, dim), all derivatives by
     centred differences:
 
@@ -265,24 +239,26 @@ def fd_scalar_curvature(metric: MetricGrid, points,
                  + g_ab (Gamma^b_il Gamma^a_jk - Gamma^b_ik Gamma^a_jl)
 
     and the scalar g^{ik} g^{jl} R_ijkl: a float at a point, a (k,) array
-    on a stack.  Each row of a stack gets the bits of a call on that row
+    on a stack.  R_ijkl is assembled with the mixed second differences left
+    0, which the scalar of a diagonal metric does not read, so it is not
+    returned.  Each row of a stack gets the bits of a call on that row
     alone, and a stack holding a point that fails raises the error of one
     such point; fd_rows names the first."""
     h = metric.h if h is None else h
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         one = _stack_curvature(metric, points[None], h)
-        return CurvatureTensorSample(
-            gamma=one.gamma[0], riemann=one.riemann[0],
-            scalar=float(one.scalar[0]))
+        return CurvatureTensorSample(gamma=one.gamma[0],
+                                     scalar=float(one.scalar[0]))
     return _stack_curvature(metric, points, h)
 
 
-# fd_rows evaluates a table's points in blocks whose stencil stacks hold at
-# most this many coordinates: a block shares numpy's per-call cost among its
-# points, while its arrays stay small enough that a job's peak RSS is within
-# ~0.4 MB of a point's (2^13 added 1-2 MB)
-BLOCK_DOUBLES = 2 ** 12
+# fd_rows evaluates a table's points in blocks whose dim^4 arrays (d2, R_ijkl
+# and its curvature term), the largest, hold at most this many doubles each:
+# a block shares numpy's per-call cost among its points, while a job's peak
+# RSS stays within 0.3 MB of a point's (2^15 added up to 0.6 MB and 2^16 up
+# to 2 MB, on 20- to 100-point jobs at n = 3..9)
+BLOCK_DOUBLES = 2 ** 14
 
 
 def fd_rows(metric: MetricGrid, points):
@@ -290,7 +266,7 @@ def fd_rows(metric: MetricGrid, points):
     order, from one fd_scalar_curvature call per block of rows.  A block
     that fails is evaluated again one row at a time, so a failing row
     raises its own error, and only once the caller has reached it."""
-    size = max(1, BLOCK_DOUBLES // (_stencil(metric.dim)[0] * metric.dim))
+    size = max(1, BLOCK_DOUBLES // metric.dim ** 4)
     for start in range(0, len(points), size):
         block = points[start:start + size]
         try:
@@ -307,4 +283,4 @@ def _stack_curvature(metric, points, h):
     gamma = _christoffel(ginv, dg)
     riemann = _riemann(g, gamma, d2)
     scalar = np.einsum("...ik,...jl,...ijkl->...", ginv, ginv, riemann)
-    return CurvatureTensorSample(gamma=gamma, riemann=riemann, scalar=scalar)
+    return CurvatureTensorSample(gamma=gamma, scalar=scalar)

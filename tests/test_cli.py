@@ -1313,9 +1313,10 @@ class TestSolveAndOracle:
         assert row[4] < 1e-6
 
     def test_oracle_evaluates_points_in_blocks(self, monkeypatch, capsys):
-        # at n = 7 (dim 8) a block holds 3 points; the table is the one the
+        # blocks are sized by the dim^4 arrays (d2 and R_ijkl): at n = 7
+        # (dim 8) 2^14 doubles hold 4 points; the table is the one the
         # point-by-point evaluation writes
-        argv = ["oracle", "--profile", "t^2+t", "--n", "7", "--t", "3:5:8"]
+        argv = ["oracle", "--profile", "t^2+t", "--n", "7", "--t", "3:5:10"]
         blocks = []
 
         def fd(metric, points, h=None):
@@ -1325,12 +1326,12 @@ class TestSolveAndOracle:
         monkeypatch.setattr(oracle, "fd_scalar_curvature", fd)
         assert main(argv) == 0
         table = capsys.readouterr().out
-        assert blocks == [(3, 8), (3, 8), (2, 8)]
+        assert blocks == [(4, 8), (4, 8), (2, 8)]
         blocks.clear()
         monkeypatch.setattr(oracle, "BLOCK_DOUBLES", 1)
         assert main(argv) == 0
         assert capsys.readouterr().out == table
-        assert blocks == [(1, 8)] * 8
+        assert blocks == [(1, 8)] * 10
 
     def test_a_failing_block_is_evaluated_once_then_row_by_row(
             self, monkeypatch, capsys):

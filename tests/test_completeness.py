@@ -115,6 +115,15 @@ class TestYamabeTestIntegral:
         v2, _ = yamabe_test_integral(-1.0, 3, 9.0, 1.0, 2.5)
         assert v2 == pytest.approx(2.5*v1, rel=1e-14)
 
+    def test_exact_values(self):
+        # the docstring's formula at R_end != -1, where dividing and
+        # multiplying by -R_end differ, and vol_N != 1: (4n/(n-1)) C_o^2 =
+        # 12, value = 3 (12 - 2.5 (7 - 2) - 2.5/3) = -4 and threshold =
+        # 2 + 12/2.5 = 6.8
+        val, thr = yamabe_test_integral(-2.5, 4, 7.0, 1.5, 3.0)
+        assert val == pytest.approx(-4.0, rel=1e-14)
+        assert thr == pytest.approx(6.8, rel=1e-15)
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             yamabe_test_integral(1.0, 3, 9.0, 1.0, 1.0)

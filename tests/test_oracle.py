@@ -85,9 +85,12 @@ class TestScalarCurvature:
         point = torus_point(3, 1.0)
         sample = fd_scalar_curvature(metric, point)
         assert sample.scalar == pytest.approx(-12.0, abs=1e-6)
-        # the mixed radial and the tangential contractions of R_ijkl
-        inner = np.linalg.inv(metric.components(point))[1:, 1:]
-        R = sample.riemann
+        # the mixed radial and the tangential contractions of R_ijkl, which
+        # the oracle assembles but does not return
+        g, dg, d2 = oracle._derivatives(metric, point[None], metric.h)
+        ginv = np.linalg.inv(g)
+        R = oracle._riemann(g, oracle._christoffel(ginv, dg), d2)[0]
+        inner = ginv[0, 1:, 1:]
         mixed = np.einsum("jl,jl->", inner, R[0, 1:, 0, 1:])
         tangential = np.einsum("jl,ik,ijkl->", inner, inner, R[1:, 1:, 1:, 1:])
         assert mixed == pytest.approx(-3.0, abs=1e-4)  # -n f_tt/f
@@ -100,16 +103,6 @@ class TestScalarCurvature:
         metric = assemble_metric(f, BaseGeometry.sphere(3, radius=1.0))
         point = np.array([2.0, 1.1, 1.2, 1.3])
         assert abs(fd_scalar_curvature(metric, point).scalar) < 1e-5
-
-    def test_riemann_symmetries(self):
-        f = PolarWarpField("t*(2 + 0.3*cos(x1) + 0.2*sin(x2))",
-                          BaseGrid(3, 16), domain_min=0.1)
-        metric = assemble_metric(f, BaseGrid(3, 16))
-        R = fd_scalar_curvature(metric, torus_point(3, 2.5)).riemann
-        scale = np.max(np.abs(R)) + 1.0
-        assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) / scale < 1e-6
-        assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) / scale < 1e-6
-        assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) / scale < 1e-6
 
     def test_convergence_order(self):
         f = parse_profile("t*ln(t)", domain_min=1.5)
@@ -177,7 +170,8 @@ class TestConformalMetric:
     def test_positive_definiteness_guard(self):
         f = parse_profile("t - 3", domain_min=0.1)  # vanishes at t = 3
         metric = assemble_metric(f, BaseGrid(3, 16))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^warp is nonpositive at t = 3\.0$"):
             fd_scalar_curvature(metric, torus_point(3, 3.0))
 
     def test_non_finite_metric_is_rejected(self):
@@ -204,10 +198,13 @@ class TestConformalMetric:
         stack = np.array([[3.5, 0.3, 0.3, 0.3], point, [2.005, 0.3, 0.3, 0.3]])
         with pytest.raises(DomainError, match=r"= 2\.0 at t = 2\.01$"):
             fd_scalar_curvature(metric, stack, h=0.5)
+        # a stencil that reaches domain_min exactly, 2.5 - 2 * 0.25 = 2.0
+        with pytest.raises(DomainError, match=r"= 2\.0 at t = 2\.5$"):
+            fd_scalar_curvature(metric, [2.5, 0.3, 0.3, 0.3], h=0.25)
 
     def test_each_stencil_point_is_evaluated_once(self):
-        # the centre is checked on its own and then reused; it used to be
-        # evaluated again with the rest of the stencil
+        # the centre is checked on its own and then reused, and the stencil
+        # holds +-h and +-2h on each of the 4 axes: no mixed +-h+-h points
         rows = []
 
         def components(point):
@@ -215,20 +212,43 @@ class TestConformalMetric:
             return np.eye(4)
 
         fd_scalar_curvature(MetricGrid(3, components), [3.0, 0.3, 0.3, 0.3])
-        assert len(rows) == len(set(rows)) == 1 + 4 * 4 + 2 * 4 * 3
+        assert len(rows) == len(set(rows)) == 1 + 4 * 4
         assert rows[0] == (3.0, 0.3, 0.3, 0.3)
 
     def test_point_errors_name_t(self):
-        # t as its repr, not the rounded print of the whole point array
+        # t as its repr, not the rounded print of the whole point array; a
+        # zero eigenvalue is not positive either
         point = np.array([0.1 + 0.2, 0.3])
-        metric = MetricGrid(1, lambda p: np.diag([1.0, -1.0]))
-        with pytest.raises(DomainError) as err:
-            fd_scalar_curvature(metric, point)
-        assert str(err.value) == \
-            "metric not positive definite at t = 0.30000000000000004"
+        for last in (-1.0, 0.0):
+            metric = MetricGrid(1, lambda p: np.diag([1.0, last]))
+            with pytest.raises(DomainError) as err:
+                fd_scalar_curvature(metric, point)
+            assert str(err.value) == \
+                "metric not positive definite at t = 0.30000000000000004"
         with pytest.raises(DomainError) as err:
             oracle._inverse(np.zeros((2, 2)), point)
         assert str(err.value) == "metric is singular at t = 0.30000000000000004"
+
+    def test_a_non_diagonal_metric_is_refused(self):
+        # the stencil has no mixed points, which only a diagonal metric's
+        # scalar can do without; the first non-diagonal row is named, after
+        # the finite check (the last row is both)
+        def components(p):
+            g = np.eye(2)
+            g[0, 1] = 0.0 if p[0] < 4.0 else 0.1
+            g[1, 1] = np.inf if p[0] > 6.0 else 1.0
+            return g
+
+        metric = MetricGrid(1, components)
+        for t, message in ((3.0, None), (5.0, "metric is not diagonal"),
+                           (7.0, "metric is not finite")):
+            points = np.array([[3.0, 0.3], [t, 0.3]])
+            if message is None:
+                fd_scalar_curvature(metric, points)
+                continue
+            with pytest.raises(DomainError) as err:
+                fd_scalar_curvature(metric, points)
+            assert str(err.value) == f"{message} at t = {t!r}"
 
     def test_domain_guard(self):
         f = parse_profile("t", domain_min=2.0)
@@ -345,7 +365,7 @@ class TestBatchedStencil:
             assemble_metric(f, geometry, conformal=u, h=h), point)
         reference = fd_scalar_curvature(
             per_point_metric(f, geometry, conformal=u, h=h), point)
-        assert same_bits(batched.riemann, reference.riemann)
+        assert same_bits(batched.gamma, reference.gamma)
         assert same_bits(batched.scalar, reference.scalar)
 
     @settings(max_examples=25, deadline=None)
@@ -469,5 +489,5 @@ class TestBatchedStencil:
             return
         stacked = fd_scalar_curvature(metric, points)
         for r, one in enumerate(alone):
-            for part in ("scalar", "riemann", "gamma"):
+            for part in ("scalar", "gamma"):
                 assert same_bits(getattr(stacked, part)[r], getattr(one, part))

@@ -54,9 +54,12 @@ class TestWarpedScalarCurvature:
             warped_scalar_curvature(f, base, 0.7)
 
     def test_domain_min_enforced(self):
+        # domain_min = 2.0 itself is outside: t must exceed it
         f = parse_profile("t")
-        with pytest.raises(DomainError):
-            f.eval(1.0)
+        for t in (1.0, 2.0):
+            with pytest.raises(DomainError) as err:
+                f.eval(t)
+            assert str(err.value) == f"t must exceed domain_min = 2.0 at t = {t!r}"
 
 
 class TestSubstitution:
@@ -105,6 +108,12 @@ class TestGuards:
     def test_cone_log_needs_t_above_1(self, t):
         with pytest.raises(DomainError, match="t must exceed 1 so that ln t > 0"):
             cone_log_curvature(3, t)
+
+    @pytest.mark.parametrize("domain_min", [0.0, -1.0])
+    def test_domain_min_must_be_positive(self, domain_min):
+        # 0 itself is refused: t ranges over t > domain_min > 0
+        with pytest.raises(DomainError, match="^domain_min must be positive$"):
+            parse_profile("t", domain_min=domain_min)
 
     def test_substitute_u_needs_n_at_least_2(self):
         with pytest.raises(DomainError, match="need n >= 2, got 1"):
@@ -185,6 +194,11 @@ class TestPowerLawCurvature:
         res = ode_residual(substitute_u(f, n), lambda s: np.interp(s, t, R),
                            base, t)
         assert np.max(np.abs(res)) < 1e-10
+
+    def test_n2_value(self):
+        # n = 2 is the smallest n taken: (4n/(n+1)) alpha (1 - alpha) / t^2
+        assert power_law_curvature(0.3, 2, 3.0) == pytest.approx(
+            (8.0 / 3.0) * 0.3 * 0.7 / 9.0, rel=1e-15)
 
     def test_maximal_at_half(self):
         alphas = np.linspace(0.0, 1.0, 101)
