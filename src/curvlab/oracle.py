@@ -143,13 +143,14 @@ def _derivatives(metric, points, h):
     = d_c g_ab and d2[p, i, j, a, b] = d_i d_j g_ab at row p: centred first
     differences and 5-point O(h^4) second differences along each axis.  The
     mixed d_i d_j g_ab, i != j, are left 0: the scalar of a diagonal metric
-    reads them only as d_i d_j g_ij, and g_ij = 0 at every point.
+    reads them only as d_i d_j g_ij, and g_ij = 0 is checked at each
+    point of the stencil.
 
     The points are checked first: their stencils must stay above
     domain_min, and the metric at the centres, evaluated on their own so
     that a pole there is named at its t, must be finite, diagonal and
     positive definite.  The rest of the stencils, +-h and then +-2h on each
-    axis, is then evaluated in one call."""
+    axis, is then evaluated in one call and must be diagonal too."""
     if not h > 0:
         raise DomainError(f"need h > 0, got h = {h!r}")
     t = points[:, 0]
@@ -158,8 +159,8 @@ def _derivatives(metric, points, h):
     g = metric.components(points)
     name_first(t, np.isfinite(g).all(axis=(1, 2)), "metric is not finite")
     dim = metric.dim
-    name_first(t, ~g[:, ~np.eye(dim, dtype=bool)].any(axis=1),
-               "metric is not diagonal")
+    off = ~np.eye(dim, dtype=bool)
+    name_first(t, ~g[:, off].any(axis=1), "metric is not diagonal")
     diag = np.arange(dim)
     name_first(t, np.all(g[:, diag, diag] > 0, axis=1),
                "metric not positive definite")
@@ -171,6 +172,11 @@ def _derivatives(metric, points, h):
     stack[:, np.arange(4 * dim), axes] += steps * h
     G = metric.components(stack.reshape(-1, dim)).reshape(
         len(points), 2, dim, 2, dim, dim)
+    # a factor that overflows at a stencil point gives 0 * inf = nan off the
+    # diagonal, which is left to the caller's check of the scalar it spoils
+    G_off = G[..., off].reshape(len(points), -1)
+    name_first(t, ~((G_off != 0) & np.isfinite(G_off)).any(axis=1),
+               "metric is not diagonal")
     plus, minus, plus2, minus2 = (G[:, size, :, sign]
                                   for size in (0, 1) for sign in (0, 1))
     dg = (plus - minus) / (2.0 * h)
@@ -178,16 +184,6 @@ def _derivatives(metric, points, h):
     d2[:, diag, diag] = (-plus2 + 16.0 * plus - 30.0 * g[:, None]
                          + 16.0 * minus - minus2) / (12.0 * h * h)
     return g, dg, d2
-
-
-def _inverse(g, points):
-    """g^-1 at a point, or at each row of a stack; a singular g is named at
-    the t of the first point."""
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        t = float(np.ravel(points)[0])
-        raise DomainError(f"metric is singular at t = {t!r}")
 
 
 def _christoffel(ginv, dg):
@@ -279,7 +275,7 @@ def fd_rows(metric: MetricGrid, points):
 
 def _stack_curvature(metric, points, h):
     g, dg, d2 = _derivatives(metric, points, h)
-    ginv = _inverse(g, points)
+    ginv = np.linalg.inv(g)
     gamma = _christoffel(ginv, dg)
     riemann = _riemann(g, gamma, d2)
     scalar = np.einsum("...ik,...jl,...ijkl->...", ginv, ginv, riemann)

@@ -225,9 +225,6 @@ class TestConformalMetric:
                 fd_scalar_curvature(metric, point)
             assert str(err.value) == \
                 "metric not positive definite at t = 0.30000000000000004"
-        with pytest.raises(DomainError) as err:
-            oracle._inverse(np.zeros((2, 2)), point)
-        assert str(err.value) == "metric is singular at t = 0.30000000000000004"
 
     def test_a_non_diagonal_metric_is_refused(self):
         # the stencil has no mixed points, which only a diagonal metric's
@@ -249,6 +246,18 @@ class TestConformalMetric:
             with pytest.raises(DomainError) as err:
                 fd_scalar_curvature(metric, points)
             assert str(err.value) == f"{message} at t = {t!r}"
+
+    def test_a_metric_diagonal_only_at_its_centre_is_refused(self):
+        # g_01 = (t - 5) x1 is 0 at t = 5 but not at the +-h, +-2h points,
+        # where the mixed differences left 0 would be wrong
+        def components(p):
+            g = np.eye(2)
+            g[0, 1] = (p[0] - 5.0) * p[1]
+            return g
+
+        with pytest.raises(DomainError) as err:
+            fd_scalar_curvature(MetricGrid(1, components), [5.0, 0.3])
+        assert str(err.value) == "metric is not diagonal at t = 5.0"
 
     def test_domain_guard(self):
         f = parse_profile("t", domain_min=2.0)

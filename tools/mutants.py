@@ -1,14 +1,14 @@
 """Mutation probe: which operator swaps in one module do its tests miss?
 
     python tools/mutants.py src/curvlab/oracle.py tests/test_oracle.py \
-        tests/test_acceptance.py tests/test_cli.py [--seed 0] [--workdir DIR]
+        tests/test_acceptance.py tests/test_cli.py
 
-The repository is copied to a temporary directory (under --workdir if
-given), so the checkout is never edited.  In the copy, each comparison or
-arithmetic operator of the module is swapped in turn (< and <=, > and >=,
-== and !=, + and -, * and /, and the augmented += -= *= /=), and the given
-test files run with a fixed --hypothesis-seed and no hypothesis database.
-A mutant survives when they pass.  Each survivor is printed as
+The repository is copied to a temporary directory, so the checkout is
+never edited.  In the copy, each comparison or arithmetic operator of the
+module is swapped in turn (< and <=, > and >=, == and !=, + and -, * and /,
+and the augmented += -= *= /=), and the given test files run with
+--hypothesis-seed=0 and no hypothesis database.  A mutant survives when
+they pass.  Each survivor is printed as
 module:line: swap: source line.
 
 Mutants named in tools/equivalent_mutants.txt are not run: each line there
@@ -35,6 +35,7 @@ EQUIVALENT = Path(__file__).resolve().parent / "equivalent_mutants.txt"
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
          "+": "-", "-": "+", "*": "/", "/": "*",
          "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*="}
+SEED = 0  # the fixed hypothesis seed, so a run is repeatable
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                               ".pytest_cache", "results", ".work")
 
@@ -89,13 +90,13 @@ def read_equivalent(path):
     return named
 
 
-def run_tests(root, tests, seed, timeout):
+def run_tests(root, tests, timeout):
     """True when the tests pass in the copy at root."""
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         f"--hypothesis-seed={seed}", *tests],
+         f"--hypothesis-seed={SEED}", *tests],
         cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
     try:
@@ -110,22 +111,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("module", help="module path, relative to the repo")
     parser.add_argument("tests", nargs="+", help="test files to run")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="hypothesis seed (default 0)")
-    parser.add_argument("--workdir", default=None,
-                        help="where the temporary copy goes")
     args = parser.parse_args(argv)
 
     source = (ROOT / args.module).read_text()
     name = Path(args.module).name
     lines = source.splitlines(keepends=True)
     named = read_equivalent(EQUIVALENT)
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "repo"
         shutil.copytree(ROOT, root, ignore=SKIP)
         target = root / args.module
         start = time.monotonic()
-        if not run_tests(root, args.tests, args.seed, timeout=None):
+        if not run_tests(root, args.tests, timeout=None):
             sys.exit("the tests fail on the unmutated module")
         timeout = 30.0 + 4.0 * (time.monotonic() - start)
         survivors, skipped, total = [], 0, 0
@@ -139,7 +136,7 @@ def main(argv=None):
             mutated = lines.copy()
             mutated[line - 1] = text[:c0] + SWAPS[op] + text[c1:]
             target.write_text("".join(mutated))
-            if run_tests(root, args.tests, args.seed, timeout):
+            if run_tests(root, args.tests, timeout):
                 survivors.append(f"{name}:{line}: {swap}: {text.strip()}")
             print(f"{total}: {name}:{line}: {swap}", file=sys.stderr, flush=True)
     for survivor in survivors:
