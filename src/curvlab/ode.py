@@ -29,7 +29,7 @@ DEFAULT_T_MAX = 1.0e4
 RTOL = 1.0e-10
 ATOL = 1.0e-12
 MONOTONE_TOL = 1.0e-12      # a monotone_solve step this small ends the solve
-MONOTONE_MAX_ITER = 20000
+MONOTONE_MAX_ITER = 1000    # ~25x the most a valid bracket takes (39, n = 5)
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +127,17 @@ def _signed_pow(u, p):
     return np.sign(u) * np.abs(u) ** p
 
 
-def _second_order(rhs, t_span, y0, crossing=None, terminal=False, **kw):
+def _second_order(rhs, t_span, y0, crossing=False, **kw):
     """Integrate y'' = rhs(t, y, y') as a first-order system.  With crossing
-    (+1, -1 or 0) the zeros of y rising, falling or either way are recorded
-    in t_events[0], and terminal stops at the first one."""
+    the first downward zero of y ends the run, in t_events[0]."""
     def sys(t, y):
         return [y[1], rhs(t, y[0], y[1])]
 
-    if crossing is not None:
+    if crossing:
         def event(t, y):
             return y[0]
-        event.terminal = bool(terminal)
-        event.direction = crossing
+        event.terminal = True
+        event.direction = -1
         kw["events"] = event
     return solve_ivp(sys, t_span, y0, rtol=RTOL, atol=ATOL, **kw)
 
@@ -235,8 +234,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
 
     The barriers are checked first: each must be a discrete sub- or
     supersolution up to the round-off of its residual.  At each
-    node the nonlinearity is shifted by M_i exceeding its Lipschitz bound on
-    that node's bracket, so iterates march monotonically up from the
+    node the nonlinearity is shifted by M_i, its Lipschitz bound on that
+    node's bracket, so iterates march monotonically up from the
     subsolution to the true solution.  The iteration stops when the step falls
     below MONOTONE_TOL or stops shrinking (round-off); reaching
     MONOTONE_MAX_ITER first is a StiffFailure.  bc = (left, right) Dirichlet
@@ -291,10 +290,10 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
     # for u > 0, so the sup is at one end of the bracket
     def neg_dphi(v):
         return spec.R_g * p * _signed_pow(v, p - 1) - R_int
-    M = np.maximum(0.0, np.maximum(neg_dphi(lo[1:-1]), neg_dphi(hi[1:-1]))) + 1e-6
+    M = np.maximum(0.0, np.maximum(neg_dphi(lo[1:-1]), neg_dphi(hi[1:-1])))
 
-    # tridiagonal a*D2 - diag(M) with the Dirichlet rows folded in; it is
-    # diagonally dominant, so the elimination needs no pivoting
+    # tridiagonal a*D2 - diag(M), Dirichlet rows folded in: weakly diagonally
+    # dominant, its end rows strictly, so the elimination needs no pivoting
     off = [a / h ** 2] * (num_points - 3)
     diag = (-2.0 * a / h ** 2 - M).tolist()
 
@@ -318,7 +317,8 @@ def monotone_solve(spec: OdeSpec, pair: SubSuperPair, bc,
         prev_delta, delta = delta, float(np.abs(step).max())
         # steps stall at a few eps * max|u|; one that has stopped shrinking
         # is round-off once it is that small (early steps can grow)
-        if delta < MONOTONE_TOL or (delta >= prev_delta and delta < math.sqrt(eps) * size):
+        stalled = delta >= prev_delta and delta < math.sqrt(eps) * size
+        if delta < MONOTONE_TOL or stalled:
             break
     else:
         raise StiffFailure(f"monotone iteration did not converge in "
@@ -346,7 +346,7 @@ def _forced_crossing(rhs, t0, y0, T, what, who, tries=1, grow=None,
     crossing that rounds to t0 (no sign change)."""
     for _ in range(tries):
         _check_window(who, t0, T, squares_t=squares_t)
-        sol = _second_order(rhs, (t0, T), y0, crossing=-1, terminal=True)
+        sol = _second_order(rhs, (t0, T), y0, crossing=True)
         if len(sol.t_events[0]):
             cross = float(sol.t_events[0][0])
             if not cross > t0:
@@ -375,18 +375,23 @@ def _growth_exponent(coeff_fn, t0, T, dy0, who):
 def _oscillation(p):
     """Classify the comparison equation t^2 u'' + (c/4) u = 0 on [t0, T].
 
-    c > 1: oscillatory; nonexistence with crossing witnesses whose
-    consecutive ratios are e^(2 pi / sqrt(c-1)).  c <= 1: inconclusive, with
+    In log time s it is w'' - w' + (c/4) w = 0, solved from w(s0) = 1,
+    w'(s0) = 1/2 by e^((s-s0)/2) cos(delta (s-s0)), delta = sqrt(c-1)/2
+    (cosh, never 0, for c <= 1).  c > 1: nonexistence, its zeros
+    t0 e^((k+1/2) pi/delta), k = 0, 1, 2, the crossing witnesses, with
+    ratios e^(2 pi / sqrt(c-1)); ones that do not rise strictly past t0 in
+    floating point are a DomainError.  c <= 1: inconclusive, with
     the positive power-law witness u = t^alpha, alpha(1-alpha) = c/4.
     T = None sizes the window: three crossings for c > 1, DEFAULT_T_MAX
     otherwise.
     """
     c, t0, T = p["c"], p["t0"], p["T"]
+    who = _named("oscillation", p, ("c", "t0", "T"))
     if c <= 1:
         horizon = T if T is not None else DEFAULT_T_MAX
     else:
         delta = math.sqrt(c - 1.0) / 2.0
-        # three crossings fit within a factor ratio^3 of t0 regardless of phase
+        # the zeros k = 0, 1, 2 lie within a factor ratio^3 of t0
         try:
             ratio = math.exp(math.pi / delta)
             required_T = t0 * ratio ** 3
@@ -400,23 +405,18 @@ def _oscillation(p):
             raise DomainError("window cannot contain two predicted crossings"
                               f" (required T >= {required_T:.6g})")
         horizon = required_T
-    # log-time form: w'' + a1 w' + a0 w = 0 with a1 = -1, a0 = c/4
-    span = (math.log(t0), math.log(horizon))
-    _check_window(_named("oscillation", p, ("c", "t0", "T")), *span,
-                  "log-time ")
-    sol = _second_order(lambda s, w, dw: -(-1.0) * dw - c / 4.0 * w,
-                        span, [1.0, 0.5], crossing=0)
-    crossings = [math.exp(s) for s in sol.t_events[0]]
+    _check_window(who, math.log(t0), math.log(horizon), "log-time ")
     if c <= 1:
         alpha = 0.5 * (1.0 - math.sqrt(1.0 - c))
         return ("inconclusive",
                 "c <= 1: comparison solution does not oscillate",
                 {"positive_witness_exponent": alpha,
                  "witness_check": alpha * (1 - alpha) - c / 4.0,
-                 "crossings": crossings})
-    if len(crossings) < 2:
-        raise DomainError("fewer than two crossings found"
-                          f" (required T >= {required_T:.6g})")
+                 "crossings": []})
+    crossings = [t0 * math.exp((k + 0.5) * math.pi / delta) for k in range(3)]
+    if not all(a < b for a, b in zip([t0] + crossings, crossings)):
+        raise DomainError(f"{who}: the crossings {crossings!r} do not rise "
+                          f"strictly past t0 = {t0!r} in floating point")
     ratios = [b / a for a, b in zip(crossings, crossings[1:])]
     return ("nonexistence",
             "comparison solution of t^2 u'' + (c/4) u = 0 oscillates",

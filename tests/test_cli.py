@@ -731,6 +731,7 @@ class TestCertificateWindows:
         assert record["witnesses"]["crossings"][0] > 1e15
 
 
+
 @st.composite
 def certify_argv(draw):
     """certify arguments: a kind, and for each flag the kind reads, from its
@@ -889,6 +890,9 @@ class TestCleanErrors:
         (["certify", "--kind", "oscillation", "--c", "1.0001"],
          "oscillation: c = 1.0001 is too close to 1"),
         (["sweep", "--c", "1.00001:1.2:3"], "c = 1.00001 is too close to 1"),
+        # from c ~ 8.1e32 the first closed-form zero rounds onto t0 = 3
+        (["certify", "--kind", "oscillation", "--c", "9e32"],
+         "oscillation with c = 9e+32, t0 = 3.0, T = None: the crossings [3.0, "),
         (["solve", "--n", "3", "--points", "0"], "need at least 3 grid points"),
         (["solve", "--n", "3", "--points", "1"], "need at least 3 grid points"),
         (["solve", "--n", "3", "--points", "2"], "need at least 3 grid points"),
@@ -922,7 +926,8 @@ class TestCleanErrors:
           "--t", "3:5:3"], "rel_err is not finite at t = 3.0"),
         (["oracle", "--profile", "t", "--n", "41", "--t", "3"],
          "oracle needs n <= 40, got n = 41"),
-    ], ids=["certify-c", "sweep-c", "points0", "points1", "points2",
+    ], ids=["certify-c", "sweep-c", "certify-crossing-on-t0", "points0",
+            "points1", "points2",
             "curvature-radius-underflow", "oracle-radius-underflow",
             "oracle-square-overflow", "oracle-sphere-square-overflow",
             "oracle-square-underflow", "curvature-constant-square-overflow",
@@ -1104,19 +1109,22 @@ class TestSolveAndOracle:
 
     def test_solve_that_reaches_the_iteration_cap_fails(self, monkeypatch,
                                                          tmp_path, capsys):
-        # --T 1e4 converges in 71 iterations; stopped at the cap, solve used
-        # to write the unconverged iterate and exit 0
+        # n = 5 on this bracket converges in 37 iterations (n = 3 takes 2,
+        # under a cap of 3); stopped at the cap, solve used to write the
+        # unconverged iterate and exit 0
         monkeypatch.setattr(ode, "MONOTONE_MAX_ITER", 3)
         out = tmp_path / "u.csv"
-        assert main(["solve", "--n", "3", "--T", "1e4", "--out", str(out)]) == 1
+        args = ["solve", "--n", "5", "--R-coeff", "60", "--u-plus-power", "3",
+                "--T", "1e4", "--out", str(out)]
+        assert main(args) == 1
         stdout, err = capsys.readouterr()
         prefix = "error: monotone iteration did not converge in 3 iterations: last step "
         assert stdout == "" and err.startswith(prefix) and err.endswith("\n")
         assert float(err[len(prefix):]) > 0
         assert not out.exists()
         monkeypatch.undo()
-        assert main(["solve", "--n", "3", "--T", "1e4", "--out", str(out)]) == 0
-        assert json.loads(Path(f"{out}.meta.json").read_text())["iterations"] == 71
+        assert main(args) == 0
+        assert json.loads(Path(f"{out}.meta.json").read_text())["iterations"] == 37
 
     @pytest.mark.parametrize("args", [["--n", "4"],
                                       ["--n", "3", "--R-coeff", "3"]])
@@ -1428,6 +1436,6 @@ class TestScipyLoading:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ode, "solve_ivp", counting)
-        verdict = ode.oscillation_certificate(1.2, 3.0)
+        verdict = ode.comparison_certificate("thm48", {"b": 0.5, "t0": 3.0})
         assert verdict.kind == "nonexistence"
         assert calls

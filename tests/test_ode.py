@@ -24,6 +24,7 @@ def same(value):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EPS = np.finfo(float).eps
 # (value as a certificate holds it, value as its JSON reads back)
 JSON_VALUES = st.recursive(
     st.one_of(st.none().map(same), st.booleans().map(same),
@@ -58,10 +59,11 @@ class TestOdeSpec:
 class TestOscillation:
     def test_euler_closed_form_crossing(self):
         # t^2 u'' + (c/4) u = 0 with c = 2, u(1) = 1, u'(1) = 1/2 is
-        # sqrt(t) cos(ln t / 2): first zero at e^pi
+        # sqrt(t) cos(ln t / 2): zeros at e^pi, e^(3 pi), e^(5 pi), and
+        # from t0 = 2.5 at 2.5 times those
         v = oscillation_certificate(2.0, 2.5)
-        # crossing ratio check stands in for the closed form; verify the
-        # predicted spacing against e^(2 pi / sqrt(c-1))
+        assert v.witnesses["crossings"] == pytest.approx(
+            [2.5 * math.exp(k * math.pi) for k in (1, 3, 5)], rel=1e-15)
         assert v.witnesses["predicted_ratio"] == pytest.approx(
             math.exp(2*math.pi), rel=1e-12)
 
@@ -77,7 +79,31 @@ class TestOscillation:
         assert v.kind == "inconclusive"
         alpha = v.witnesses["positive_witness_exponent"]
         assert alpha*(1 - alpha) == pytest.approx(0.2, rel=1e-12)
-        assert len(v.witnesses["crossings"]) <= 1
+        assert v.witnesses["crossings"] == []
+
+    def test_huge_c_certifies(self):
+        # rk45 ended in "Required step size is less than spacing between
+        # numbers" at c = 1e28 ... 1e33; the closed-form zeros of c = 1e30
+        # lie a few ulp past t0 = 3
+        v = oscillation_certificate(1e30, 3.0)
+        assert v.kind == "nonexistence"
+        assert 3.0 < v.witnesses["crossings"][0] < v.witnesses["crossings"][1] \
+            < v.witnesses["crossings"][2]
+
+    def test_crossing_rounded_onto_t0_is_a_domain_error(self):
+        # from c ~ 8.1e32 the first zero, 3 e^(pi / sqrt(c - 1)), rounds to 3
+        with pytest.raises(DomainError) as err:
+            oscillation_certificate(9e32, 3.0)
+        assert str(err.value) == (
+            "oscillation with c = 9e+32, t0 = 3.0, T = None: the crossings "
+            "[3.0, 3.000000000000001, 3.0000000000000013] do not rise "
+            "strictly past t0 = 3.0 in floating point")
+
+    @pytest.mark.parametrize("c, t0, need", [(0.0, 3.0, "c > 0"),
+                                             (2.0, 2.0, "t0 > 2")])
+    def test_domain_boundary_is_refused(self, c, t0, need):
+        with pytest.raises(DomainError, match=f"^need {need}$"):
+            oscillation_certificate(c, t0)
 
     def test_critical_half(self):
         v = oscillation_certificate(1.0, 3.0)
@@ -90,37 +116,49 @@ class TestOscillation:
         required_T = re.search(r"\(required T >= (\S+)\)$", str(err.value))
         assert float(required_T.group(1)) > 100.0
 
+    def test_window_of_exactly_the_required_T(self):
+        # required T = t0 e^(3 pi / delta), computed as the certificate does
+        required_T = 3.0 * math.exp(math.pi / (math.sqrt(1.2 - 1.0) / 2.0)) ** 3
+        v = oscillation_certificate(1.2, 3.0, T=required_T)
+        assert v.kind == "nonexistence"
+        assert v.witnesses["crossings"][-1] < required_T
+        with pytest.raises(DomainError, match="window cannot contain"):
+            oscillation_certificate(1.2, 3.0, T=math.nextafter(required_T, 0.0))
+
     def test_crossing_time_stability(self):
-        # re-integration at tighter tolerance moves crossings by < 0.1%
+        # an independent integration of the certificate's log-time equation
+        # w'' - w' + (c/4) w = 0 at rtol 1e-12 meets the closed-form
+        # crossings to 5.3e-12 relative (measured)
         v1 = oscillation_certificate(2.0, 3.0)
         c1 = v1.witnesses["crossings"]
-        # the certificate's log-time equation w'' - w' + (c/4) w = 0
         sol = ode.solve_ivp(lambda s, y: [y[1], y[1] - 0.5 * y[0]],
                             (math.log(3.0), math.log(c1[-1]*1.01)), [1.0, 0.5],
                             rtol=1e-12, atol=ode.ATOL, events=lambda s, y: y[0])
         c2 = [math.exp(s) for s in sol.t_events[0]]
+        assert len(c2) == len(c1) == 3
         for a, b in zip(c1, c2):
-            assert abs(a/b - 1.0) < 1e-3
+            assert abs(a/b - 1.0) < 1e-11
 
     @settings(max_examples=40, deadline=None)
     @given(c=st.one_of(st.floats(0.2, 1.0), st.floats(1.05, 6.0)),
            t0=st.floats(2.5, 40.0), lam=st.floats(0.1, 20.0))
     def test_crossings_scale_with_t(self, c, t0, lam):
         # t^2 u'' + (c/4) u = 0 is invariant under t -> lam t, so the
-        # crossings scale by lam and their ratios stay.  In log time the
-        # scaled run is the same integration shifted by ln(lam): only
-        # rounding tells the two apart (<= 7e-14 relative, measured), so a
-        # gap as large as the integrator's RTOL breaks the symmetry
+        # crossings scale by lam and their ratios stay.  Each crossing is
+        # t0 times the same exponential, so only the roundings of lam t0,
+        # of the products and of the quotients tell the two apart: at most
+        # 2 ulp for a crossing and 3 for a ratio (1.5 and 2 measured over
+        # 20,000 draws)
         assume(lam * t0 > 2.0)
         T = None if c > 1 else 1e3 * t0   # c > 1 sizes its window from t0
         v = oscillation_certificate(c, t0, T)
         w = oscillation_certificate(c, lam * t0, None if T is None else lam * T)
         assert len(w.witnesses["crossings"]) == len(v.witnesses["crossings"])
         for a, b in zip(v.witnesses["crossings"], w.witnesses["crossings"]):
-            assert b == pytest.approx(lam * a, rel=ode.RTOL)
+            assert b == pytest.approx(lam * a, rel=2 * EPS)
         for a, b in zip(v.witnesses.get("crossing_ratios", []),
                         w.witnesses.get("crossing_ratios", [])):
-            assert b == pytest.approx(a, rel=ode.RTOL)
+            assert b == pytest.approx(a, rel=3 * EPS)
 
 
 class TestMonotoneSolve:
@@ -133,6 +171,87 @@ class TestMonotoneSolve:
         assert np.max(np.abs(sol.u - 6.0)) < 1e-8
         assert sol.residual_norm < 1e-10
         assert sol.monotone and sol.bracketed
+
+    @pytest.mark.parametrize("pair, num_points", [
+        (SubSuperPair(6.0, 6.0), 801),   # barriers that touch are ordered
+        (SubSuperPair(1.0, 10.0), 3),    # one interior node is enough
+    ], ids=["touching-barriers", "three-points"])
+    def test_smallest_valid_problems(self, pair, num_points):
+        sol = monotone_solve(self.spec_const(), pair, bc=(6.0, 6.0),
+                             num_points=num_points)
+        assert np.max(np.abs(sol.u - 6.0)) < 1e-12
+        assert sol.monotone and sol.bracketed
+
+    @pytest.mark.parametrize("bc", [(6.0 - 1e-12, 6.0 + 1e-12),
+                                    (6.0 + 1e-12, 6.0 - 1e-12)])
+    def test_boundary_values_within_the_bracket_tolerance(self, bc):
+        # each end may leave the bracket by exactly its 1e-12 allowance
+        sol = monotone_solve(self.spec_const(), SubSuperPair(6.0, 6.0), bc=bc)
+        assert np.max(np.abs(sol.u - 6.0)) < 1e-11 and sol.bracketed
+
+    @pytest.mark.parametrize("ulps, ok", [(4, True), (6, False)])
+    def test_barrier_may_miss_its_sign_by_its_round_off(self, ulps, ok):
+        # n = 5, R = -5: u = 8 solves eq31 (5 * 8 = 20 * 8^(1/3)).  The
+        # constant 8 + k ulp misses the subsolution sign by 32 k eps; on 3
+        # points its allowance is 2 eps (|R| u + 20 u^(1/3) + a stencil term
+        # of 0.05) = 160.09 eps, so each term of it counts
+        spec = OdeSpec(n=5, R=-5.0, R_g=-20.0, t0=3.0, T=100.0, form="eq31")
+        u = 8.0
+        for _ in range(ulps):
+            u = math.nextafter(u, 9.0)
+        if ok:
+            sol = monotone_solve(spec, SubSuperPair(u, u), bc=(u, u),
+                                 num_points=3)
+            assert sol.u[1] == pytest.approx(8.0, rel=1e-15)
+        else:
+            with pytest.raises(DomainError,
+                               match=r"^u_minus is not a subsolution: "
+                                     r"residual -4\.26326e-14 < 0 at t = 51\.5$"):
+                monotone_solve(spec, SubSuperPair(u, u), bc=(u, u),
+                               num_points=3)
+
+    def test_first_step_may_fall_by_the_barrier_allowance(self):
+        # R = 0, n = 3: 3 u'' + 6 = 0 is solved by u* = 1e4 - (t-3)(t-100)
+        # exactly on the grid.  u* + 5e-5 sin(pi (t-3)/97) passes as both
+        # barriers on 6401 points (its residual is within the allowance of
+        # u*'s size), so the first step falls by 5e-5, past 1e-9 max|u|;
+        # that fall is the barrier's, not the iteration's.  The solve meets
+        # u* to 4e-12 relative (measured)
+        spec = OdeSpec(n=3, R=0.0, R_g=-6.0, t0=3.0, T=100.0, form="eq31")
+
+        def barrier(t):
+            t = np.asarray(t, dtype=float)
+            return 1e4 - (t - 3.0) * (t - 100.0) + 5e-5 * np.sin(np.pi * (t - 3.0) / 97.0)
+
+        sol = monotone_solve(spec, SubSuperPair(barrier, barrier),
+                             bc=(1e4, 1e4), num_points=6401)
+        exact = 1e4 - (sol.t - 3.0) * (sol.t - 100.0)
+        assert np.max(np.abs(sol.u / exact - 1.0)) < 1e-11
+        assert sol.iterations == 2 and sol.monotone and sol.bracketed
+
+    def test_bracket_margin_scales_with_the_supersolution(self):
+        # u_plus = 6 t^2 reaches 6e4 on [3, 100], so the margin is 6e-4 and a
+        # left end 1e-12 under u_minus stays bracketed
+        sol = monotone_solve(self.spec_alpha2(100.0), self.pair_alpha2(),
+                             bc=(0.5 - 1e-12, 2.0))
+        assert sol.u[0] < 0.5 and sol.bracketed
+
+    def test_cap_and_tolerance_are_strict(self, monkeypatch):
+        # n = 3 stops at its second step, so a cap of 2 is enough; a cap of 1
+        # reports the first step, and a tolerance equal to it does not stop
+        # the solve there, while one a ulp above does
+        args = (self.spec_alpha2(100.0), self.pair_alpha2(), (2.0, 2.0))
+        monkeypatch.setattr(ode, "MONOTONE_MAX_ITER", 2)
+        assert monotone_solve(*args).iterations == 2
+        monkeypatch.setattr(ode, "MONOTONE_MAX_ITER", 1)
+        with pytest.raises(StiffFailure) as exc:
+            monotone_solve(*args)
+        first = float(str(exc.value).rsplit(" ", 1)[1])
+        monkeypatch.setattr(ode, "MONOTONE_MAX_ITER", 2)
+        monkeypatch.setattr(ode, "MONOTONE_TOL", first)
+        assert monotone_solve(*args).iterations == 2
+        monkeypatch.setattr(ode, "MONOTONE_TOL", math.nextafter(first, math.inf))
+        assert monotone_solve(*args).iterations == 1
 
     def test_ordering_rejected(self):
         with pytest.raises(DomainError, match="ordering violated"):
@@ -171,13 +290,32 @@ class TestMonotoneSolve:
         assert errs[0]/errs[1] > 3.5  # ~4x per halving
 
     def test_default_bracket_converges_in_a_few_iterations(self):
-        # the per-node shift gives a contraction factor ~1e-6 here (n = 3:
-        # the equation is linear); one global shift needed ~3,600 steps
+        # n = 3: the equation is linear and the exact per-node shift cancels
+        # it, so one step solves it and a second confirms the stop; one
+        # global shift needed ~3,600 steps
         for num in (201, 801, 6401):
             sol = monotone_solve(self.spec_alpha2(100.0), self.pair_alpha2(),
                                  bc=(2.0, 2.0), num_points=num)
-            assert sol.iterations <= 10
+            assert sol.iterations == 2
             assert sol.residual_norm < 1e-6 and sol.bracketed
+
+    @pytest.mark.parametrize("n, C, power, most", [(3, 7.0, 2, 2),
+                                                   (5, 60.0, 3, 39)])
+    def test_iteration_count_does_not_grow_with_T(self, n, C, power, most):
+        # R = -C/t^2 on the bracket (0.5, 6 t^power).  An absolute shift
+        # slack of 1e-6 set the contraction once the operator's smallest
+        # eigenvalue, ~a pi^2 / T^2, fell below it: n = 3 took 71 steps at
+        # T = 1e4 and failed at 1e6.  Measured: 2 steps at n = 3 on every
+        # window, and at n = 5 36 to 38 on these and 35 to 39 on 25 windows
+        # spaced evenly in log T from 1e2 to 1e8
+        spec = [OdeSpec(n=n, R=lambda t: -C / np.asarray(t, dtype=float) ** 2,
+                        R_g=-n * (n - 1), t0=3.0, T=T, form="eq31")
+                for T in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)]
+        pair = SubSuperPair(0.5, lambda t: 6.0 * np.asarray(t, dtype=float) ** power)
+        for sp in spec:
+            sol = monotone_solve(sp, pair, bc=(2.0, 2.0))
+            assert sol.iterations <= most, sp.T
+            assert sol.monotone and sol.bracketed
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_stop_rule_is_reached(self, n):
@@ -234,10 +372,12 @@ class TestMonotoneSolve:
         assert not sol.bracketed
 
     @pytest.mark.parametrize("spec, pair, bc, bad_t, steps", [
-        # u overflows on a window out to 1e300
+        # u overflows on a window out to 1e300: R > 0 takes no shift, and
+        # the first solve's u ~ h^2 is already inf (a shift slack of 1e-6
+        # grew u ~2e6-fold a step, and it took 49 steps)
         (OdeSpec(n=3, R=2.0, R_g=-6.0, t0=3.0, T=1e300, form="eq31"),
          SubSuperPair(0.5, lambda t: 6.0 * np.asarray(t, dtype=float) ** 2),
-         (2.0, 2.0), 2.0408163265306123e+298, 49),
+         (2.0, 2.0), 2.0408163265306123e+298, 1),
         # the shift reads u^(p-1) = u^(-4/3), which overflows at u = 1e-300,
         # so the first step is not finite
         (OdeSpec(n=2, R=lambda t: -7.0 / np.asarray(t, dtype=float) ** 2,

@@ -2,7 +2,9 @@
 ODE is integrated again by mpmath's Taylor-series `odefun` at 30 digits, and
 its zero is found by `findroot` from the curvlab witness.  The witness comes
 from rk45 at rtol = ode.RTOL (1e-10); it agrees with the 30-digit zero to
-~1e-11 relative or better, so each is checked at rel = ode.RTOL."""
+~1e-11 relative or better, so each is checked at rel = ode.RTOL.  The
+oscillation crossings are closed-form zeros of Euler's equation, and agree
+to rounding."""
 
 import mpmath as mp
 import pytest
@@ -85,3 +87,18 @@ def test_barrier33_final_crossing_matches_mpmath():
         expected = mp_crossing(lambda t, u, du: k(t) * u, start,
                                [C * start, C], w["crossings"][0])
     assert w["crossings"][0] == pytest.approx(float(expected), rel=ode.RTOL)
+
+
+@pytest.mark.parametrize("c", [1.05, 1.2, 2.0, 5.0])
+def test_oscillation_crossings_match_mpmath(c):
+    # the log-time equation w'' - w' + (c/4) w = 0, w(ln t0) = 1,
+    # w'(ln t0) = 1/2; its zeros meet the witnesses to <= 2.3e-15 relative
+    # (measured)
+    crossings = ode.oscillation_certificate(c, 3.0).witnesses["crossings"]
+    with mp.workdps(DIGITS):
+        a0 = mp.mpf(c) / 4
+        sol = mp.odefun(lambda s, w: [w[1], w[1] - a0 * w[0]], mp.log(3),
+                        [1, mp.mpf(1) / 2])
+        expected = [float(mp.exp(mp.findroot(lambda s: sol(s)[0], mp.log(x))))
+                    for x in crossings]
+    assert crossings == pytest.approx(expected, rel=1e-14)
